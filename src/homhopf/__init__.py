@@ -10,6 +10,7 @@ from .fields import QQ, BadRational, ModInt, PrimeField, RationalField, field_fr
 from .report import CheckReport, Witness
 from .exactlin import (
     DimensionMismatch,
+    FieldMismatch,
     LinearMap,
     NonInvertibleError,
     NoSolution,

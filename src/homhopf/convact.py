@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exactlin import (
+    FieldMismatch,
     LinearMap,
     NoSolution,
     Pipeline,
@@ -39,7 +40,7 @@ from .exactlin import (
     splitting_as_map,
     strip_scalar_leg,
     tensor_from_bilinear,
-    zero_map,
+    transpose,
 )
 from .homcore import HomAlgebra, HomBialgebra, HomCoalgebra
 from .report import CheckReport
@@ -376,26 +377,35 @@ def convolution_unit(coalg: HomCoalgebra, alg: HomAlgebra) -> LinearMap:
 def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
     """Linear system on the entries of g expressing f*g = e = g*f.
 
-    Unknowns are the entries of g (row-major); equations stack the
-    coordinates of f*g - e and g*f - e over every basis vector of C.
+    Unknowns are the entries of g (row-major), i.e. the coordinates of g as
+    a vector of A (x) C; equations stack the coordinates of f*g - e and
+    g*f - e over every basis vector of C.  Each of g -> f*g and g -> g*f is
+    compiled as one operator on A (x) C: adjoin f as a vector of A (x) C,
+    multiply the two A legs, and merge the two C legs with the transpose of
+    Delta_C.  Rows are returned as {unknown: value} dicts of their nonzeros.
     """
     field = alg.field
+    if f.field != field:
+        raise FieldMismatch(f"convolution: map over {f.field!r} into {field!r}")
     csp, asp = coalg.space, alg.space
     q, p = csp.dim, asp.dim
+    fvec = [v for row in f.matrix for v in row]
+    dt = transpose(coalg.comult_map)
     e = convolution_unit(coalg, alg)
-    columns = []
-    for r in range(p):
-        for s in range(q):
-            basis_rs = zero_map(field, csp, asp).matrix
-            basis_rs = [list(row) for row in basis_rs]
-            basis_rs[r][s] = field.one
-            unit_map = LinearMap(field, csp, asp, basis_rs)
-            fg = convolve(f, unit_map, coalg, alg)
-            gf = convolve(unit_map, f, coalg, alg)
-            col = [v for row in fg.matrix for v in row]
-            col += [v for row in gf.matrix for v in row]
-            columns.append(col)
-    rows = [[columns[u][eq] for u in range(p * q)] for eq in range(2 * p * q)]
+    rows = [{} for _ in range(2 * p * q)]
+    # f adjoined before the legs (A_g, C_g) of g gives f*g, after them g*f
+    for offset, at in ((0, 0), (p * q, 2)):
+        columns = (
+            Pipeline(field, [asp, csp])
+            .adjoin_vector(at, [asp, csp], fvec)
+            .permute([0, 2, 1, 3])
+            .merge_legs(0, 2, alg.mult_map)
+            .merge_legs(1, 2, dt)
+            .sparse_columns()
+        )
+        for u, col in enumerate(columns):
+            for eq, v in col.items():
+                rows[offset + eq][u] = v
     rhs = [v for row in e.matrix for v in row] * 2
     return rows, rhs
 
@@ -405,14 +415,14 @@ def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
     """Solve f * g = unit o eps = g * f for g exactly; raises
     NotConvolutionInvertible with the inconsistency certificate otherwise."""
     field = alg.field
+    q, p = coalg.space.dim, alg.space.dim
     rows, rhs = _convolution_system(f, coalg, alg)
-    sol = solve_linear(field, rows, rhs)
+    sol = solve_linear(field, rows, rhs, unknowns=p * q)
     if isinstance(sol, NoSolution):
         raise NotConvolutionInvertible(
             "no two-sided convolution inverse exists", certificate=sol)
-    q, p = coalg.space.dim, alg.space.dim
     matrix = [sol[r * q:(r + 1) * q] for r in range(p)]
-    return LinearMap(field, coalg.space, alg.space, matrix)
+    return LinearMap._trusted(field, coalg.space, alg.space, matrix)
 
 
 def pair_coalgebra(h: HomBialgebra) -> HomCoalgebra:

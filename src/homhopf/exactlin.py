@@ -6,6 +6,12 @@ stored representation is always the full dense matrix: at the dimensions this
 package targets (tensor cubes of spaces of dimension at most eight or so)
 a dense matrix plus zero-skipping iteration is both simple and fast.
 
+The public ``LinearMap(...)`` coerces every entry into the field.  Maps the
+kernel computes itself are built by ``LinearMap._trusted``, which checks
+only the shape; so every kernel operation refuses operands over different
+fields (``FieldMismatch``).  Linear systems are solved by one sparse exact
+Gauss–Jordan elimination on rows stored as {column: value} dicts.
+
 ``Pipeline`` is the one audited compiler that turns Sweedler-style formulas
 ("split the second leg, act on legs two and three, multiply legs one and
 four, ...") into a single matrix by composing per-leg operations.  Every
@@ -30,6 +36,15 @@ class DimensionMismatch(ValueError):
 
 class NonInvertibleError(ValueError):
     """A map required to be invertible has zero determinant."""
+
+
+class FieldMismatch(ValueError):
+    """Operands over different fields."""
+
+
+def _same_field(field, f, what: str):
+    if f.field != field:
+        raise FieldMismatch(f"{what}: map over {f.field!r} used with {field!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +108,18 @@ class LinearMap:
     """Dense matrix between based spaces; rows index the codomain."""
 
     def __init__(self, field, domain: Space, codomain: Space, matrix):
-        matrix = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
+        self._setup(field, domain, codomain,
+                    tuple(tuple(field.coerce(v) for v in row) for row in matrix))
+
+    @classmethod
+    def _trusted(cls, field, domain: Space, codomain: Space, matrix):
+        """A map whose entries are already scalars of ``field`` (kernel
+        output): the shape is checked, the entries are not coerced."""
+        self = cls.__new__(cls)
+        self._setup(field, domain, codomain, tuple(map(tuple, matrix)))
+        return self
+
+    def _setup(self, field, domain, codomain, matrix):
         if len(matrix) != codomain.dim or any(len(r) != domain.dim for r in matrix):
             raise DimensionMismatch(
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
@@ -159,17 +185,9 @@ class LinearMap:
 def identity(field, space: Space) -> LinearMap:
     one, zero = field.one, field.zero
     n = space.dim
-    return LinearMap(
+    return LinearMap._trusted(
         field, space, space,
         [[one if i == j else zero for j in range(n)] for i in range(n)],
-    )
-
-
-def zero_map(field, domain: Space, codomain: Space) -> LinearMap:
-    zero = field.zero
-    return LinearMap(
-        field, domain, codomain,
-        [[zero] * domain.dim for _ in range(codomain.dim)],
     )
 
 
@@ -178,7 +196,7 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
     coords = [field.coerce(v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap(field, SCALAR_SPACE, space, [[v] for v in coords])
+    return LinearMap._trusted(field, SCALAR_SPACE, space, [[v] for v in coords])
 
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
@@ -186,7 +204,7 @@ def functional_as_map(field, space: Space, coords) -> LinearMap:
     coords = [field.coerce(v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap(field, space, SCALAR_SPACE, [coords])
+    return LinearMap._trusted(field, space, SCALAR_SPACE, [coords])
 
 
 def flip_map(field, a: Space, b: Space) -> LinearMap:
@@ -198,7 +216,7 @@ def flip_map(field, a: Space, b: Space) -> LinearMap:
     for i in range(a.dim):
         for j in range(b.dim):
             rows[j * a.dim + i][i * b.dim + j] = one
-    return LinearMap(field, dom, cod, rows)
+    return LinearMap._trusted(field, dom, cod, rows)
 
 
 def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
@@ -206,7 +224,7 @@ def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
     so the matrix carries over unchanged."""
     if m.codomain.dim != space.dim:
         raise DimensionMismatch("strip expects exactly one one-dimensional extra leg")
-    return LinearMap(m.field, m.domain, space, m.matrix)
+    return LinearMap._trusted(m.field, m.domain, space, m.matrix)
 
 
 def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> LinearMap:
@@ -218,7 +236,7 @@ def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> Linea
             for k, v in enumerate(cube[i][j]):
                 if v:
                     rows[k][i * right.dim + j] = field.coerce(v)
-    return LinearMap(field, tensor_space(left, right), out, rows)
+    return LinearMap._trusted(field, tensor_space(left, right), out, rows)
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
@@ -230,7 +248,7 @@ def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> Line
             for k, v in enumerate(cube[i][j]):
                 if v:
                     rows[j * right.dim + k][i] = field.coerce(v)
-    return LinearMap(field, src, tensor_space(left, right), rows)
+    return LinearMap._trusted(field, src, tensor_space(left, right), rows)
 
 
 def tensor_from_bilinear(m: LinearMap, left: Space, right: Space, out: Space):
@@ -261,6 +279,7 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         raise DimensionMismatch(
             f"cannot compose: inner spaces {g.codomain.dim} vs {f.domain.dim} differ"
         )
+    _same_field(f.field, g, "compose")
     zero = f.field.zero
     rows = [[zero] * g.domain.dim for _ in range(f.codomain.dim)]
     fcols = f.nonzero_columns()
@@ -269,12 +288,13 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         for k, v in gcols[j]:
             for i, w in fcols[k]:
                 rows[i][j] = rows[i][j] + w * v
-    return LinearMap(f.field, g.domain, f.codomain, rows)
+    return LinearMap._trusted(f.field, g.domain, f.codomain, rows)
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product, left factor major."""
     field = f.field
+    _same_field(field, g, "tensor")
     zero = field.zero
     dom = tensor_space(f.domain, g.domain)
     cod = tensor_space(f.codomain, g.codomain)
@@ -291,7 +311,12 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
                 for j2, w in enumerate(grow):
                     if w:
                         out[base_c + j2] = v * w
-    return LinearMap(field, dom, cod, rows)
+    return LinearMap._trusted(field, dom, cod, rows)
+
+
+def transpose(f: LinearMap) -> LinearMap:
+    """The transposed matrix, as a map from f's codomain to its domain."""
+    return LinearMap._trusted(f.field, f.codomain, f.domain, zip(*f.matrix))
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -303,20 +328,14 @@ def inverse(f: LinearMap) -> LinearMap:
     n = f.domain.dim
     field = f.field
     one, zero = field.one, field.zero
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(f.matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise NonInvertibleError("map is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    inv = LinearMap(field, f.codomain, f.domain, [row[n:] for row in aug])
+    rows = [{j: v for j, v in enumerate(row) if v} for row in f.matrix]
+    for i, row in enumerate(rows):
+        row[n + i] = one
+    if len(_gauss_jordan(rows, n)) < n:
+        raise NonInvertibleError("map is singular")
+    inv = LinearMap._trusted(
+        field, f.codomain, f.domain,
+        [[row.get(n + j, zero) for j in range(n)] for row in rows])
     f._inv = inv
     inv._inv = f
     return inv
@@ -346,68 +365,100 @@ class NoSolution:
         return False
 
 
-def solve_linear(field, rows, rhs):
-    """Solve A x = b exactly; returns the solution or a NoSolution certificate.
+def _gauss_jordan(rows, width: int) -> list:
+    """Reduce ``rows`` in place to reduced row echelon form on their first
+    ``width`` columns; returns the pivot columns.
 
-    When the system is underdetermined the free variables are set to zero.
+    Rows are {column: value} dicts holding only nonzeros; columns from
+    ``width`` on (a right-hand side, an identity block) are carried along but
+    never pivoted on.  For each column c in turn the pivot is the first row
+    at or below the current one with a nonzero in c: it is swapped up,
+    normalised, and c is cleared in every other row.
     """
     m = len(rows)
-    if m != len(rhs):
-        raise DimensionMismatch("matrix and right-hand side sizes differ")
-    n = len(rows[0]) if m else 0
-    aug = [[field.coerce(v) for v in row] + [field.coerce(rhs[i])]
-           for i, row in enumerate(rows)]
-    if any(len(r) != n + 1 for r in aug):
-        raise DimensionMismatch("ragged matrix")
     pivots = []
     r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
+    for c in range(width):
+        piv = next((i for i in range(r, m) if c in rows[i]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        aug[r] = [v / p for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        prow = {k: v / p for k, v in rows[r].items()}
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            factor = row.get(c)
+            if factor is None or i == r:
+                continue
+            for k, v in prow.items():
+                acc = row.get(k)
+                acc = -(factor * v) if acc is None else acc - factor * v
+                if acc:
+                    row[k] = acc
+                else:
+                    del row[k]
         pivots.append(c)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            return NoSolution(row_index=i, reduced_row=tuple(aug[i]))
+    return pivots
+
+
+def _sparse_rows(field, rows, width=None):
+    """Coerced {column: value} dicts of the nonzeros of ``rows``, which are
+    dense sequences of ``width`` entries or already such dicts."""
+    out = []
+    for row in rows:
+        if isinstance(row, dict):
+            items = row.items()
+            if width is not None and any(not 0 <= k < width for k in row):
+                raise DimensionMismatch("column index out of range")
+        else:
+            items = enumerate(row)
+            if width is not None and len(row) != width:
+                raise DimensionMismatch("ragged matrix")
+        coerced = ((k, field.coerce(v)) for k, v in items)
+        out.append({k: v for k, v in coerced if v})
+    return out
+
+
+def solve_linear(field, rows, rhs, unknowns: int | None = None):
+    """Solve A x = b exactly; returns the solution or a NoSolution certificate.
+
+    Rows are dense sequences, or {column: value} dicts of their nonzeros; for
+    dict rows ``unknowns`` gives the number of columns.  When the system is
+    underdetermined the free variables are set to zero.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise DimensionMismatch("matrix and right-hand side sizes differ")
+    if unknowns is None:
+        if m and isinstance(rows[0], dict):
+            raise ValueError("dict rows need the number of unknowns")
+        unknowns = len(rows[0]) if m else 0
+    n = unknowns
+    aug = _sparse_rows(field, rows, n)
+    for row, b in zip(aug, rhs):
+        b = field.coerce(b)
+        if b:
+            row[n] = b
+    pivots = _gauss_jordan(aug, n)
     zero = field.zero
+    for i in range(len(pivots), m):
+        if n in aug[i]:
+            return NoSolution(row_index=i, reduced_row=tuple(
+                aug[i].get(k, zero) for k in range(n + 1)))
     solution = [zero] * n
-    for i, c in enumerate(pivots):
-        solution[c] = aug[i][n]
+    for row, c in zip(aug, pivots):
+        solution[c] = row.get(n, zero)
     return solution
 
 
 def matrix_rank(field, rows) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    work = [[field.coerce(v) for v in row] for row in rows]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, m) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][c]
-        work[rank] = [v / p for v in work[rank]]
-        for i in range(m):
-            if i != rank and work[i][c]:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank of dense rows or of {column: value} dict rows."""
+    work = _sparse_rows(field, rows)
+    return len(_gauss_jordan(work, 1 + max((k for row in work for k in row),
+                                           default=-1)))
 
 
 def maps_equal(f: LinearMap, g: LinearMap, name: str = "maps_equal") -> CheckReport:
@@ -484,6 +535,7 @@ class Pipeline:
         """Apply f to leg i."""
         if f.domain != self.legs[i]:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
+        _same_field(self.field, f, "map_leg")
         cols = f.nonzero_columns()
 
         def fn(key, v):
@@ -499,6 +551,7 @@ class Pipeline:
             raise DimensionMismatch(f"split_leg: leg {i} is not the domain of the map")
         if f.codomain.dim != out_left.dim * out_right.dim:
             raise DimensionMismatch("split_leg: declared factors do not match codomain")
+        _same_field(self.field, f, "split_leg")
         cols = f.nonzero_columns()
         d2 = out_right.dim
 
@@ -515,6 +568,7 @@ class Pipeline:
         dims = [s.dim for s in self.legs[i:i + count]]
         if f.domain.dim != prod(dims):
             raise DimensionMismatch("merge_legs: map domain does not match legs")
+        _same_field(self.field, f, "merge_legs")
         cols = f.nonzero_columns()
 
         def fn(key, v):
@@ -536,17 +590,32 @@ class Pipeline:
         self.legs = [self.legs[t] for t in order]
         return self._transform(fn)
 
-    def adjoin_vector(self, i: int, space: Space, coords):
-        """Insert a fixed vector of ``space`` as a new leg at position i."""
+    def adjoin_vector(self, i: int, space, coords):
+        """Insert a fixed vector of ``space`` as a new leg at position i.
+
+        ``space`` may also be a sequence of spaces: the vector then lives in
+        their tensor product and they become consecutive new legs.
+        """
+        spaces = [space] if isinstance(space, Space) else list(space)
+        dims = [s.dim for s in spaces]
         coords = [self.field.coerce(v) for v in coords]
-        nz = [(r, w) for r, w in enumerate(coords) if w]
+        if len(coords) != prod(dims):
+            raise DimensionMismatch("adjoin_vector: coordinate count does not match")
+        nz = [(decode_index(r, dims), w) for r, w in enumerate(coords) if w]
 
         def fn(key, v):
             for r, w in nz:
-                yield key[:i] + (r,) + key[i:], w * v
+                yield key[:i] + r + key[i:], w * v
 
-        self.legs.insert(i, space)
+        self.legs[i:i] = spaces
         return self._transform(fn)
+
+    def sparse_columns(self) -> list:
+        """The compiled map without densifying: for each domain basis vector
+        a {codomain index: value} dict of its nonzero coordinates."""
+        dims = [s.dim for s in self.legs]
+        return [{encode_index(key, dims): v for key, v in col.items()}
+                for col in self.columns]
 
     def finish(self) -> LinearMap:
         domain = tensor_space_list(self.domain_legs)
@@ -557,4 +626,4 @@ class Pipeline:
         for j, col in enumerate(self.columns):
             for key, v in col.items():
                 rows[encode_index(key, dims)][j] = v
-        return LinearMap(self.field, domain, codomain, rows)
+        return LinearMap._trusted(self.field, domain, codomain, rows)

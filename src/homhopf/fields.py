@@ -118,14 +118,10 @@ class RationalField:
 
     tag = "Q"
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # One shared object each, so comparisons of kernel output short-cut on
+    # identity.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -165,14 +161,8 @@ class PrimeField:
         self.p = p
         self.tag = f"GF({p})"
         self.characteristic = p
-
-    @property
-    def zero(self) -> ModInt:
-        return ModInt(0, self.p)
-
-    @property
-    def one(self) -> ModInt:
-        return ModInt(1, self.p)
+        self.zero = ModInt(0, p)
+        self.one = ModInt(1, p)
 
     def coerce(self, value) -> ModInt:
         if isinstance(value, ModInt):

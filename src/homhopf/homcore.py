@@ -29,6 +29,7 @@ from functools import cached_property
 
 from .exactlin import (
     LinearMap,
+    NonInvertibleError,
     Pipeline,
     SCALAR_SPACE,
     Space,
@@ -429,7 +430,7 @@ def check_bialgebra_automorphism(b: HomBialgebra, phi: LinearMap) -> CheckReport
     try:
         inverse(phi)
         invertible: CheckReport = CheckReport("invertible", True)
-    except Exception:
+    except NonInvertibleError:
         invertible = CheckReport("invertible", False)
 
     mult_compat = equal_on_basis(

@@ -298,9 +298,9 @@ def parse(text) -> StructureFile:
             hopf = resolve(body.get("hopf"))
             action = resolve(body.get("action"))
             cocycle = resolve(body.get("cocycle"))
-            _require(isinstance(body.get("m"), int)
-                     and isinstance(body.get("k"), int), StructError,
-                     f"{where}: m and k must be integers")
+            # bool is a subclass of int: JSON true/false are not integers
+            _require(all(type(body.get(key)) is int for key in ("m", "k")),
+                     StructError, f"{where}: m and k must be integers")
             try:
                 return CrossedProductSpec(
                     algebra=algebra, hopf=hopf, action=action,

@@ -133,3 +133,14 @@ def test_antipode_solves_when_no_antipode_maps_are_shipped(tmp_path):
     path = tmp_path / "noanti.struct"
     path.write_text(export_biproduct_spec(classical_radford_datum()))
     assert main(["antipode", str(path)]) == 0
+
+
+def test_boolean_crossed_parameter_is_an_input_error(data_dir, tmp_path,
+                                                     capsys):
+    doc = json.loads((data_dir / "example24.struct").read_text())
+    doc["bundles"]["crossed"]["m"] = True
+    path = tmp_path / "bool_m.struct"
+    path.write_text(json.dumps(doc))
+    assert main(["build", "crossed", str(path),
+                 "-o", str(tmp_path / "out.struct")]) == 2
+    assert "m and k must be integers" in capsys.readouterr().err

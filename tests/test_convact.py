@@ -16,6 +16,7 @@ from homhopf.convact import (
     convolution_inverse,
     convolution_unit,
     convolve,
+    pair_coalgebra,
     self_coaction,
     trivial_action,
     trivial_coaction,
@@ -23,14 +24,30 @@ from homhopf.convact import (
 )
 from homhopf.corpus import (
     classical_sweedler_h4,
+    corpus_entries,
     cyclic_group_hopf,
     dual_numbers_algebra,
     example24_action,
     example24_sigma,
     sweedler_h4_hom,
 )
-from homhopf.exactlin import LinearMap, identity, maps_equal, matrix_rank
-from homhopf.fields import QQ
+from homhopf.exactlin import (
+    FieldMismatch,
+    LinearMap,
+    Space,
+    identity,
+    maps_equal,
+    matrix_rank,
+)
+from homhopf.fields import QQ, ModInt, PrimeField
+from homhopf.homcore import (
+    HomAlgebra,
+    HomBialgebra,
+    HomCoalgebra,
+    HomHopf,
+    check_antipode,
+    check_hom_bialgebra,
+)
 
 
 def test_example_action_is_weak_module_algebra():
@@ -216,3 +233,128 @@ def test_convolution_is_bilinear():
     doubled = LinearMap(QQ, h.space, h.space,
                         [[v + v for v in row] for row in base.matrix])
     assert maps_equal(lhs, doubled).passed
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the compiled convolution operators: the stacked
+# system assembled the old way, from one convolve run per unit map.
+
+
+def unit_map_assembly(f, coalg, alg):
+    """Dense reference for _convolution_system: column u of the system is
+    f*E_u stacked on E_u*f, where E_u is the u-th unit map C -> A."""
+    field = alg.field
+    q, p = coalg.space.dim, alg.space.dim
+    columns = []
+    for r in range(p):
+        for s in range(q):
+            unit = [[0] * q for _ in range(p)]
+            unit[r][s] = 1
+            unit_map = LinearMap(field, coalg.space, alg.space, unit)
+            fg = convolve(f, unit_map, coalg, alg)
+            gf = convolve(unit_map, f, coalg, alg)
+            columns.append([v for m in (fg, gf) for row in m.matrix
+                            for v in row])
+    rows = [[col[eq] for col in columns] for eq in range(2 * p * q)]
+    e = convolution_unit(coalg, alg)
+    return rows, [v for row in e.matrix for v in row] * 2
+
+
+def taft_hopf(n, p, zeta):
+    """Taft's Hopf algebra T_n over GF(p), zeta a primitive n-th root of
+    unity: basis g^a x^b at index a*n + b, g^n = 1, x^n = 0, xg = zeta gx,
+    Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x.  The antipode slot
+    holds the identity; tests solve for the real one."""
+    field = PrimeField(p)
+    dim = n * n
+    sp = Space(tuple(f"g{a}x{b}" for a in range(n) for b in range(n)))
+    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n - b):
+                    k = (a + c) % n * n + b + d
+                    mult[a * n + b][c * n + d][k] = pow(zeta, b * c, p)
+
+    def times(u, v):
+        out = {}
+        for (i1, j1), s in u.items():
+            for (i2, j2), t in v.items():
+                for k1, c1 in enumerate(mult[i1][i2]):
+                    for k2, c2 in enumerate(mult[j1][j2]):
+                        if c1 and c2:
+                            key = (k1, k2)
+                            out[key] = (out.get(key, 0) + s * t * c1 * c2) % p
+        return out
+
+    delta_g = {(n, n): 1}
+    delta_x = {(1, 0): 1, (n, 1): 1}
+    comult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(n):
+        for b in range(n):
+            value = {(0, 0): 1}
+            for factor in [delta_g] * a + [delta_x] * b:
+                value = times(value, factor)
+            for (j, k), c in value.items():
+                comult[a * n + b][j][k] = c
+    ida = identity(field, sp)
+    bial = HomBialgebra(
+        HomAlgebra(field, sp, mult, [1] + [0] * (dim - 1), ida),
+        HomCoalgebra(field, sp, comult,
+                     [1 if i % n == 0 else 0 for i in range(dim)], ida),
+    )
+    return HomHopf(bial, ida)
+
+
+HOPF_ENTRIES = [e.name for e in corpus_entries()
+                if isinstance(e.payload, HomHopf)] + ["taft3_gf7"]
+
+
+def hopf_entry(name):
+    if name == "taft3_gf7":
+        return taft_hopf(3, 7, 2)
+    return next(e.payload for e in corpus_entries() if e.name == name)
+
+
+def sparse_rows(rows):
+    return [{u: v for u, v in enumerate(row) if v} for row in rows]
+
+
+@pytest.mark.parametrize("name", HOPF_ENTRIES)
+def test_convolution_system_matches_unit_map_assembly(name):
+    h = hopf_entry(name)
+    for f in (identity(h.field, h.space), h.alpha, h.antipode):
+        rows, rhs = _convolution_system(f, h.coalgebra, h.algebra)
+        ref_rows, ref_rhs = unit_map_assembly(f, h.coalgebra, h.algebra)
+        assert rows == sparse_rows(ref_rows)
+        assert rhs == ref_rhs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cocycle_system_matches_unit_map_assembly(n):
+    # A (dim 2) differs from the coalgebra H (x) H (dim 16)
+    sigma = example24_sigma(n)
+    coalg = pair_coalgebra(sigma.source)
+    rows, rhs = _convolution_system(sigma.sigma_map, coalg, sigma.target)
+    ref_rows, ref_rhs = unit_map_assembly(sigma.sigma_map, coalg,
+                                          sigma.target)
+    assert rows == sparse_rows(ref_rows)
+    assert rhs == ref_rhs
+
+
+def test_taft_antipode_is_solved_exactly_over_gf7():
+    h = taft_hopf(3, 7, 2)
+    assert check_hom_bialgebra(h.bialgebra).passed
+    solved = convolution_inverse(h.alpha, h.coalgebra, h.algebra)
+    assert all(type(v) is ModInt and v.p == 7
+               for row in solved.matrix for v in row)
+    assert check_antipode(HomHopf(h.bialgebra, solved)).passed
+    # S(g) = g^2 and S(x) = -g^2 x in T_3
+    assert solved.column(3)[6] == 1 and solved.column(1)[7] == -1
+
+
+def test_convolution_inverse_refuses_a_map_over_another_field():
+    h = taft_hopf(3, 7, 2)
+    f = identity(QQ, h.space)
+    with pytest.raises(FieldMismatch):
+        convolution_inverse(f, h.coalgebra, h.algebra)

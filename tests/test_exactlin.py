@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from homhopf.corpus import sweedler_h4_hom
 from homhopf.exactlin import (
     DimensionMismatch,
+    FieldMismatch,
     LinearMap,
     NonInvertibleError,
     NoSolution,
@@ -24,8 +25,9 @@ from homhopf.exactlin import (
     solve_linear,
     tensor,
     tensor_space,
+    transpose,
 )
-from homhopf.fields import QQ
+from homhopf.fields import QQ, ModInt, PrimeField
 
 
 def rational_map(rows, domain=None, codomain=None):
@@ -206,3 +208,193 @@ def test_pipeline_permute_and_adjoin():
             assert col[j * 2 + i] == 1 and sum(1 for v in col if v) == 1
     unit = Pipeline(QQ, [a]).adjoin_vector(0, b, [0, 1, 0]).finish()
     assert unit.column(1)[1 * 2 + 1] == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle for the sparse Gauss-Jordan: a dense reference with the
+# same pivot rule (first row at or below the current one with a nonzero in
+# the column; normalise it; clear the column in every other row).
+
+
+def dense_gauss_jordan(aug, width):
+    """Reduce dense rows in place on their first ``width`` columns; returns
+    the pivot columns."""
+    m = len(aug)
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][c]
+        aug[r] = [v / p for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                factor = aug[i][c]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def dense_reference_solve(field, rows, rhs):
+    n = len(rows[0])
+    aug = [[field.coerce(v) for v in row] + [field.coerce(b)]
+           for row, b in zip(rows, rhs)]
+    pivots = dense_gauss_jordan(aug, n)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][n]:
+            return NoSolution(row_index=i, reduced_row=tuple(aug[i]))
+    solution = [field.zero] * n
+    for i, c in enumerate(pivots):
+        solution[c] = aug[i][n]
+    return solution
+
+
+def dense_reference_inverse(field, rows):
+    n = len(rows)
+    aug = [[field.coerce(v) for v in row]
+           + [field.one if i == j else field.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    if len(dense_gauss_jordan(aug, n)) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+GF7 = PrimeField(7)
+SMALL_SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+
+
+@st.composite
+def linear_systems(draw):
+    """(field, rows, rhs): square, tall and wide shapes over Q and GF(7),
+    mostly zeros; half the right-hand sides are A x for a random x, so
+    consistent and inconsistent systems both occur."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([m, max(1, m - 2), m + 2]))
+    rows = draw(st.lists(st.lists(SMALL_SCALARS, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x = draw(st.lists(SMALL_SCALARS, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(SMALL_SCALARS, min_size=m, max_size=m))
+    return field, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_sparse_solver_matches_dense_reference(system):
+    field, rows, rhs = system
+    expected = dense_reference_solve(field, rows, rhs)
+    assert solve_linear(field, rows, rhs) == expected
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    n = len(rows[0])
+    assert solve_linear(field, sparse, rhs, unknowns=n) == expected
+    rank = len(dense_gauss_jordan([[field.coerce(v) for v in row]
+                                   for row in rows], n))
+    assert matrix_rank(field, rows) == rank
+    assert matrix_rank(field, sparse) == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF7]), st.integers(1, 5), st.data())
+def test_sparse_inverse_matches_dense_reference(field, n, data):
+    rows = data.draw(st.lists(st.lists(SMALL_SCALARS, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    sp = Space(tuple(f"e{i}" for i in range(n)))
+    expected = dense_reference_inverse(field, rows)
+    f = LinearMap(field, sp, sp, rows)
+    if expected is None:
+        with pytest.raises(NonInvertibleError):
+            inverse(f)
+    else:
+        assert inverse(f).matrix == expected
+
+
+def test_dict_rows_need_the_number_of_unknowns():
+    with pytest.raises(ValueError):
+        solve_linear(QQ, [{0: 1}], [1])
+    with pytest.raises(DimensionMismatch):
+        solve_linear(QQ, [{2: 1}], [1], unknowns=2)
+
+
+# ---------------------------------------------------------------------------
+# Kernel output is built without re-coercion, so operands over different
+# fields are refused up front.
+
+
+def gf_map(rows, p=7):
+    field = PrimeField(p)
+    sp = Space(tuple(f"e{i}" for i in range(len(rows))))
+    return LinearMap(field, sp, sp, rows)
+
+
+def test_compose_and_tensor_refuse_mixed_fields():
+    f = gf_map([[1, 2], [0, 1]])
+    q = LinearMap(QQ, f.domain, f.domain, [[1, 0], [0, 1]])
+    with pytest.raises(FieldMismatch):
+        compose(q, f)
+    with pytest.raises(FieldMismatch):
+        compose(f, q)
+    with pytest.raises(FieldMismatch):
+        tensor(q, f)
+    # a zero operand used to slip through and return a map over Q
+    zero = LinearMap(QQ, f.domain, f.domain, [[0, 0], [0, 0]])
+    with pytest.raises(FieldMismatch):
+        compose(zero, f)
+    with pytest.raises(FieldMismatch):
+        tensor(zero, f)
+    with pytest.raises(FieldMismatch):
+        compose(f, gf_map([[1, 0], [0, 1]], p=5))
+
+
+def test_pipeline_steps_refuse_maps_over_another_field():
+    f = gf_map([[1, 2], [0, 1]])
+    sp = f.domain
+    pair = tensor_space(sp, sp)
+    with pytest.raises(FieldMismatch):
+        Pipeline(QQ, [sp]).map_leg(0, f)
+    split = LinearMap(GF7, sp, pair, [[1, 0]] + [[0, 0]] * 3)
+    with pytest.raises(FieldMismatch):
+        Pipeline(QQ, [sp]).split_leg(0, split, sp, sp)
+    merge = LinearMap(GF7, pair, sp, [[1, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(FieldMismatch):
+        Pipeline(QQ, [sp, sp]).merge_legs(0, 2, merge)
+
+
+def test_pipeline_adjoins_a_vector_as_several_legs():
+    a = Space(("a0", "a1"))
+    b = Space(("b0", "b1", "b2"))
+    coords = list(range(6))
+    two_legs = Pipeline(QQ, [a]).adjoin_vector(1, [a, b], coords).finish()
+    one_leg = Pipeline(QQ, [a]).adjoin_vector(1, tensor_space(a, b),
+                                              coords).finish()
+    assert two_legs.matrix == one_leg.matrix
+    with pytest.raises(DimensionMismatch):
+        Pipeline(QQ, [a]).adjoin_vector(0, [a, b], [1, 2])
+
+
+def test_kernel_output_over_gf_p_holds_only_residues_mod_p():
+    f = gf_map([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    sp = f.domain
+    outputs = [
+        compose(f, f), tensor(f, f), inverse(f), identity(GF7, sp),
+        power(f, -3), transpose(f),
+        Pipeline(GF7, [sp, sp]).map_leg(0, f).permute([1, 0]).finish(),
+    ]
+    for out in outputs:
+        for row in out.matrix:
+            assert all(type(v) is ModInt and v.p == 7 for v in row)
+    sol = solve_linear(GF7, [list(r) for r in f.matrix], [1, 2, 3])
+    assert all(type(v) is ModInt and v.p == 7 for v in sol)
+
+
+def test_field_zero_and_one_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert GF7.zero is GF7.zero and GF7.one is GF7.one
+    assert identity(GF7, Space(("x", "y"))).matrix[0][1] is GF7.zero

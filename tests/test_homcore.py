@@ -12,20 +12,23 @@ from homhopf.corpus import (
     sweedler_h4_hom,
     sweedler_sign_map,
 )
+from homhopf import homcore
 from homhopf.exactlin import (
+    FieldMismatch,
     LinearMap,
     NonInvertibleError,
     Pipeline,
     identity,
     tensor_space,
 )
-from homhopf.fields import QQ
+from homhopf.fields import QQ, PrimeField
 from homhopf.homcore import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     NotAutomorphism,
     check_antipode,
+    check_bialgebra_automorphism,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
@@ -226,3 +229,30 @@ def test_tensor_algebra_and_coalgebra_of_classical_hopf_pass():
     assert check_hom_algebra(ta).passed
     assert check_hom_coalgebra(tc).passed
     assert ta.space == tensor_space(h.space, h.space)
+
+
+def test_singular_phi_reports_invertible_as_failed():
+    h = classical_sweedler_h4()
+    singular = LinearMap(QQ, h.space, h.space,
+                         [[1, 0, 0, 0]] + [[0] * 4 for _ in range(3)])
+    report = check_bialgebra_automorphism(h.bialgebra, singular)
+    assert not report.passed
+    assert not report.find("invertible").passed
+
+
+def test_unrelated_error_in_automorphism_check_propagates(monkeypatch):
+    h = classical_sweedler_h4()
+
+    def broken_inverse(phi):
+        raise FieldMismatch("not a singularity")
+
+    monkeypatch.setattr(homcore, "inverse", broken_inverse)
+    with pytest.raises(FieldMismatch):
+        check_bialgebra_automorphism(h.bialgebra, identity(QQ, h.space))
+
+
+def test_automorphism_over_another_field_is_refused():
+    h = classical_sweedler_h4()
+    phi = identity(PrimeField(7), h.space)
+    with pytest.raises(FieldMismatch):
+        check_bialgebra_automorphism(h.bialgebra, phi)

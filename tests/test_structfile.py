@@ -147,3 +147,12 @@ def test_bundle_referencing_wrong_kind_is_rejected():
                              "target": "A", "tensor": "m"}
     with pytest.raises(StructError):
         parse(json.dumps(doc))  # A is an algebra, not a bialgebra
+
+
+@pytest.mark.parametrize("key,value", [("m", True), ("k", False),
+                                       ("m", 1.0)])
+def test_crossed_spec_parameters_must_be_integers_not_booleans(key, value):
+    doc = json.loads(shipped_documents()["example24.struct"])
+    doc["bundles"]["crossed"][key] = value
+    with pytest.raises(StructError):
+        parse(json.dumps(doc))
