@@ -42,7 +42,7 @@ from .exactlin import (
     tensor_from_bilinear,
     transpose,
 )
-from .homcore import HomAlgebra, HomBialgebra, HomCoalgebra
+from .homcore import HomAlgebra, HomBialgebra, HomCoalgebra, _coerce_cube
 from .report import CheckReport
 
 
@@ -54,18 +54,6 @@ class NotConvolutionInvertible(ValueError):
         self.certificate = certificate
 
 
-def _coerce_box(field, d1, d2, d3, cube):
-    out = tuple(
-        tuple(tuple(field.coerce(v) for v in plane) for plane in slab)
-        for slab in cube
-    )
-    if len(out) != d1 or any(len(s) != d2 for s in out) or any(
-        len(p) != d3 for s in out for p in s
-    ):
-        raise ValueError(f"rank-3 tensor shape does not match {d1}x{d2}x{d3}")
-    return out
-
-
 class ModuleAction:
     """An action of (H, alpha) on (A, beta): act[i][j][k] is the coefficient
     of a_k in h_i . a_j.  Shapes only; the module laws are checkable."""
@@ -73,7 +61,7 @@ class ModuleAction:
     def __init__(self, acting: HomBialgebra, target: HomAlgebra, act):
         self.acting = acting
         self.target = target
-        self.act = _coerce_box(
+        self.act = _coerce_cube(
             target.field, acting.space.dim, target.space.dim, target.space.dim, act
         )
 
@@ -107,7 +95,7 @@ class Coaction:
     def __init__(self, coacting: HomBialgebra, target: HomCoalgebra, coact):
         self.coacting = coacting
         self.target = target
-        self.coact = _coerce_box(
+        self.coact = _coerce_cube(
             target.field, target.space.dim, coacting.space.dim, target.space.dim,
             coact,
         )
@@ -145,8 +133,8 @@ class Cocycle:
         self.source = source
         self.target = target
         n, p = source.space.dim, target.space.dim
-        self.sigma = _coerce_box(target.field, n, n, p, sigma)
-        self.inverse = None if inverse is None else _coerce_box(
+        self.sigma = _coerce_cube(target.field, n, n, p, sigma)
+        self.inverse = None if inverse is None else _coerce_cube(
             target.field, n, n, p, inverse)
 
     @property
@@ -421,8 +409,9 @@ def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
     if isinstance(sol, NoSolution):
         raise NotConvolutionInvertible(
             "no two-sided convolution inverse exists", certificate=sol)
-    matrix = [sol[r * q:(r + 1) * q] for r in range(p)]
-    return LinearMap._trusted(field, coalg.space, alg.space, matrix)
+    columns = [tuple((r, sol[r * q + c]) for r in range(p) if sol[r * q + c])
+               for c in range(q)]
+    return LinearMap._from_columns(field, coalg.space, alg.space, columns)
 
 
 def pair_coalgebra(h: HomBialgebra) -> HomCoalgebra:

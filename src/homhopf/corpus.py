@@ -594,6 +594,17 @@ _MUTABLE_COMPONENTS = {
 }
 
 
+def _bump(cube, site, delta):
+    """A copy of ``cube`` with ``delta`` added at ``site`` = (i, j, k)."""
+    i, j, k = site
+    if not (0 <= i < len(cube) and 0 <= j < len(cube[i])
+            and 0 <= k < len(cube[i][j])):
+        raise IndexError(f"site {site} out of range")
+    new = [[list(plane) for plane in slab] for slab in cube]
+    new[i][j][k] = new[i][j][k] + delta
+    return new
+
+
 def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
     """Perturb one structure constant of an entry's payload; the mutated
     entry carries rebuilt checks and no goldens.
@@ -601,6 +612,7 @@ def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
     ``site`` is (component, i, j, k) with component one of mult / comult /
     act / sigma / coact, resolved against the payload's type."""
     component, i, j, k = site
+    cell = (i, j, k)
     if component not in _MUTABLE_COMPONENTS:
         raise ValueError(f"unknown component {component!r}")
     payload = entry.payload
@@ -610,22 +622,15 @@ def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
     if not d:
         raise ValueError("mutation delta must be nonzero")
 
-    def bump(cube):
-        if not (0 <= i < len(cube) and 0 <= j < len(cube[i])
-                and 0 <= k < len(cube[i][j])):
-            raise IndexError(f"site {site} out of range")
-        new = [[list(plane) for plane in slab] for slab in cube]
-        new[i][j][k] = new[i][j][k] + d
-        return new
-
     if isinstance(payload, HomHopf):
         if component == "mult":
-            alg = HomAlgebra(field, payload.space, bump(payload.algebra.mult),
+            alg = HomAlgebra(field, payload.space,
+                             _bump(payload.algebra.mult, cell, d),
                              payload.algebra.unit, payload.alpha)
             new = HomHopf(HomBialgebra(alg, payload.coalgebra), payload.antipode)
         elif component == "comult":
             coa = HomCoalgebra(field, payload.space,
-                               bump(payload.coalgebra.comult),
+                               _bump(payload.coalgebra.comult, cell, d),
                                payload.coalgebra.counit, payload.alpha)
             new = HomHopf(HomBialgebra(payload.algebra, coa), payload.antipode)
         else:
@@ -634,24 +639,23 @@ def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
                            new, _hopf_checks(new), {})
 
     if isinstance(payload, CrossedProductSpec):
-        new = mutate_crossed_spec(payload, component, (i, j, k), d)
+        new = mutate_crossed_spec(payload, component, cell, d)
         return CorpusEntry(f"{entry.name}~{component}[{i},{j},{k}]",
                            new, _crossed_checks(new), {})
 
     if isinstance(payload, BiproductSpec):
         if component == "coact":
             co = Coaction(payload.coaction.coacting, payload.coaction.target,
-                          bump(payload.coaction.coact))
+                          _bump(payload.coaction.coact, cell, d))
             new = BiproductSpec(payload.crossed, payload.coalgebra, co)
         elif component == "comult":
             coa = HomCoalgebra(field, payload.coalgebra.space,
-                               bump(payload.coalgebra.comult),
+                               _bump(payload.coalgebra.comult, cell, d),
                                payload.coalgebra.counit, payload.coalgebra.gamma)
             co = Coaction(payload.coaction.coacting, coa, payload.coaction.coact)
             new = BiproductSpec(payload.crossed, coa, co)
         else:
-            crossed = mutate_crossed_spec(payload.crossed, component,
-                                          (i, j, k), d)
+            crossed = mutate_crossed_spec(payload.crossed, component, cell, d)
             new = BiproductSpec(crossed, payload.coalgebra, payload.coaction)
         return CorpusEntry(f"{entry.name}~{component}[{i},{j},{k}]",
                            new, _biproduct_checks(new, expect_valid=False), {})
@@ -662,25 +666,14 @@ def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
 def mutate_crossed_spec(spec: CrossedProductSpec, component: str, site,
                         delta) -> CrossedProductSpec:
     """One-site perturbation of a crossed-product spec's cocycle or action."""
-    i, j, k = site
-    field = spec.field
-
-    def bump(cube):
-        if not (0 <= i < len(cube) and 0 <= j < len(cube[i])
-                and 0 <= k < len(cube[i][j])):
-            raise IndexError(f"site {site} out of range")
-        new = [[list(plane) for plane in slab] for slab in cube]
-        new[i][j][k] = new[i][j][k] + delta
-        return new
-
     if component == "sigma":
         cocycle = Cocycle(spec.cocycle.source, spec.cocycle.target,
-                          bump(spec.cocycle.sigma))
+                          _bump(spec.cocycle.sigma, site, delta))
         return CrossedProductSpec(spec.algebra, spec.hopf, spec.action,
                                   cocycle, spec.m, spec.k)
     if component == "act":
         action = ModuleAction(spec.action.acting, spec.action.target,
-                              bump(spec.action.act))
+                              _bump(spec.action.act, site, delta))
         return CrossedProductSpec(spec.algebra, spec.hopf, action,
                                   spec.cocycle, spec.m, spec.k)
     raise ValueError(f"{component!r} not mutable on a crossed-product spec")

@@ -1,22 +1,22 @@
 """Exact multilinear algebra over based finite-dimensional spaces.
 
-Linear maps are dense matrices of exact scalars between named-basis spaces.
-Composition and Kronecker products skip zero entries internally, but the
-stored representation is always the full dense matrix: at the dimensions this
-package targets (tensor cubes of spaces of dimension at most eight or so)
-a dense matrix plus zero-skipping iteration is both simple and fast.
-
-The public ``LinearMap(...)`` coerces every entry into the field.  Maps the
-kernel computes itself are built by ``LinearMap._trusted``, which checks
-only the shape; so every kernel operation refuses operands over different
-fields (``FieldMismatch``).  Linear systems are solved by one sparse exact
-Gauss–Jordan elimination on rows stored as {column: value} dicts.
+A linear map between named-basis spaces is stored in one of two forms.  The
+public ``LinearMap(...)`` takes dense rows and coerces every entry into the
+field.  Maps the kernel computes itself hold sorted sparse columns, a
+((row, value), ...) tuple of the nonzeros of each column, and skip the
+coercion; so every kernel operation refuses operands over different fields
+(``FieldMismatch``).  Either form builds the other only when it is first
+asked for (``matrix`` for the rows, ``nonzero_columns()`` for the columns);
+equality, hashing and basis sweeps read the columns, so kernel output is
+never densified unless a caller wants the full matrix.  Linear systems are
+solved by one sparse exact Gauss–Jordan elimination on rows stored as
+{column: value} dicts.
 
 ``Pipeline`` is the one audited compiler that turns Sweedler-style formulas
 ("split the second leg, act on legs two and three, multiply legs one and
-four, ...") into a single matrix by composing per-leg operations.  Every
-axiom checker in the package is built on it, so there is exactly one place
-where tensor-leg bookkeeping can go wrong.
+four, ...") into a single map by composing per-leg operations on flat basis
+indices.  Every axiom checker in the package is built on it, so there is
+exactly one place where tensor-leg bookkeeping can go wrong.
 
 Basis ordering convention, used everywhere: e_i (x) e_j maps to index
 i * dim(second factor) + j (row-major, left factor major).
@@ -91,13 +91,6 @@ def decode_index(flat: int, dims) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def encode_index(key, dims) -> int:
-    flat = 0
-    for i, d in zip(key, dims):
-        flat = flat * d + i
-    return flat
-
-
 def basis_tuple_names(flat: int, factors) -> tuple[str, ...]:
     """Decode a flat index over a tensor product into the factor basis names."""
     dims = [s.dim for s in factors]
@@ -105,47 +98,66 @@ def basis_tuple_names(flat: int, factors) -> tuple[str, ...]:
 
 
 class LinearMap:
-    """Dense matrix between based spaces; rows index the codomain."""
+    """A map between based spaces, held as dense rows (rows index the
+    codomain) or as sorted sparse columns; see the module docstring."""
 
     def __init__(self, field, domain: Space, codomain: Space, matrix):
-        self._setup(field, domain, codomain,
-                    tuple(tuple(field.coerce(v) for v in row) for row in matrix))
-
-    @classmethod
-    def _trusted(cls, field, domain: Space, codomain: Space, matrix):
-        """A map whose entries are already scalars of ``field`` (kernel
-        output): the shape is checked, the entries are not coerced."""
-        self = cls.__new__(cls)
-        self._setup(field, domain, codomain, tuple(map(tuple, matrix)))
-        return self
-
-    def _setup(self, field, domain, codomain, matrix):
-        if len(matrix) != codomain.dim or any(len(r) != domain.dim for r in matrix):
+        rows = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
+        if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
             raise DimensionMismatch(
-                f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
+                f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
                 f"does not match {codomain.dim}x{domain.dim}"
             )
+        self._init(field, domain, codomain, rows, None)
+
+    @classmethod
+    def _from_columns(cls, field, domain: Space, codomain: Space, columns):
+        """Kernel output, whose entries are already scalars of ``field``: for
+        each domain basis vector the ((row, value), ...) nonzeros of its
+        image, rows ascending.  Only the column count is checked."""
+        self = cls.__new__(cls)
+        self._init(field, domain, codomain, None, tuple(columns))
+        if len(self._cols) != domain.dim:
+            raise DimensionMismatch(
+                f"{len(self._cols)} columns do not match domain dimension "
+                f"{domain.dim}")
+        return self
+
+    def _init(self, field, domain, codomain, rows, cols):
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
-        self._cols = None
+        self._rows = rows
+        self._cols = cols
         self._inv = None
 
+    @property
+    def matrix(self) -> tuple:
+        """The dense rows; built from the columns on first use."""
+        if self._rows is None:
+            zero = self.field.zero
+            rows = [[zero] * self.domain.dim for _ in range(self.codomain.dim)]
+            for j, col in enumerate(self._cols):
+                for i, v in col:
+                    rows[i][j] = v
+            self._rows = tuple(map(tuple, rows))
+        return self._rows
+
     def nonzero_columns(self):
-        """Per-column nonzero entries as ((row, value), ...); cached."""
+        """Per-column nonzero entries as ((row, value), ...), rows
+        ascending; built from the rows on first use."""
         if self._cols is None:
-            cols = []
-            for j in range(self.domain.dim):
-                col = tuple(
-                    (i, row[j]) for i, row in enumerate(self.matrix) if row[j]
-                )
-                cols.append(col)
-            self._cols = tuple(cols)
+            rows = self._rows
+            self._cols = tuple(
+                tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                for j in range(self.domain.dim))
         return self._cols
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.matrix)
+        out = [self.field.zero] * self.codomain.dim
+        for i, v in self.nonzero_columns()[j]:
+            out[i] = v
+        return tuple(out)
 
     def apply(self, vector):
         """Matrix-vector product on exact coordinates."""
@@ -166,11 +178,11 @@ class LinearMap:
             and self.field == other.field
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.matrix == other.matrix
+            and self.nonzero_columns() == other.nonzero_columns()
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
+        return hash((self.domain, self.codomain, self.nonzero_columns()))
 
     def __mul__(self, other):
         return compose(self, other)
@@ -183,12 +195,9 @@ class LinearMap:
 
 
 def identity(field, space: Space) -> LinearMap:
-    one, zero = field.one, field.zero
-    n = space.dim
-    return LinearMap._trusted(
-        field, space, space,
-        [[one if i == j else zero for j in range(n)] for i in range(n)],
-    )
+    one = field.one
+    return LinearMap._from_columns(
+        field, space, space, [((j, one),) for j in range(space.dim)])
 
 
 def vector_as_map(field, space: Space, coords) -> LinearMap:
@@ -196,7 +205,9 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
     coords = [field.coerce(v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap._trusted(field, SCALAR_SPACE, space, [[v] for v in coords])
+    return LinearMap._from_columns(
+        field, SCALAR_SPACE, space,
+        [tuple((i, v) for i, v in enumerate(coords) if v)])
 
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
@@ -204,19 +215,16 @@ def functional_as_map(field, space: Space, coords) -> LinearMap:
     coords = [field.coerce(v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap._trusted(field, space, SCALAR_SPACE, [coords])
+    return LinearMap._from_columns(
+        field, space, SCALAR_SPACE, [((0, v),) if v else () for v in coords])
 
 
 def flip_map(field, a: Space, b: Space) -> LinearMap:
     """The swap a (x) b -> b (x) a on basis vectors."""
-    one, zero = field.one, field.zero
-    dom = tensor_space(a, b)
-    cod = tensor_space(b, a)
-    rows = [[zero] * dom.dim for _ in range(cod.dim)]
-    for i in range(a.dim):
-        for j in range(b.dim):
-            rows[j * a.dim + i][i * b.dim + j] = one
-    return LinearMap._trusted(field, dom, cod, rows)
+    one = field.one
+    return LinearMap._from_columns(
+        field, tensor_space(a, b), tensor_space(b, a),
+        [((j * a.dim + i, one),) for i in range(a.dim) for j in range(b.dim)])
 
 
 def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
@@ -224,99 +232,82 @@ def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
     so the matrix carries over unchanged."""
     if m.codomain.dim != space.dim:
         raise DimensionMismatch("strip expects exactly one one-dimensional extra leg")
-    return LinearMap._trusted(m.field, m.domain, space, m.matrix)
+    return LinearMap._from_columns(m.field, m.domain, space, m.nonzero_columns())
 
 
 def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of out_k at
     (left_i, right_j)) into a map left (x) right -> out."""
-    rows = [[field.zero] * (left.dim * right.dim) for _ in range(out.dim)]
-    for i in range(left.dim):
-        for j in range(right.dim):
-            for k, v in enumerate(cube[i][j]):
-                if v:
-                    rows[k][i * right.dim + j] = field.coerce(v)
-    return LinearMap._trusted(field, tensor_space(left, right), out, rows)
+    return LinearMap._from_columns(field, tensor_space(left, right), out, [
+        tuple((k, field.coerce(v)) for k, v in enumerate(cube[i][j]) if v)
+        for i in range(left.dim) for j in range(right.dim)])
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of left_j (x) right_k
     at src_i) into a map src -> left (x) right."""
-    rows = [[field.zero] * src.dim for _ in range(left.dim * right.dim)]
-    for i in range(src.dim):
-        for j in range(left.dim):
-            for k, v in enumerate(cube[i][j]):
-                if v:
-                    rows[j * right.dim + k][i] = field.coerce(v)
-    return LinearMap._trusted(field, src, tensor_space(left, right), rows)
+    return LinearMap._from_columns(field, src, tensor_space(left, right), [
+        tuple((j * right.dim + k, field.coerce(v))
+              for j in range(left.dim) for k, v in enumerate(cube[i][j]) if v)
+        for i in range(src.dim)])
 
 
 def tensor_from_bilinear(m: LinearMap, left: Space, right: Space, out: Space):
     """Unpack a map left (x) right -> out into structure constants."""
     return tuple(
-        tuple(
-            tuple(m.matrix[k][i * right.dim + j] for k in range(out.dim))
-            for j in range(right.dim)
-        )
+        tuple(m.column(i * right.dim + j) for j in range(right.dim))
         for i in range(left.dim)
     )
 
 
 def tensor_from_splitting(m: LinearMap, src: Space, left: Space, right: Space):
     """Unpack a map src -> left (x) right into structure constants."""
+    d = right.dim
+    cols = (m.column(i) for i in range(src.dim))
     return tuple(
-        tuple(
-            tuple(m.matrix[j * right.dim + k][i] for k in range(right.dim))
-            for j in range(left.dim)
-        )
-        for i in range(src.dim)
+        tuple(col[j * d:(j + 1) * d] for j in range(left.dim)) for col in cols
     )
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f after g, as an exact matrix product."""
+    """f after g, as an exact sparse matrix product."""
     if g.codomain != f.domain:
         raise DimensionMismatch(
             f"cannot compose: inner spaces {g.codomain.dim} vs {f.domain.dim} differ"
         )
     _same_field(f.field, g, "compose")
-    zero = f.field.zero
-    rows = [[zero] * g.domain.dim for _ in range(f.codomain.dim)]
     fcols = f.nonzero_columns()
-    gcols = g.nonzero_columns()
-    for j in range(g.domain.dim):
-        for k, v in gcols[j]:
+    cols = []
+    for gcol in g.nonzero_columns():
+        acc: dict = {}
+        for k, v in gcol:
             for i, w in fcols[k]:
-                rows[i][j] = rows[i][j] + w * v
-    return LinearMap._trusted(f.field, g.domain, f.codomain, rows)
+                a = acc.get(i)
+                acc[i] = w * v if a is None else a + w * v
+        cols.append(tuple((i, a) for i, a in sorted(acc.items()) if a))
+    return LinearMap._from_columns(f.field, g.domain, f.codomain, cols)
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product, left factor major."""
     field = f.field
     _same_field(field, g, "tensor")
-    zero = field.zero
-    dom = tensor_space(f.domain, g.domain)
-    cod = tensor_space(f.codomain, g.codomain)
-    gr, gc = g.codomain.dim, g.domain.dim
-    rows = [[zero] * dom.dim for _ in range(cod.dim)]
-    for i1, frow in enumerate(f.matrix):
-        for j1, v in enumerate(frow):
-            if not v:
-                continue
-            base_r = i1 * gr
-            base_c = j1 * gc
-            for i2, grow in enumerate(g.matrix):
-                out = rows[base_r + i2]
-                for j2, w in enumerate(grow):
-                    if w:
-                        out[base_c + j2] = v * w
-    return LinearMap._trusted(field, dom, cod, rows)
+    gr = g.codomain.dim
+    gcols = g.nonzero_columns()
+    return LinearMap._from_columns(
+        field, tensor_space(f.domain, g.domain),
+        tensor_space(f.codomain, g.codomain),
+        [tuple((i1 * gr + i2, v * w) for i1, v in fcol for i2, w in gcol)
+         for fcol in f.nonzero_columns() for gcol in gcols])
 
 
 def transpose(f: LinearMap) -> LinearMap:
     """The transposed matrix, as a map from f's codomain to its domain."""
-    return LinearMap._trusted(f.field, f.codomain, f.domain, zip(*f.matrix))
+    rows = [[] for _ in range(f.codomain.dim)]
+    for j, col in enumerate(f.nonzero_columns()):
+        for i, v in col:
+            rows[i].append((j, v))
+    return LinearMap._from_columns(f.field, f.codomain, f.domain, map(tuple, rows))
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -327,31 +318,42 @@ def inverse(f: LinearMap) -> LinearMap:
         raise NonInvertibleError("only square maps can be inverted")
     n = f.domain.dim
     field = f.field
-    one, zero = field.one, field.zero
-    rows = [{j: v for j, v in enumerate(row) if v} for row in f.matrix]
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(f.nonzero_columns()):
+        for i, v in col:
+            rows[i][j] = v
     for i, row in enumerate(rows):
-        row[n + i] = one
+        row[n + i] = field.one
     if len(_gauss_jordan(rows, n)) < n:
         raise NonInvertibleError("map is singular")
-    inv = LinearMap._trusted(
-        field, f.codomain, f.domain,
-        [[row.get(n + j, zero) for j in range(n)] for row in rows])
+    cols = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            if k >= n:
+                cols[k - n].append((i, v))
+    inv = LinearMap._from_columns(field, f.codomain, f.domain, map(tuple, cols))
     f._inv = inv
     inv._inv = f
     return inv
 
 
 def power(f: LinearMap, n: int) -> LinearMap:
-    """Exact n-th iterate; n = 0 is the identity, negative n uses the inverse."""
+    """Exact n-th iterate by square-and-multiply; n = 0 is the identity,
+    negative n uses the inverse."""
     if f.domain != f.codomain:
         raise DimensionMismatch("only endomorphisms have powers")
     if n == 0:
         return identity(f.field, f.domain)
     base = f if n > 0 else inverse(f)
-    out = base
-    for _ in range(abs(n) - 1):
-        out = compose(out, base)
-    return out
+    n = abs(n)
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else compose(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = compose(base, base)
 
 
 @dataclass(frozen=True)
@@ -487,12 +489,12 @@ def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckR
     tuple into factor basis names and carries both evaluated sides."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         raise DimensionMismatch(f"{name}: compared maps live on different spaces")
-    for j in range(lhs.domain.dim):
-        a = lhs.column(j)
-        b = rhs.column(j)
-        if a != b:
-            witness = Witness(basis=basis_tuple_names(j, factors), lhs=a, rhs=b)
-            return CheckReport(name=name, passed=False, witness=witness)
+    lcols, rcols = lhs.nonzero_columns(), rhs.nonzero_columns()
+    if lcols != rcols:
+        j = next(j for j, (a, b) in enumerate(zip(lcols, rcols)) if a != b)
+        witness = Witness(basis=basis_tuple_names(j, factors),
+                          lhs=lhs.column(j), rhs=rhs.column(j))
+        return CheckReport(name=name, passed=False, witness=witness)
     return CheckReport(name=name, passed=True)
 
 
@@ -502,33 +504,51 @@ class Pipeline:
     The pipeline starts as the identity on a tensor product of "legs" and is
     transformed step by step: apply a map to one leg, split a leg with a
     comultiplication-like map, merge adjacent legs with a multiplication-like
-    map, permute legs, or adjoin a fixed vector as a new leg.  Columns are
-    tracked sparsely (nonzero coordinates only); ``finish`` densifies.
+    map, permute legs, or adjoin a fixed vector as new legs.  ``columns``
+    holds, for each domain basis vector, a {flat codomain index: value} dict
+    of its nonzero coordinates; ``finish`` sorts them into a LinearMap.
     """
 
     def __init__(self, field, legs):
         self.field = field
         self.domain_legs = tuple(legs)
         self.legs = list(legs)
-        dims = [s.dim for s in legs]
         one = field.one
-        self.columns = [
-            {decode_index(j, dims): one} for j in range(prod(dims))
-        ]
+        self.columns = [{j: one} for j in range(prod(s.dim for s in legs))]
 
-    def _transform(self, fn):
-        """Rewrite every column through fn(key, value) -> iterable of pairs."""
-        for idx, col in enumerate(self.columns):
+    def _rewrite(self, i: int, count: int, cols, new_legs):
+        """Replace legs i..i+count-1 (count may be 0) by ``new_legs`` through
+        the map on their tensor product whose nonzero columns are ``cols``.
+
+        A flat index splits as (hi, mid, low) around the replaced legs; mid
+        indexes ``cols`` and each row r there lands at (hi, r, low)."""
+        dims = [s.dim for s in self.legs]
+        lo = prod(dims[i + count:])
+        block = prod(dims[i:i + count]) * lo
+        out_block = prod(s.dim for s in new_legs) * lo
+        shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
+        new_columns = []
+        for col in self.columns:
             out: dict = {}
+            get = out.get
             for key, v in col.items():
-                for nk, nv in fn(key, v):
-                    acc = out.get(nk)
-                    acc = nv if acc is None else acc + nv
-                    if acc:
-                        out[nk] = acc
-                    elif nk in out:
-                        del out[nk]
-            self.columns[idx] = out
+                hi, rest = divmod(key, block)
+                mid, low = divmod(rest, lo)
+                base = hi * out_block + low
+                for r, w in shifted[mid]:
+                    nk = base + r
+                    acc = get(nk)
+                    if acc is None:
+                        out[nk] = w * v
+                    else:
+                        acc = acc + w * v
+                        if acc:
+                            out[nk] = acc
+                        else:
+                            del out[nk]
+            new_columns.append(out)
+        self.columns = new_columns
+        self.legs[i:i + count] = new_legs
         return self
 
     def map_leg(self, i: int, f: LinearMap):
@@ -536,14 +556,7 @@ class Pipeline:
         if f.domain != self.legs[i]:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
         _same_field(self.field, f, "map_leg")
-        cols = f.nonzero_columns()
-
-        def fn(key, v):
-            for r, w in cols[key[i]]:
-                yield key[:i] + (r,) + key[i + 1:], w * v
-
-        self.legs[i] = f.codomain
-        return self._transform(fn)
+        return self._rewrite(i, 1, f.nonzero_columns(), [f.codomain])
 
     def split_leg(self, i: int, f: LinearMap, out_left: Space, out_right: Space):
         """Replace leg i by two legs via f: leg -> out_left (x) out_right."""
@@ -552,43 +565,38 @@ class Pipeline:
         if f.codomain.dim != out_left.dim * out_right.dim:
             raise DimensionMismatch("split_leg: declared factors do not match codomain")
         _same_field(self.field, f, "split_leg")
-        cols = f.nonzero_columns()
-        d2 = out_right.dim
-
-        def fn(key, v):
-            for r, w in cols[key[i]]:
-                r1, r2 = divmod(r, d2)
-                yield key[:i] + (r1, r2) + key[i + 1:], w * v
-
-        self.legs[i:i + 1] = [out_left, out_right]
-        return self._transform(fn)
+        return self._rewrite(i, 1, f.nonzero_columns(), [out_left, out_right])
 
     def merge_legs(self, i: int, count: int, f: LinearMap):
         """Replace legs i..i+count-1 by one leg via f on their tensor product."""
-        dims = [s.dim for s in self.legs[i:i + count]]
-        if f.domain.dim != prod(dims):
+        if f.domain.dim != prod(s.dim for s in self.legs[i:i + count]):
             raise DimensionMismatch("merge_legs: map domain does not match legs")
         _same_field(self.field, f, "merge_legs")
-        cols = f.nonzero_columns()
-
-        def fn(key, v):
-            j = encode_index(key[i:i + count], dims)
-            for r, w in cols[j]:
-                yield key[:i] + (r,) + key[i + count:], w * v
-
-        self.legs[i:i + count] = [f.codomain]
-        return self._transform(fn)
+        return self._rewrite(i, count, f.nonzero_columns(), [f.codomain])
 
     def permute(self, order):
         """Reorder legs so that new leg t is old leg order[t]."""
         if sorted(order) != list(range(len(self.legs))):
             raise ValueError(f"bad permutation {order}")
-
-        def fn(key, v):
-            yield tuple(key[t] for t in order), v
-
-        self.legs = [self.legs[t] for t in order]
-        return self._transform(fn)
+        dims = [s.dim for s in self.legs]
+        new_dims = [dims[u] for u in order]
+        # (old stride, dim, new stride) of every leg whose stride changes
+        strides = [(prod(dims[u + 1:]), dims[u], prod(new_dims[t + 1:]))
+                   for t, u in enumerate(order)]
+        moves = [m for m in strides if m[0] != m[2]]
+        new_columns = []
+        for col in self.columns:
+            out = {}
+            for key, v in col.items():
+                nk = key
+                for old, d, new in moves:
+                    digit = key // old % d
+                    nk += digit * new - digit * old
+                out[nk] = v
+            new_columns.append(out)
+        self.columns = new_columns
+        self.legs = [self.legs[u] for u in order]
+        return self
 
     def adjoin_vector(self, i: int, space, coords):
         """Insert a fixed vector of ``space`` as a new leg at position i.
@@ -597,33 +605,19 @@ class Pipeline:
         their tensor product and they become consecutive new legs.
         """
         spaces = [space] if isinstance(space, Space) else list(space)
-        dims = [s.dim for s in spaces]
         coords = [self.field.coerce(v) for v in coords]
-        if len(coords) != prod(dims):
+        if len(coords) != prod(s.dim for s in spaces):
             raise DimensionMismatch("adjoin_vector: coordinate count does not match")
-        nz = [(decode_index(r, dims), w) for r, w in enumerate(coords) if w]
-
-        def fn(key, v):
-            for r, w in nz:
-                yield key[:i] + r + key[i:], w * v
-
-        self.legs[i:i] = spaces
-        return self._transform(fn)
+        vector = tuple((r, w) for r, w in enumerate(coords) if w)
+        return self._rewrite(i, 0, [vector], spaces)
 
     def sparse_columns(self) -> list:
-        """The compiled map without densifying: for each domain basis vector
-        a {codomain index: value} dict of its nonzero coordinates."""
-        dims = [s.dim for s in self.legs]
-        return [{encode_index(key, dims): v for key, v in col.items()}
-                for col in self.columns]
+        """The compiled map without sorting or densifying: for each domain
+        basis vector a {codomain index: value} dict of its nonzeros."""
+        return self.columns
 
     def finish(self) -> LinearMap:
-        domain = tensor_space_list(self.domain_legs)
-        codomain = tensor_space_list(self.legs)
-        dims = [s.dim for s in self.legs]
-        zero = self.field.zero
-        rows = [[zero] * domain.dim for _ in range(codomain.dim)]
-        for j, col in enumerate(self.columns):
-            for key, v in col.items():
-                rows[encode_index(key, dims)][j] = v
-        return LinearMap._trusted(self.field, domain, codomain, rows)
+        return LinearMap._from_columns(
+            self.field, tensor_space_list(self.domain_legs),
+            tensor_space_list(self.legs),
+            [tuple(sorted(col.items())) for col in self.columns])

@@ -75,16 +75,16 @@ def comult_tensor_from_map(d: LinearMap, space: Space):
     return tensor_from_splitting(d, space, space, space)
 
 
-def _coerce_cube(field, space: Space, cube):
-    n = space.dim
+def _coerce_cube(field, d1: int, d2: int, d3: int, cube):
+    """Coerce a rank-3 structure-constant tensor of shape d1 x d2 x d3."""
     out = tuple(
         tuple(tuple(field.coerce(v) for v in plane) for plane in slab)
         for slab in cube
     )
-    if len(out) != n or any(len(s) != n for s in out) or any(
-        len(p) != n for s in out for p in s
+    if len(out) != d1 or any(len(s) != d2 for s in out) or any(
+        len(p) != d3 for s in out for p in s
     ):
-        raise ValueError(f"rank-3 tensor shape does not match dimension {n}")
+        raise ValueError(f"rank-3 tensor shape does not match {d1}x{d2}x{d3}")
     return out
 
 
@@ -108,7 +108,7 @@ class HomAlgebra:
     def __init__(self, field, space: Space, mult, unit, alpha: LinearMap):
         self.field = field
         self.space = space
-        self.mult = _coerce_cube(field, space, mult)
+        self.mult = _coerce_cube(field, space.dim, space.dim, space.dim, mult)
         self.unit = _coerce_vector(field, space, unit)
         self.alpha = alpha
         _check_structure_map(space, alpha, "structure map alpha")
@@ -142,7 +142,8 @@ class HomCoalgebra:
     def __init__(self, field, space: Space, comult, counit, gamma: LinearMap):
         self.field = field
         self.space = space
-        self.comult = _coerce_cube(field, space, comult)
+        self.comult = _coerce_cube(field, space.dim, space.dim, space.dim,
+                                   comult)
         self.counit = _coerce_vector(field, space, counit)
         self.gamma = gamma
         _check_structure_map(space, gamma, "structure map gamma")
