@@ -144,3 +144,52 @@ def test_boolean_crossed_parameter_is_an_input_error(data_dir, tmp_path,
     assert main(["build", "crossed", str(path),
                  "-o", str(tmp_path / "out.struct")]) == 2
     assert "m and k must be integers" in capsys.readouterr().err
+
+
+def _sign_coact_mutant(tmp_path, with_algebra_antipode):
+    from homhopf.corpus import dual_numbers_antipode, export_biproduct_spec
+
+    entry = next(e for e in corpus_entries()
+                 if e.name == "sweedler_sign_biproduct")
+    broken = mutate(entry, ("coact", 1, 1, 0), 1).payload
+    path = tmp_path / "sign_coact_mutant.struct"
+    path.write_text(export_biproduct_spec(
+        broken, dual_numbers_antipode() if with_algebra_antipode else None))
+    return str(path)
+
+
+def test_antipode_command_reports_a_failing_biproduct_antipode(tmp_path,
+                                                               capsys):
+    path = _sign_coact_mutant(tmp_path, with_algebra_antipode=True)
+    assert main(["antipode", path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] biproduct: biproduct-antipode" in out
+    assert "failing identity: antipode_left_inverse" in out
+    assert "at basis tuple (y⊗1)" in out
+
+    assert main(["antipode", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    result = doc["results"][-1]
+    assert (result["bundle"], result["check"]) == \
+        ("biproduct", "biproduct-antipode")
+    report = result["report"]
+    assert report["verdict"] == "fail"
+    assert [s["name"] for s in report["subchecks"]] == [
+        "antipode_left_inverse", "antipode_right_inverse",
+        "antipode_structure_commute"]
+    left = report["subchecks"][0]
+    assert left["witness"]["basis"] == ["y⊗1"]
+    assert left["witness"]["entry"] == \
+        {"row": 1, "col": 4, "lhs": "2", "rhs": "0"}
+    assert report["witness"] == left["witness"]
+
+
+def test_antipode_command_without_algebra_antipode_reports_conditions(
+        tmp_path, capsys):
+    path = _sign_coact_mutant(tmp_path, with_algebra_antipode=False)
+    assert main(["antipode", path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] biproduct: biproduct-conditions" in out
+    assert "failing identity: coaction_multiplicative" in out
+    assert "at basis tuple (y, y)" in out
+    assert "biproduct-antipode" not in out
