@@ -69,6 +69,7 @@ from .constructions import (
     PreconditionFailError,
     biproduct_antipode,
     build_biproduct,
+    check_biproduct_antipode,
     check_biproduct_conditions,
     check_cocycle_conditions,
     check_sigma_antipode,
@@ -78,7 +79,6 @@ from .constructions import (
     smash_product,
 )
 from .admissible import (
-    BimoduleData,
     IsoCheckFailError,
     MappingSystem,
     NotAdmissibleError,

@@ -33,15 +33,12 @@ from .exactlin import (
     LinearMap,
     Pipeline,
     SCALAR_SPACE,
-    Space,
-    bilinear_as_map,
     compose,
     equal_on_basis,
     identity,
     inverse,
     power,
     strip_scalar_leg,
-    tensor_from_bilinear,
 )
 from .homcore import HomAlgebra, HomBialgebra
 from .report import CheckReport
@@ -66,36 +63,6 @@ class IsoCheckFailError(ValueError):
         self.f = f
         self.g = g
         self.report = report
-
-
-@dataclass
-class BimoduleData:
-    """Left and right action structure constants on one carrier X:
-    phi_left[i][j][k] is the coefficient of x_k in h_i . x_j, and
-    phi_right[i][j][k] that of x_k in x_i . h_j.  Shapes only."""
-
-    acting_space: Space
-    carrier_space: Space
-    phi_left: tuple
-    phi_right: tuple
-
-    def left_map(self, field) -> LinearMap:
-        return bilinear_as_map(field, self.acting_space, self.carrier_space,
-                               self.carrier_space, self.phi_left)
-
-    def right_map(self, field) -> LinearMap:
-        return bilinear_as_map(field, self.carrier_space, self.acting_space,
-                               self.carrier_space, self.phi_right)
-
-
-def bimodule_data_from_maps(field, acting: Space, carrier: Space,
-                            left: LinearMap, right: LinearMap) -> BimoduleData:
-    return BimoduleData(
-        acting_space=acting,
-        carrier_space=carrier,
-        phi_left=tensor_from_bilinear(left, acting, carrier, carrier),
-        phi_right=tensor_from_bilinear(right, carrier, acting, carrier),
-    )
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import corpus
 from .admissible import (
@@ -33,6 +34,7 @@ from .constructions import (
     PreconditionFailError,
     biproduct_antipode,
     build_biproduct,
+    check_biproduct_antipode,
     check_biproduct_conditions,
     check_cocycle_conditions,
     check_twisted_comodule_cocycle,
@@ -47,10 +49,8 @@ from .convact import (
     check_hom_module,
     check_weak_module_algebra,
     convolution_inverse,
-    convolve,
-    convolution_unit,
 )
-from .exactlin import compose, identity, maps_equal
+from .exactlin import identity, maps_equal
 from .homcore import (
     HomAlgebra,
     HomBialgebra,
@@ -176,6 +176,10 @@ class Output:
         return exit_code
 
 
+class _NoBundle(Exception):
+    """No bundle in the file applies to the command (an input error)."""
+
+
 def _load(path: str) -> "StructureFile":
     with open(path, "rb") as fh:
         return parse(fh.read())
@@ -190,84 +194,85 @@ def _input_error(message: str, as_json: bool, command: str) -> int:
     return EXIT_INPUT_ERROR
 
 
-def cmd_check(args) -> int:
-    out = Output(args.json)
+def _file_command(command: str, body):
+    """A command on a .struct file: load it, run ``body(args, sf, out)`` and
+    render the results; an unreadable file or a ``_NoBundle`` from the body
+    is an input error."""
+    def run(args) -> int:
+        try:
+            sf = _load(args.file)
+        except (OSError, StructError, ValueError) as e:
+            return _input_error(str(e), args.json, command)
+        out = Output(args.json)
+        try:
+            body(args, sf, out)
+        except _NoBundle as e:
+            return _input_error(str(e), args.json, command)
+        return out.finish(command)
+    return run
+
+
+def _bundles(sf, kinds, missing: str) -> list:
+    """The (name, bundle) pairs of the given kinds, in name order."""
+    found = [(name, sf.bundles[name]) for name in sorted(sf.bundles)
+             if isinstance(sf.bundles[name], kinds)]
+    if not found:
+        raise _NoBundle(missing)
+    return found
+
+
+def _build_or_report(out, name: str, spec: BiproductSpec):
+    """The built biproduct, or None once its failing conditions are added."""
     try:
-        sf = _load(args.file)
-    except (OSError, StructError, ValueError) as e:
-        return _input_error(str(e), args.json, "check")
-    ran = 0
-    for name in sorted(sf.bundles):
-        for check_name, thunk in _applicable_checks(args.what, sf.bundles[name]):
-            out.add(name, check_name, thunk())
-            ran += 1
-    if ran == 0:
-        return _input_error(
-            f"no bundle in {args.file} supports check {args.what!r}",
-            args.json, "check")
-    return out.finish("check")
+        return build_biproduct(spec)
+    except ConditionsFailError as e:
+        out.add(name, "biproduct-conditions", e.report)
+        return None
 
 
-def _first_bundle(sf, kinds):
-    for name in sorted(sf.bundles):
-        if isinstance(sf.bundles[name], kinds):
-            return name, sf.bundles[name]
-    return None, None
+def cmd_check(args, sf, out):
+    checks = [(name, check_name, thunk) for name in sorted(sf.bundles)
+              for check_name, thunk in _applicable_checks(
+                  args.what, sf.bundles[name])]
+    if not checks:
+        raise _NoBundle(
+            f"no bundle in {args.file} supports check {args.what!r}")
+    for name, check_name, thunk in checks:
+        out.add(name, check_name, thunk())
 
 
 def _with_parameters(crossed: CrossedProductSpec, m, k) -> CrossedProductSpec:
-    if m is None and k is None:
-        return crossed
-    return CrossedProductSpec(
-        algebra=crossed.algebra, hopf=crossed.hopf, action=crossed.action,
-        cocycle=crossed.cocycle,
-        m=crossed.m if m is None else m,
-        k=crossed.k if k is None else k)
+    return replace(crossed, m=crossed.m if m is None else m,
+                   k=crossed.k if k is None else k)
 
 
-def cmd_build(args) -> int:
-    out = Output(args.json)
-    try:
-        sf = _load(args.file)
-    except (OSError, StructError, ValueError) as e:
-        return _input_error(str(e), args.json, "build")
-
+def cmd_build(args, sf, out):
     builder = DocumentBuilder(sf.field)
     if args.kind == "crossed":
-        name, spec = _first_bundle(sf, CrossedProductSpec)
-        if spec is None:
-            bname, bspec = _first_bundle(sf, BiproductSpec)
-            name, spec = bname, bspec.crossed if bspec else None
-        if spec is None:
-            return _input_error("no crossed_spec bundle found", args.json,
-                                "build")
-        spec = _with_parameters(spec, args.m, args.k)
-        algebra = crossed_product(spec)
+        # The first crossed_spec bundle, else the first biproduct's datum.
+        name, spec = min(_bundles(sf, (CrossedProductSpec, BiproductSpec),
+                                  "no crossed_spec bundle found"),
+                         key=lambda item: isinstance(item[1], BiproductSpec))
+        if isinstance(spec, BiproductSpec):
+            spec = spec.crossed
+        algebra = crossed_product(_with_parameters(spec, args.m, args.k))
         out.add(name, "hom-algebra", check_hom_algebra(algebra))
         builder.add_hom_algebra("built_crossed_product", algebra)
     elif args.kind == "smash":
-        name, spec = _first_bundle(sf, BiproductSpec)
-        if spec is None:
-            return _input_error("no biproduct_spec bundle found", args.json,
-                                "build")
+        name, spec = _bundles(sf, BiproductSpec,
+                              "no biproduct_spec bundle found")[0]
         m = spec.crossed.m if args.m is None else args.m
         coalgebra = smash_coproduct(
             spec.coalgebra, spec.crossed.hopf_bialgebra, spec.coaction, m)
         out.add(name, "hom-coalgebra", check_hom_coalgebra(coalgebra))
         builder.add_hom_coalgebra("built_smash_coproduct", coalgebra)
     else:  # biproduct
-        name, spec = _first_bundle(sf, BiproductSpec)
-        if spec is None:
-            return _input_error("no biproduct_spec bundle found", args.json,
-                                "build")
-        spec = BiproductSpec(
-            crossed=_with_parameters(spec.crossed, args.m, args.k),
-            coalgebra=spec.coalgebra, coaction=spec.coaction)
-        try:
-            built = build_biproduct(spec)
-        except ConditionsFailError as e:
-            out.add(name, "biproduct-conditions", e.report)
-            return out.finish("build")
+        name, spec = _bundles(sf, BiproductSpec,
+                              "no biproduct_spec bundle found")[0]
+        built = _build_or_report(out, name, replace(
+            spec, crossed=_with_parameters(spec.crossed, args.m, args.k)))
+        if built is None:
+            return
         out.add(name, "biproduct-conditions", built.conditions)
         out.add(name, "hom-bialgebra", built.bialgebra_check)
         builder.add_hom_bialgebra("built_biproduct", built.bialgebra)
@@ -279,131 +284,73 @@ def cmd_build(args) -> int:
         out.note(f"wrote {args.output}")
     elif not args.json:
         print(text, end="")
-    return out.finish("build")
 
 
-def cmd_antipode(args) -> int:
-    out = Output(args.json)
-    try:
-        sf = _load(args.file)
-    except (OSError, StructError, ValueError) as e:
-        return _input_error(str(e), args.json, "antipode")
-    ran = 0
-    for name in sorted(sf.bundles):
-        obj = sf.bundles[name]
+def _identity_inverse(bialgebra):
+    """Solve for the convolution inverse of the identity (the antipode)."""
+    return convolution_inverse(identity(bialgebra.field, bialgebra.space),
+                               bialgebra.coalgebra, bialgebra.algebra)
+
+
+def cmd_antipode(args, sf, out):
+    for name, obj in _bundles(sf, (HomHopf, BiproductSpec),
+                              f"no hopf or biproduct bundle in {args.file}"):
         if isinstance(obj, HomHopf):
-            ran += 1
             out.add(name, "antipode-law", check_antipode(obj))
             try:
-                solved = convolution_inverse(
-                    identity(sf.field, obj.space), obj.coalgebra, obj.algebra)
-                out.add(name, "antipode-unique",
-                        maps_equal(solved, obj.antipode,
-                                   "solved_inverse_matches_antipode"))
+                out.add(name, "antipode-unique", maps_equal(
+                    _identity_inverse(obj.bialgebra), obj.antipode,
+                    "solved_inverse_matches_antipode"))
             except NotConvolutionInvertible:
                 out.add(name, "antipode-unique",
                         CheckReport("identity_convolution_invertible", False))
-        elif isinstance(obj, BiproductSpec):
-            ran += 1
-            hopf = obj.crossed.hopf
-            s_a_name = sf.extras.get(name, {}).get("algebra_antipode")
-            if isinstance(hopf, HomHopf) and s_a_name in sf.maps:
-                try:
-                    s = biproduct_antipode(obj, hopf.antipode,
-                                           sf.maps[s_a_name])
-                except PreconditionFailError as e:
-                    out.add(name, "biproduct-antipode", e.report)
-                    continue
-                except ConditionsFailError as e:
-                    out.add(name, "biproduct-conditions", e.report)
-                    continue
-                built = build_biproduct(obj, bypass=True).bialgebra
-                e = convolution_unit(built.coalgebra, built.algebra)
-                idb = identity(sf.field, built.space)
-                out.add(name, "biproduct-antipode", CheckReport.combine(
-                    "biproduct_antipode", [
-                        maps_equal(convolve(s, idb, built.coalgebra,
-                                            built.algebra), e,
-                                   "antipode_left_inverse"),
-                        maps_equal(convolve(idb, s, built.coalgebra,
-                                            built.algebra), e,
-                                   "antipode_right_inverse"),
-                        maps_equal(compose(s, built.alpha),
-                                   compose(built.alpha, s),
-                                   "antipode_structure_commute"),
-                    ]))
-            else:
-                try:
-                    built = build_biproduct(obj)
-                except ConditionsFailError as err:
-                    out.add(name, "biproduct-conditions", err.report)
-                    continue
-                bb = built.bialgebra
-                try:
-                    convolution_inverse(identity(sf.field, bb.space),
-                                        bb.coalgebra, bb.algebra)
-                    out.add(name, "biproduct-antipode", CheckReport(
-                        "identity_convolution_invertible", True))
-                except NotConvolutionInvertible:
-                    out.add(name, "biproduct-antipode", CheckReport(
-                        "identity_convolution_invertible", False))
-    if ran == 0:
-        return _input_error(
-            f"no hopf or biproduct bundle in {args.file}", args.json,
-            "antipode")
-    return out.finish("antipode")
-
-
-def _biproduct_systems(sf, out, command, args):
-    found = False
-    for name in sorted(sf.bundles):
-        obj = sf.bundles[name]
-        if not isinstance(obj, BiproductSpec):
             continue
-        found = True
-        try:
-            built = build_biproduct(obj)
-        except ConditionsFailError as e:
-            out.add(name, "biproduct-conditions", e.report)
-            continue
-        yield name, canonical_system(built)
-    if not found:
-        raise FileNotFoundError(
-            f"no biproduct_spec bundle in {args.file}")
-
-
-def cmd_admissible(args) -> int:
-    out = Output(args.json)
-    try:
-        sf = _load(args.file)
-    except (OSError, StructError, ValueError) as e:
-        return _input_error(str(e), args.json, "admissible")
-    try:
-        for name, system in _biproduct_systems(sf, out, "admissible", args):
-            out.add(name, "admissible-system", check_admissible(system))
-    except FileNotFoundError as e:
-        return _input_error(str(e), args.json, "admissible")
-    return out.finish("admissible")
-
-
-def cmd_iso(args) -> int:
-    out = Output(args.json)
-    try:
-        sf = _load(args.file)
-    except (OSError, StructError, ValueError) as e:
-        return _input_error(str(e), args.json, "iso")
-    try:
-        for name, system in _biproduct_systems(sf, out, "iso", args):
+        hopf = obj.crossed.hopf
+        s_a_name = sf.extras.get(name, {}).get("algebra_antipode")
+        if isinstance(hopf, HomHopf) and s_a_name in sf.maps:
             try:
-                _, _, report = admissible_isomorphism(system)
-                out.add(name, "biproduct-isomorphism", report)
-            except NotAdmissibleError as e:
-                out.add(name, "admissible-system", e.report)
-            except IsoCheckFailError as e:
-                out.add(name, "biproduct-isomorphism", e.report)
-    except FileNotFoundError as e:
-        return _input_error(str(e), args.json, "iso")
-    return out.finish("iso")
+                s = biproduct_antipode(obj, hopf.antipode, sf.maps[s_a_name])
+            except PreconditionFailError as e:
+                out.add(name, "biproduct-antipode", e.report)
+                continue
+            built = build_biproduct(obj, bypass=True).bialgebra
+            out.add(name, "biproduct-antipode",
+                    check_biproduct_antipode(built, s))
+            continue
+        built = _build_or_report(out, name, obj)
+        if built is None:
+            continue
+        try:
+            _identity_inverse(built.bialgebra)
+            invertible = True
+        except NotConvolutionInvertible:
+            invertible = False
+        out.add(name, "biproduct-antipode",
+                CheckReport("identity_convolution_invertible", invertible))
+
+
+def _biproduct_systems(args, sf, out):
+    for name, spec in _bundles(sf, BiproductSpec,
+                               f"no biproduct_spec bundle in {args.file}"):
+        built = _build_or_report(out, name, spec)
+        if built is not None:
+            yield name, canonical_system(built)
+
+
+def cmd_admissible(args, sf, out):
+    for name, system in _biproduct_systems(args, sf, out):
+        out.add(name, "admissible-system", check_admissible(system))
+
+
+def cmd_iso(args, sf, out):
+    for name, system in _biproduct_systems(args, sf, out):
+        try:
+            _, _, report = admissible_isomorphism(system)
+            out.add(name, "biproduct-isomorphism", report)
+        except NotAdmissibleError as e:
+            out.add(name, "admissible-system", e.report)
+        except IsoCheckFailError as e:
+            out.add(name, "biproduct-isomorphism", e.report)
 
 
 def cmd_selftest(args) -> int:
@@ -441,7 +388,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--what", choices=WHAT_CHOICES, default="all")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=_file_command("check", cmd_check))
 
     p = sub.add_parser("build", help="build a derived structure")
     p.add_argument("kind", choices=["crossed", "smash", "biproduct"])
@@ -450,23 +397,23 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(func=_file_command("build", cmd_build))
 
     p = sub.add_parser("antipode", help="verify or solve for antipodes")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_antipode)
+    p.set_defaults(func=_file_command("antipode", cmd_antipode))
 
     p = sub.add_parser("admissible",
                        help="check the canonical mapping system")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_admissible)
+    p.set_defaults(func=_file_command("admissible", cmd_admissible))
 
     p = sub.add_parser("iso", help="verify the biproduct isomorphism")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_iso)
+    p.set_defaults(func=_file_command("iso", cmd_iso))
 
     p = sub.add_parser("selftest", help="re-run the corpus goldens")
     p.add_argument("--json", action="store_true")

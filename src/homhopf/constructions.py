@@ -30,6 +30,7 @@ from .exactlin import (
     compose,
     equal_on_basis,
     identity,
+    maps_equal,
     power,
     tensor_space,
     vector_as_map,
@@ -691,3 +692,19 @@ def biproduct_antipode(spec: BiproductSpec, s_h: LinearMap,
         .merge_legs(0, 4, mult_b)
         .finish()
     )
+
+
+def check_biproduct_antipode(bialgebra: HomBialgebra,
+                             s: LinearMap) -> CheckReport:
+    """S is an antipode of a built biproduct: a convolution inverse of the
+    identity on both sides that commutes with the structure map.  Each
+    comparison reports its first differing entry (row-major)."""
+    coalg, alg = bialgebra.coalgebra, bialgebra.algebra
+    idb = identity(bialgebra.field, bialgebra.space)
+    e = convolution_unit(coalg, alg)
+    return CheckReport.combine("biproduct_antipode", [
+        maps_equal(convolve(s, idb, coalg, alg), e, "antipode_left_inverse"),
+        maps_equal(convolve(idb, s, coalg, alg), e, "antipode_right_inverse"),
+        maps_equal(compose(s, bialgebra.alpha), compose(bialgebra.alpha, s),
+                   "antipode_structure_commute"),
+    ])

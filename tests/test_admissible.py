@@ -203,16 +203,3 @@ def test_displayed_actions_match_induced_actions():
         assert system.phi_left == left
         assert system.phi_right == right
 
-
-def test_bimodule_data_carrier_roundtrip():
-    from homhopf.admissible import BimoduleData, bimodule_data_from_maps
-
-    spec = sweedler_sign_datum()
-    built = build_biproduct(spec)
-    system = canonical_system(built)
-    data = bimodule_data_from_maps(
-        QQ, system.hopf.space, built.bialgebra.space,
-        system.phi_left, system.phi_right)
-    assert isinstance(data, BimoduleData)
-    assert data.left_map(QQ) == system.phi_left
-    assert data.right_map(QQ) == system.phi_right
