@@ -298,12 +298,13 @@ def cmd_antipode(args, sf, out):
         if isinstance(obj, HomHopf):
             out.add(name, "antipode-law", check_antipode(obj))
             try:
-                out.add(name, "antipode-unique", maps_equal(
-                    _identity_inverse(obj.bialgebra), obj.antipode,
-                    "solved_inverse_matches_antipode"))
+                solved = _identity_inverse(obj.bialgebra)
             except NotConvolutionInvertible:
                 out.add(name, "antipode-unique",
                         CheckReport("identity_convolution_invertible", False))
+                continue
+            out.add(name, "antipode-unique", maps_equal(
+                solved, obj.antipode, "solved_inverse_matches_antipode"))
             continue
         hopf = obj.crossed.hopf
         s_a_name = sf.extras.get(name, {}).get("algebra_antipode")
