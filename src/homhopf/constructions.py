@@ -570,6 +570,16 @@ class BuiltBiproduct:
         return self.spec.field
 
 
+def assemble_biproduct(spec: BiproductSpec) -> HomBialgebra:
+    """The crossed-product algebra and the smash-coproduct coalgebra on
+    A (x) H as one bialgebra, with neither the compatibility conditions nor
+    the bialgebra axioms checked."""
+    return HomBialgebra(
+        crossed_product(spec.crossed),
+        smash_coproduct(spec.coalgebra, spec.crossed.hopf_bialgebra,
+                        spec.coaction, spec.crossed.m))
+
+
 def build_biproduct(spec: BiproductSpec, bypass: bool = False) -> BuiltBiproduct:
     """Assemble the crossed-product algebra and the smash-coproduct coalgebra
     into one bialgebra, then verify the bialgebra axioms.
@@ -581,11 +591,7 @@ def build_biproduct(spec: BiproductSpec, bypass: bool = False) -> BuiltBiproduct
     conditions = check_biproduct_conditions(spec)
     if not conditions.passed and not bypass:
         raise ConditionsFailError(conditions)
-    algebra = crossed_product(spec.crossed)
-    coalgebra = smash_coproduct(
-        spec.coalgebra, spec.crossed.hopf_bialgebra, spec.coaction,
-        spec.crossed.m)
-    bialgebra = HomBialgebra(algebra, coalgebra)
+    bialgebra = assemble_biproduct(spec)
     return BuiltBiproduct(
         spec=spec,
         bialgebra=bialgebra,

@@ -416,10 +416,8 @@ def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
 
 def pair_coalgebra(h: HomBialgebra) -> HomCoalgebra:
     """The componentwise tensor coalgebra on H (x) H used to convolve
-    bilinear maps."""
-    from .homcore import tensor_coalgebra
-
-    return tensor_coalgebra(h.coalgebra, h.coalgebra)
+    bilinear maps (built once per bialgebra object and kept on it)."""
+    return h.pair_coalgebra
 
 
 def cocycle_inverse(sigma: Cocycle) -> Cocycle:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 
 from .constructions import (
@@ -111,7 +112,15 @@ def sweedler_h4_hom(field=QQ) -> HomHopf:
 
     Tables: 1.x = -x, x g = -(g x), Delta(x) = -x (x) g + 1 (x) (-x),
     S(x) = -gx, structure map diag(1, 1, -1, -1).
+
+    It is twisted and re-verified once per field, and every caller shares
+    that one object (fields hash by value; no code mutates a ``HomHopf``).
     """
+    return _sweedler_h4_hom(field)
+
+
+@cache
+def _sweedler_h4_hom(field) -> HomHopf:
     return yau_twist(classical_sweedler_h4(field), sweedler_sign_map(field))
 
 
@@ -385,11 +394,12 @@ def _crossed_checks(spec: CrossedProductSpec) -> dict:
     from .admissible import check_cocycle_inverse_identities
     from .convact import check_cocycle_inverse, cocycle_inverse
 
-    def inverse_roundtrip():
-        return check_cocycle_inverse(cocycle_inverse(spec.cocycle))
+    @cache
+    def inverse():
+        return cocycle_inverse(spec.cocycle)
 
     def inverse_identities():
-        completed = replace(spec, cocycle=cocycle_inverse(spec.cocycle))
+        completed = replace(spec, cocycle=inverse())
         return check_cocycle_inverse_identities(completed)
 
     return {
@@ -399,7 +409,8 @@ def _crossed_checks(spec: CrossedProductSpec) -> dict:
         "weak_module_algebra":
             lambda: check_weak_module_algebra(spec.action),
         "hom_module": lambda: check_hom_module(spec.action),
-        "cocycle_inverse_roundtrip": inverse_roundtrip,
+        "cocycle_inverse_roundtrip":
+            lambda: check_cocycle_inverse(inverse()),
         "cocycle_inverse_identities": inverse_identities,
     }
 
@@ -407,12 +418,14 @@ def _crossed_checks(spec: CrossedProductSpec) -> dict:
 def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
                       antipodes=None) -> dict:
     from .admissible import (
+        IsoCheckFailError,
         admissible_isomorphism,
         canonical_system,
         check_admissible,
         check_canonical_actions,
     )
     from .constructions import (
+        ConditionsFailError,
         PreconditionFailError,
         biproduct_antipode,
         check_biproduct_antipode,
@@ -436,22 +449,39 @@ def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
     if not expect_valid:
         return checks
 
+    # The checks of one entry share one biproduct, one canonical system and
+    # one admissibility verdict, each built when a check first needs it.
+    @cache
     def built():
         return build_biproduct(spec)
 
-    def iso_check():
-        from .admissible import IsoCheckFailError, NotAdmissibleError
+    @cache
+    def system():
+        return canonical_system(built())
 
+    @cache
+    def admissible():
+        return check_admissible(system())
+
+    def conditions():
         try:
-            return admissible_isomorphism(canonical_system(built()))[2]
-        except (IsoCheckFailError, NotAdmissibleError) as e:
+            return built().conditions
+        except ConditionsFailError as e:
             return e.report
 
+    def iso_check():
+        verdict = admissible()
+        if not verdict.passed:
+            return verdict
+        try:
+            return admissible_isomorphism(system(), enforce=False)[2]
+        except IsoCheckFailError as e:
+            return e.report
+
+    checks["biproduct_conditions"] = conditions
     checks["biproduct_bialgebra"] = lambda: built().bialgebra_check
-    checks["admissible_system"] = \
-        lambda: check_admissible(canonical_system(built()))
-    checks["canonical_actions"] = \
-        lambda: check_canonical_actions(canonical_system(built()))
+    checks["admissible_system"] = admissible
+    checks["canonical_actions"] = lambda: check_canonical_actions(system())
     checks["biproduct_isomorphism"] = iso_check
 
     if antipodes is not None:

@@ -25,6 +25,7 @@ i * dim(second factor) + j (row-major, left factor major).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .report import CheckReport, Witness
@@ -70,7 +71,10 @@ class Space:
 SCALAR_SPACE = Space(("k",))
 
 
+@cache
 def tensor_space(a: Space, b: Space) -> Space:
+    """A (x) B, built once per pair of factors: every ``Pipeline.finish``
+    over the same legs gets the same ``Space`` without rebuilding names."""
     return Space(tuple(f"{x}⊗{y}" for x in a.names for y in b.names))
 
 

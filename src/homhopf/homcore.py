@@ -193,6 +193,11 @@ class HomBialgebra:
     def alpha(self) -> LinearMap:
         return self.algebra.alpha
 
+    @cached_property
+    def pair_coalgebra(self) -> HomCoalgebra:
+        """The componentwise tensor coalgebra on H (x) H, built once."""
+        return tensor_coalgebra(self.coalgebra, self.coalgebra)
+
     def __eq__(self, other):
         return (
             isinstance(other, HomBialgebra)

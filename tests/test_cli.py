@@ -193,3 +193,14 @@ def test_antipode_command_without_algebra_antipode_reports_conditions(
     assert "failing identity: coaction_multiplicative" in out
     assert "at basis tuple (y, y)" in out
     assert "biproduct-antipode" not in out
+
+
+def test_antipode_command_sweeps_no_conditions_or_axioms(data_dir, capsys,
+                                                         count_calls):
+    counts = [count_calls("homcore", "check_hom_bialgebra"),
+              count_calls("constructions", "check_biproduct_conditions")]
+    for name in ("sign_biproduct.struct", "radford.struct"):
+        assert main(["antipode", str(data_dir / name)]) == 0
+        assert "[pass] biproduct: biproduct-antipode" in \
+            capsys.readouterr().out
+    assert [calls[0] for calls in counts] == [0, 0]

@@ -163,3 +163,57 @@ def test_failing_witnesses_reevaluate_to_unequal_sides():
             assert w is not None and w.lhs != w.rhs
             w2 = second[check].first_failure().witness
             assert (w2.basis, w2.lhs, w2.rhs) == (w.basis, w.lhs, w.rhs)
+
+
+def test_selftest_builds_each_derived_object_once(count_calls):
+    import homhopf.corpus as corpus
+
+    # the twisted Sweedler algebra is shared process-wide; start cold
+    corpus._sweedler_h4_hom.cache_clear()
+    counts = {name: count_calls(module, name) for module, name in (
+        ("constructions", "build_biproduct"),
+        ("admissible", "canonical_system"),
+        ("admissible", "check_admissible"),
+        ("convact", "cocycle_inverse"),
+        ("homcore", "yau_twist"),
+        ("homcore", "tensor_coalgebra"),
+    )}
+    ok, _ = selftest()
+    assert ok
+    got = {name: calls[0] for name, calls in counts.items()}
+    # one pair coalgebra per H object: H4, and C2 twice
+    assert got.pop("tensor_coalgebra") <= 3
+    # one biproduct, canonical system and verdict per valid biproduct
+    # entry, one inverse per crossed-product cocycle, one twist of H4 plus
+    # the two the corpus makes on purpose
+    assert got == {"build_biproduct": 4, "canonical_system": 4,
+                   "check_admissible": 4, "cocycle_inverse": 3,
+                   "yau_twist": 3}
+
+
+def test_memoised_objects_do_not_leak_into_mutants():
+    entry = entry_by_name("sweedler_sign_biproduct")
+    for thunk in entry.checks.values():
+        assert thunk().passed
+    mutant = mutate(entry, ("coact", 1, 1, 0), 1)
+    report = mutant.checks["biproduct_conditions"]()
+    assert not report.passed
+    assert report.first_failure().name == "coaction_multiplicative"
+
+
+def test_two_selftests_in_one_process_agree():
+    assert selftest() == selftest()
+
+
+def test_twisted_sweedler_algebra_is_built_once_per_field():
+    from homhopf.corpus import classical_sweedler_h4, sweedler_sign_map
+    from homhopf.fields import QQ
+    from homhopf.homcore import yau_twist
+
+    over_q, over_gf7 = sweedler_h4_hom(QQ), sweedler_h4_hom(PrimeField(7))
+    assert over_q is not over_gf7
+    assert sweedler_h4_hom() is over_q
+    assert sweedler_h4_hom(PrimeField(7)) is over_gf7
+    for field, h in ((QQ, over_q), (PrimeField(7), over_gf7)):
+        assert h == yau_twist(classical_sweedler_h4(field),
+                              sweedler_sign_map(field))

@@ -862,3 +862,11 @@ def test_power_of_huge_exponent_needs_few_compositions(monkeypatch):
         calls[0] = 0
         assert power(cycle, -(10 ** 18) - r) == \
             power(cycle, -((10 ** 18 + r) % 3))
+
+
+def test_tensor_spaces_are_built_once():
+    a, b = Space(("p", "q")), Space(("r",))
+    assert tensor_space(a, b) is tensor_space(Space(("p", "q")), b)
+    first = Pipeline(QQ, [a, b, a]).finish()
+    second = Pipeline(QQ, [a, b, a]).permute([0, 1, 2]).finish()
+    assert first.domain is second.domain is second.codomain
