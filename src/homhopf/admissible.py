@@ -478,7 +478,7 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
     ])
     i_maps = CheckReport.combine("section_H_weak_algebra_and_coalgebra_map", [
         equal_on_basis("section_H_unital", compose(i, h.algebra.unit_map),
-                       amb.algebra.unit_map, (hsp,)),
+                       amb.algebra.unit_map, (SCALAR_SPACE,)),
         equal_on_basis("section_H_structure_compat", compose(i, alpha),
                        compose(gamma, i), (hsp,)),
         equal_on_basis(

@@ -203,3 +203,15 @@ def test_displayed_actions_match_induced_actions():
         assert system.phi_left == left
         assert system.phi_right == right
 
+
+
+def test_section_H_unital_witness_names_the_scalar_basis():
+    # i o 1_H is a map out of the ground field, so its witness is ("k",)
+    system = canonical_system(build_biproduct(classical_radford_datum()))
+    rows = [list(row) for row in system.sect_H.matrix]
+    rows[0][0] += 1
+    bumped = LinearMap(QQ, system.sect_H.domain, system.sect_H.codomain, rows)
+    report = check_admissible(dataclasses.replace(system, sect_H=bumped))
+    unital = report.find("section_H_unital")
+    assert not unital.passed
+    assert unital.witness.basis == ("k",)
