@@ -493,6 +493,8 @@ def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckR
     tuple into factor basis names and carries both evaluated sides."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         raise DimensionMismatch(f"{name}: compared maps live on different spaces")
+    if prod(s.dim for s in factors) != lhs.domain.dim:
+        raise DimensionMismatch(f"{name}: witness factors do not span the domain")
     lcols, rcols = lhs.nonzero_columns(), rhs.nonzero_columns()
     if lcols != rcols:
         j = next(j for j, (a, b) in enumerate(zip(lcols, rcols)) if a != b)

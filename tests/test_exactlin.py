@@ -17,6 +17,7 @@ from homhopf.exactlin import (
     NonInvertibleError,
     NoSolution,
     Pipeline,
+    SCALAR_SPACE,
     Space,
     basis_tuple_names,
     compose,
@@ -810,6 +811,15 @@ def test_equal_on_basis_matches_the_column_sweep(case):
             expected = reference_equal_on_basis("eq", lhs, rhs, factors)
             assert equal_on_basis("eq", lhs, rhs, factors) == expected
             assert (lhs == rhs) is expected.passed
+
+
+def test_equal_on_basis_refuses_factors_that_do_not_span_the_domain():
+    # a map out of the ground field decoded against a 2-dim space
+    line = fresh_space(2)
+    unit = LinearMap(QQ, SCALAR_SPACE, line, [[1], [0]])
+    with pytest.raises(DimensionMismatch):
+        equal_on_basis("unit", unit, unit, (line,))
+    assert equal_on_basis("unit", unit, unit, (SCALAR_SPACE,)).passed
 
 
 @settings(max_examples=100, deadline=None)
