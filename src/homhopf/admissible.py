@@ -32,7 +32,6 @@ from .convact import convolve
 from .exactlin import (
     LinearMap,
     Pipeline,
-    SCALAR_SPACE,
     compose,
     equal_on_basis,
     identity,
@@ -40,7 +39,7 @@ from .exactlin import (
     power,
     strip_scalar_leg,
 )
-from .homcore import HomAlgebra, HomBialgebra
+from .homcore import HomAlgebra, HomBialgebra, morphism_laws
 from .report import CheckReport
 
 
@@ -419,7 +418,6 @@ def induced_coactions(sys: MappingSystem) -> tuple[LinearMap, LinearMap]:
     field = sys.field
     amb = sys.ambient
     asp = amb.space
-    hsp = sys.hopf.space
     project = compose(power(sys.hopf.alpha, -sys.m), sys.proj_H)
     left = Pipeline(field, [asp]) \
         .split_leg(0, amb.coalgebra.comult_map, asp, asp) \
@@ -439,7 +437,6 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
     h = sys.hopf
     csp = sys.small_coalgebra.space
     hsp, asp = h.space, amb.space
-    alpha = h.alpha
     beta = sys.small_coalgebra.gamma
     gamma = amb.alpha
     p, j = sys.retr_C, sys.sect_C
@@ -452,69 +449,29 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
                        identity(field, hsp), (hsp,)),
     ])
 
-    ma, mh = amb.algebra.mult_map, h.algebra.mult_map
-    da, dh = amb.coalgebra.comult_map, h.coalgebra.comult_map
-    mc = sys.small_algebra.mult_map
-    dc = sys.small_coalgebra.comult_map
-
-    pi_alg = CheckReport.combine("projection_bialgebra_map", [
-        equal_on_basis(
-            "projection_multiplicative", compose(pi, ma),
-            Pipeline(field, [asp, asp]).map_leg(0, pi).map_leg(1, pi)
-            .merge_legs(0, 2, mh).finish(), (asp, asp)),
-        equal_on_basis(
-            "projection_unital", compose(pi, amb.algebra.unit_map),
-            h.algebra.unit_map, (SCALAR_SPACE,)),
-        equal_on_basis(
-            "projection_comultiplicative", compose(dh, pi),
-            Pipeline(field, [asp]).split_leg(0, da, asp, asp)
-            .map_leg(0, pi).map_leg(1, pi).finish(), (asp,)),
-        equal_on_basis(
-            "projection_counital", compose(h.coalgebra.counit_map, pi),
-            amb.coalgebra.counit_map, (asp,)),
-        equal_on_basis(
-            "projection_structure_compat", compose(pi, gamma),
-            compose(alpha, pi), (asp,)),
-    ])
-    i_maps = CheckReport.combine("section_H_weak_algebra_and_coalgebra_map", [
-        equal_on_basis("section_H_unital", compose(i, h.algebra.unit_map),
-                       amb.algebra.unit_map, (SCALAR_SPACE,)),
-        equal_on_basis("section_H_structure_compat", compose(i, alpha),
-                       compose(gamma, i), (hsp,)),
-        equal_on_basis(
-            "section_H_comultiplicative", compose(da, i),
-            Pipeline(field, [hsp]).split_leg(0, dh, hsp, hsp)
-            .map_leg(0, i).map_leg(1, i).finish(), (hsp,)),
-        equal_on_basis("section_H_counital",
-                       compose(amb.coalgebra.counit_map, i),
-                       h.coalgebra.counit_map, (hsp,)),
-    ])
-    p_maps = CheckReport.combine("retraction_coalgebra_map", [
-        equal_on_basis(
-            "retraction_comultiplicative", compose(dc, p),
-            Pipeline(field, [asp]).split_leg(0, da, asp, asp)
-            .map_leg(0, p).map_leg(1, p).finish(), (asp,)),
-        equal_on_basis("retraction_counital",
-                       compose(sys.small_coalgebra.counit_map, p),
-                       amb.coalgebra.counit_map, (asp,)),
-        equal_on_basis("retraction_structure_compat", compose(p, gamma),
-                       compose(beta, p), (asp,)),
-    ])
-    j_maps = CheckReport.combine("section_C_algebra_map", [
-        equal_on_basis(
-            "section_C_multiplicative", compose(j, mc),
-            Pipeline(field, [csp, csp]).map_leg(0, j).map_leg(1, j)
-            .merge_legs(0, 2, ma).finish(), (csp, csp)),
-        equal_on_basis("section_C_unital",
-                       compose(j, sys.small_algebra.unit_map),
-                       amb.algebra.unit_map, (SCALAR_SPACE,)),
-        equal_on_basis("section_C_structure_compat", compose(j, beta),
-                       compose(gamma, j), (csp,)),
-    ])
-    i_multiplicative = equal_on_basis(
-        "section_H_multiplicative", compose(i, mh),
-        Pipeline(field, [hsp, hsp]).map_leg(0, i).map_leg(1, i)
-        .merge_legs(0, 2, ma).finish(), (hsp, hsp))
+    pi_alg = CheckReport.combine("projection_bialgebra_map", morphism_laws(
+        pi, amb, h, multiplicative="projection_multiplicative",
+        unital="projection_unital",
+        comultiplicative="projection_comultiplicative",
+        counital="projection_counital",
+        structure_compat="projection_structure_compat"))
+    i_maps = CheckReport.combine(
+        "section_H_weak_algebra_and_coalgebra_map", morphism_laws(
+            i, h, amb, unital="section_H_unital",
+            structure_compat="section_H_structure_compat",
+            comultiplicative="section_H_comultiplicative",
+            counital="section_H_counital"))
+    p_maps = CheckReport.combine("retraction_coalgebra_map", morphism_laws(
+        p, amb, sys.small_coalgebra,
+        comultiplicative="retraction_comultiplicative",
+        counital="retraction_counital",
+        structure_compat="retraction_structure_compat"))
+    j_maps = CheckReport.combine("section_C_algebra_map", morphism_laws(
+        j, sys.small_algebra, amb, multiplicative="section_C_multiplicative",
+        unital="section_C_unital",
+        structure_compat="section_C_structure_compat"))
+    i_multiplicative, = morphism_laws(
+        i, h, amb, multiplicative="section_H_multiplicative")
     cond2 = CheckReport.combine(
         "morphism_conditions", [pi_alg, i_maps, p_maps, j_maps],
         info=(("section_H_multiplicative",
@@ -591,7 +548,6 @@ def check_canonical_actions(sys: MappingSystem) -> CheckReport:
     weak bimodule, and they agree with the section-induced actions."""
     if sys.phi_left is None or sys.phi_right is None:
         raise ValueError("system carries no displayed actions")
-    field = sys.field
     h = sys.hopf
     amb = sys.ambient
     carrier = amb.algebra
@@ -674,20 +630,10 @@ def admissible_isomorphism(sys: MappingSystem, enforce: bool = True):
                        identity(field, bsp), (csp, hsp)),
         equal_on_basis("forward_structure_compat",
                        compose(f, b.alpha), compose(gamma, f), (csp, hsp)),
-        equal_on_basis(
-            "forward_multiplicative", compose(f, b.algebra.mult_map),
-            Pipeline(field, [bsp, bsp]).map_leg(0, f).map_leg(1, f)
-            .merge_legs(0, 2, amb.algebra.mult_map).finish(), (bsp, bsp)),
-        equal_on_basis("forward_unital", compose(f, b.algebra.unit_map),
-                       amb.algebra.unit_map, (SCALAR_SPACE,)),
-        equal_on_basis(
-            "backward_comultiplicative",
-            compose(b.coalgebra.comult_map, g),
-            Pipeline(field, [asp]).split_leg(0, amb.coalgebra.comult_map, asp, asp)
-            .map_leg(0, g).map_leg(1, g).finish(), (asp,)),
-        equal_on_basis("backward_counital",
-                       compose(b.coalgebra.counit_map, g),
-                       amb.coalgebra.counit_map, (asp,)),
+        *morphism_laws(f, b, amb, multiplicative="forward_multiplicative",
+                       unital="forward_unital"),
+        *morphism_laws(g, amb, b, comultiplicative="backward_comultiplicative",
+                       counital="backward_counital"),
         equal_on_basis("projection_coaction_exchange",
                        eq_exchange_lhs, eq_exchange_rhs, (asp,)),
     ])

@@ -282,22 +282,71 @@ def tensor_coalgebra(c: HomCoalgebra, d: HomCoalgebra) -> HomCoalgebra:
                         counit, c.gamma @ d.gamma)
 
 
+def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
+    """Sweep the laws of f: source -> target named by the keywords, each a
+    law kind mapped to its report name, and report them in keyword order:
+
+        multiplicative    f(xy) = f(x) f(y)          on (source, source)
+        unital            f(1) = 1                   on k
+        comultiplicative  Delta(f(x)) = f(x1) (x) f(x2)
+        counital          eps(f(x)) = eps(x)
+        structure_compat  f(alpha(x)) = alpha'(f(x))
+
+    ``source`` and ``target`` are Hom-algebras, Hom-coalgebras or
+    Hom-bialgebras carrying the halves the requested laws need."""
+    field, sp = source.field, source.space
+
+    def algebra(x):
+        return getattr(x, "algebra", x)
+
+    def coalgebra(x):
+        return getattr(x, "coalgebra", x)
+
+    def structure_map(x):
+        return x.gamma if isinstance(x, HomCoalgebra) else x.alpha
+
+    laws = {
+        "multiplicative": lambda: (
+            compose(f, algebra(source).mult_map),
+            Pipeline(field, [sp, sp]).map_leg(0, f).map_leg(1, f)
+            .merge_legs(0, 2, algebra(target).mult_map).finish(),
+            (sp, sp)),
+        "unital": lambda: (
+            compose(f, algebra(source).unit_map), algebra(target).unit_map,
+            (SCALAR_SPACE,)),
+        "comultiplicative": lambda: (
+            compose(coalgebra(target).comult_map, f),
+            Pipeline(field, [sp])
+            .split_leg(0, coalgebra(source).comult_map, sp, sp)
+            .map_leg(0, f).map_leg(1, f).finish(),
+            (sp,)),
+        "counital": lambda: (
+            compose(coalgebra(target).counit_map, f),
+            coalgebra(source).counit_map, (sp,)),
+        "structure_compat": lambda: (
+            compose(f, structure_map(source)),
+            compose(structure_map(target), f), (sp,)),
+    }
+    unknown = sorted(set(names) - set(laws))
+    if unknown:
+        raise ValueError(f"unknown morphism law kinds: {unknown}")
+    return [equal_on_basis(name, *laws[kind]()) for kind, name in names.items()]
+
+
 def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     """Verify twisted associativity, multiplicativity of alpha, the twisted
     unit laws, and alpha(1) = 1, sweeping all basis tuples."""
     field, sp = a.field, a.space
-    m, alpha, unit = a.mult_map, a.alpha, a.unit_map
+    m, alpha = a.mult_map, a.alpha
 
     lhs = Pipeline(field, [sp, sp, sp]).map_leg(0, alpha) \
         .merge_legs(1, 2, m).merge_legs(0, 2, m).finish()
     rhs = Pipeline(field, [sp, sp, sp]).merge_legs(0, 2, m) \
         .map_leg(1, alpha).merge_legs(0, 2, m).finish()
     assoc = equal_on_basis("hom_associativity", lhs, rhs, (sp, sp, sp))
-
-    lhs = compose(alpha, m)
-    rhs = Pipeline(field, [sp, sp]).map_leg(0, alpha).map_leg(1, alpha) \
-        .merge_legs(0, 2, m).finish()
-    alpha_mult = equal_on_basis("alpha_multiplicative", lhs, rhs, (sp, sp))
+    alpha_mult, alpha_unit = morphism_laws(
+        alpha, a, a, multiplicative="alpha_multiplicative",
+        unital="alpha_fixes_unit")
 
     right_unit = equal_on_basis(
         "right_unit_law",
@@ -308,9 +357,6 @@ def check_hom_algebra(a: HomAlgebra) -> CheckReport:
         "left_unit_law",
         Pipeline(field, [sp]).adjoin_vector(0, sp, a.unit).merge_legs(0, 2, m).finish(),
         alpha, (sp,),
-    )
-    alpha_unit = equal_on_basis(
-        "alpha_fixes_unit", compose(alpha, unit), unit, (SCALAR_SPACE,)
     )
 
     return CheckReport.combine(
@@ -329,11 +375,9 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
     rhs = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
         .split_leg(0, d, sp, sp).map_leg(0, gamma).finish()
     coassoc = equal_on_basis("hom_coassociativity", lhs, rhs, (sp,))
-
-    lhs = compose(d, gamma)
-    rhs = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
-        .map_leg(0, gamma).map_leg(1, gamma).finish()
-    gamma_comult = equal_on_basis("gamma_comultiplicative", lhs, rhs, (sp,))
+    gamma_comult, counit_gamma = morphism_laws(
+        gamma, c, c, comultiplicative="gamma_comultiplicative",
+        counital="counit_gamma_invariant")
 
     gamma_inv = inverse(gamma)
     right_counit = equal_on_basis(
@@ -349,9 +393,6 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
             Pipeline(field, [sp]).split_leg(0, d, sp, sp)
             .map_leg(0, counit).finish(), sp),
         gamma_inv, (sp,),
-    )
-    counit_gamma = equal_on_basis(
-        "counit_gamma_invariant", compose(counit, gamma), counit, (sp,)
     )
 
     return CheckReport.combine(
@@ -431,40 +472,18 @@ def check_antipode(h: HomHopf) -> CheckReport:
 
 def check_bialgebra_automorphism(b: HomBialgebra, phi: LinearMap) -> CheckReport:
     """Is phi an invertible map preserving product, coproduct, unit and counit?"""
-    field, sp = b.field, b.space
-    m, d = b.algebra.mult_map, b.coalgebra.comult_map
     try:
         inverse(phi)
         invertible: CheckReport = CheckReport("invertible", True)
     except NonInvertibleError:
         invertible = CheckReport("invertible", False)
-
-    mult_compat = equal_on_basis(
-        "phi_multiplicative",
-        compose(phi, m),
-        Pipeline(field, [sp, sp]).map_leg(0, phi).map_leg(1, phi)
-        .merge_legs(0, 2, m).finish(),
-        (sp, sp),
-    )
-    comult_compat = equal_on_basis(
-        "phi_comultiplicative",
-        compose(d, phi),
-        Pipeline(field, [sp]).split_leg(0, d, sp, sp)
-        .map_leg(0, phi).map_leg(1, phi).finish(),
-        (sp,),
-    )
-    unit_compat = equal_on_basis(
-        "phi_fixes_unit", compose(phi, b.algebra.unit_map), b.algebra.unit_map,
-        (SCALAR_SPACE,),
-    )
-    counit_compat = equal_on_basis(
-        "phi_preserves_counit", compose(b.coalgebra.counit_map, phi),
-        b.coalgebra.counit_map, (sp,),
-    )
-    return CheckReport.combine(
-        "bialgebra_automorphism",
-        [invertible, mult_compat, comult_compat, unit_compat, counit_compat],
-    )
+    return CheckReport.combine("bialgebra_automorphism", [
+        invertible,
+        *morphism_laws(phi, b, b, multiplicative="phi_multiplicative",
+                       comultiplicative="phi_comultiplicative",
+                       unital="phi_fixes_unit",
+                       counital="phi_preserves_counit"),
+    ])
 
 
 def yau_twist(h: HomHopf, phi: LinearMap) -> HomHopf:

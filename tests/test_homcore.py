@@ -32,6 +32,7 @@ from homhopf.homcore import (
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
+    morphism_laws,
     tensor_algebra,
     tensor_coalgebra,
     yau_twist,
@@ -256,3 +257,72 @@ def test_automorphism_over_another_field_is_refused():
     phi = identity(PrimeField(7), h.space)
     with pytest.raises(FieldMismatch):
         check_bialgebra_automorphism(h.bialgebra, phi)
+
+
+# ---------------------------------------------------------------------------
+# morphism_laws
+
+LAW_KINDS = ("multiplicative", "unital", "comultiplicative", "counital",
+             "structure_compat")
+
+
+def h4_variant(**override) -> HomBialgebra:
+    """Classical H4 with some of its tables or its structure map replaced."""
+    b = classical_sweedler_h4().bialgebra
+    a, c = b.algebra, b.coalgebra
+    alpha = override.get("alpha", b.alpha)
+    return HomBialgebra(
+        HomAlgebra(QQ, b.space, override.get("mult", a.mult),
+                   override.get("unit", a.unit), alpha),
+        HomCoalgebra(QQ, b.space, override.get("comult", c.comult),
+                     override.get("counit", c.counit), alpha))
+
+
+def bumped_cube(cube):
+    out = [[list(plane) for plane in slab] for slab in cube]
+    out[1][1][0] += 1
+    return out
+
+
+def test_morphism_laws_reports_in_keyword_order():
+    b = classical_sweedler_h4().bialgebra
+    idb = identity(QQ, b.space)
+    reports = morphism_laws(idb, b, b, counital="e", multiplicative="m",
+                            structure_compat="s", unital="u",
+                            comultiplicative="d")
+    assert [r.name for r in reports] == ["e", "m", "s", "u", "d"]
+    assert all(r.passed for r in reports)
+    # one half is enough for the laws that only read that half
+    assert [r.name for r in morphism_laws(
+        idb, b.coalgebra, b.coalgebra, structure_compat="s", counital="e")
+    ] == ["s", "e"]
+
+
+def test_morphism_laws_rejects_an_unknown_law_kind():
+    b = classical_sweedler_h4().bialgebra
+    with pytest.raises(ValueError, match="antipodal"):
+        morphism_laws(identity(QQ, b.space), b, b, unital="u",
+                      antipodal="s")
+
+
+@pytest.mark.parametrize("kind, override", [
+    ("multiplicative",
+     lambda b: {"mult": bumped_cube(b.algebra.mult)}),
+    ("unital", lambda b: {"unit": [2, 0, 0, 0]}),
+    ("comultiplicative",
+     lambda b: {"comult": bumped_cube(b.coalgebra.comult)}),
+    ("counital", lambda b: {"counit": [2, 1, 0, 0]}),
+    ("structure_compat", lambda b: {"alpha": sweedler_sign_map()}),
+])
+def test_each_morphism_law_fails_alone_under_its_own_name(kind, override):
+    # the identity of H4 into a copy of H4 with one table changed breaks
+    # exactly the law that reads that table
+    source = classical_sweedler_h4().bialgebra
+    target = h4_variant(**override(source))
+    reports = morphism_laws(identity(QQ, source.space), source, target,
+                            **{k: f"{k}_law" for k in LAW_KINDS})
+    bad = [r for r in reports if not r.passed]
+    assert [r.name for r in bad] == [f"{kind}_law"]
+    assert len(bad[0].witness.basis) == (2 if kind == "multiplicative" else 1)
+    if kind == "unital":
+        assert bad[0].witness.basis == ("k",)
