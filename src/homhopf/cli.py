@@ -310,13 +310,15 @@ def cmd_antipode(args, sf, out):
         hopf = obj.crossed.hopf
         s_a_name = sf.extras.get(name, {}).get("algebra_antipode")
         if isinstance(hopf, HomHopf) and s_a_name in sf.maps:
+            bialgebra = assemble_biproduct(obj)
             try:
-                s = biproduct_antipode(obj, hopf.antipode, sf.maps[s_a_name])
+                s = biproduct_antipode(obj, bialgebra, hopf.antipode,
+                                       sf.maps[s_a_name])
             except PreconditionFailError as e:
                 out.add(name, "biproduct-antipode", e.report)
                 continue
             out.add(name, "biproduct-antipode",
-                    check_biproduct_antipode(assemble_biproduct(obj), s))
+                    check_biproduct_antipode(bialgebra, s))
             continue
         built = _build_or_report(out, name, obj)
         if built is None:

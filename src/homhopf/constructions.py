@@ -660,14 +660,14 @@ def check_algebra_antipode(alg: HomAlgebra, coalg: HomCoalgebra,
     ])
 
 
-def biproduct_antipode(spec: BiproductSpec, s_h: LinearMap,
-                       s_a: LinearMap) -> LinearMap:
-    """The antipode of the biproduct:
+def biproduct_antipode(spec: BiproductSpec, bialgebra: HomBialgebra,
+                       s_h: LinearMap, s_a: LinearMap) -> LinearMap:
+    """The antipode of the biproduct ``bialgebra`` assembled from ``spec``:
 
         S(a (x) h) = (1_A (x) S_H(alpha^{m-1}(a(-1)) alpha^{-2}(h)))
                      . (S_A(a(0)) (x) 1_H)
 
-    with the product taken in the crossed-product algebra.  Preconditions
+    with the product taken in its crossed-product algebra.  Preconditions
     (sigma-antipode law for S_H; S_A a structure-compatible convolution
     inverse of the identity) are verified first."""
     field = spec.field
@@ -683,7 +683,6 @@ def biproduct_antipode(spec: BiproductSpec, s_h: LinearMap,
     if not pre.passed:
         raise PreconditionFailError(pre)
 
-    mult_b = crossed_product(spec.crossed).mult_map
     return (
         Pipeline(field, [asp, hsp])
         .split_leg(0, spec.coaction.coact_map, hsp, asp)  # a(-1) a(0) h
@@ -695,7 +694,7 @@ def biproduct_antipode(spec: BiproductSpec, s_h: LinearMap,
         .map_leg(1, s_a)
         .adjoin_vector(0, asp, a.unit)                    # 1_A S_H(w) S_A(a0)
         .adjoin_vector(3, hsp, h.algebra.unit)            # 1_A S_H(w) S_A(a0) 1_H
-        .merge_legs(0, 4, mult_b)
+        .merge_legs(0, 4, bialgebra.algebra.mult_map)
         .finish()
     )
 

@@ -490,7 +490,7 @@ def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
         def antipode_check():
             bb = built().bialgebra
             try:
-                s = biproduct_antipode(spec, s_h, s_a)
+                s = biproduct_antipode(spec, bb, s_h, s_a)
             except PreconditionFailError as e:
                 return e.report
             solved = convolution_inverse(identity(spec.field, bb.space),

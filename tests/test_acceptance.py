@@ -169,7 +169,7 @@ def test_criterion_4_biproduct_conditions_equivalence():
 def test_criterion_5_biproduct_antipode():
     spec = classical_radford_datum()
     built = build_biproduct(spec)
-    s = biproduct_antipode(spec, spec.crossed.hopf.antipode,
+    s = biproduct_antipode(spec, built.bialgebra, spec.crossed.hopf.antipode,
                            dual_numbers_antipode())
     b = built.bialgebra
     e = convolution_unit(b.coalgebra, b.algebra)

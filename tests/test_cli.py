@@ -204,3 +204,11 @@ def test_antipode_command_sweeps_no_conditions_or_axioms(data_dir, capsys,
         assert "[pass] biproduct: biproduct-antipode" in \
             capsys.readouterr().out
     assert [calls[0] for calls in counts] == [0, 0]
+
+
+def test_antipode_command_builds_the_crossed_product_once(data_dir, capsys,
+                                                          count_calls):
+    calls = count_calls("constructions", "crossed_product")
+    assert main(["antipode", str(data_dir / "sign_biproduct.struct")]) == 0
+    assert "[pass] biproduct: biproduct-antipode" in capsys.readouterr().out
+    assert calls[0] == 1

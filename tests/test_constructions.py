@@ -7,6 +7,7 @@ from homhopf.constructions import (
     ConditionsFailError,
     CrossedProductSpec,
     PreconditionFailError,
+    assemble_biproduct,
     biproduct_antipode,
     build_biproduct,
     check_biproduct_conditions,
@@ -262,7 +263,7 @@ def test_sigma_antipode_detects_wrong_sign():
 def test_biproduct_antipode_is_a_two_sided_convolution_inverse(spec_builder):
     spec = spec_builder()
     built = build_biproduct(spec)
-    s = biproduct_antipode(spec, spec.crossed.hopf.antipode,
+    s = biproduct_antipode(spec, built.bialgebra, spec.crossed.hopf.antipode,
                            dual_numbers_antipode())
     b = built.bialgebra
     e = convolution_unit(b.coalgebra, b.algebra)
@@ -278,7 +279,8 @@ def test_biproduct_antipode_over_scalar_line_is_the_hopf_antipode():
     h = sweedler_h4_hom()
     spec = trivial_biproduct_datum(h)
     line_antipode = identity(QQ, spec.coalgebra.space)
-    s = biproduct_antipode(spec, h.antipode, line_antipode)
+    s = biproduct_antipode(spec, assemble_biproduct(spec), h.antipode,
+                           line_antipode)
     # the scalar leg is one-dimensional, so the matrix equals S_H's
     assert [list(r) for r in s.matrix] == [list(r) for r in h.antipode.matrix]
 
@@ -287,7 +289,8 @@ def test_biproduct_antipode_precondition_failure():
     spec = classical_radford_datum()
     bad_s_a = identity(QQ, spec.coalgebra.space)  # not a convolution inverse
     with pytest.raises(PreconditionFailError) as err:
-        biproduct_antipode(spec, spec.crossed.hopf.antipode, bad_s_a)
+        biproduct_antipode(spec, assemble_biproduct(spec),
+                           spec.crossed.hopf.antipode, bad_s_a)
     assert err.value.report is not None
 
 
@@ -368,6 +371,6 @@ def test_classical_biproduct_is_the_sweedler_algebra():
         compose(h4.coalgebra.comult_map, phi)
     assert phi.apply(b.algebra.unit) == h4.algebra.unit
     assert compose(h4.coalgebra.counit_map, phi) == b.coalgebra.counit_map
-    s_b = biproduct_antipode(spec, spec.crossed.hopf.antipode,
+    s_b = biproduct_antipode(spec, b, spec.crossed.hopf.antipode,
                              dual_numbers_antipode())
     assert compose(phi, s_b) == compose(h4.antipode, phi)

@@ -191,6 +191,15 @@ def test_selftest_builds_each_derived_object_once(count_calls):
                    "yau_twist": 3}
 
 
+def test_selftest_builds_each_crossed_product_once(count_calls):
+    # one per crossed-product entry and one per valid biproduct entry; the
+    # biproduct antipode reuses the assembled biproduct's product
+    calls = count_calls("constructions", "crossed_product")
+    ok, _ = selftest()
+    assert ok
+    assert calls[0] == 7
+
+
 def test_memoised_objects_do_not_leak_into_mutants():
     entry = entry_by_name("sweedler_sign_biproduct")
     for thunk in entry.checks.values():
