@@ -286,14 +286,16 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
     """Sweep the laws of f: source -> target named by the keywords, each a
     law kind mapped to its report name, and report them in keyword order:
 
-        multiplicative    f(xy) = f(x) f(y)          on (source, source)
-        unital            f(1) = 1                   on k
+        multiplicative    f(xy) = f(x) f(y)
+        unital            f(1) = 1
         comultiplicative  Delta(f(x)) = f(x1) (x) f(x2)
         counital          eps(f(x)) = eps(x)
         structure_compat  f(alpha(x)) = alpha'(f(x))
 
-    ``source`` and ``target`` are Hom-algebras, Hom-coalgebras or
-    Hom-bialgebras carrying the halves the requested laws need."""
+    Witnesses name a basis tuple of (source, source) for multiplicative, of
+    the ground field k for unital, and of source for the rest.  ``source``
+    and ``target`` are Hom-algebras, Hom-coalgebras or Hom-bialgebras
+    carrying the halves the requested laws need."""
     field, sp = source.field, source.space
 
     def algebra(x):
