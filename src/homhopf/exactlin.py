@@ -242,17 +242,19 @@ def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
 def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of out_k at
     (left_i, right_j)) into a map left (x) right -> out."""
+    coerce = field.coerce
     return LinearMap._from_columns(field, tensor_space(left, right), out, [
-        tuple((k, field.coerce(v)) for k, v in enumerate(cube[i][j]) if v)
+        tuple((k, v) for k, v in enumerate(map(coerce, cube[i][j])) if v)
         for i in range(left.dim) for j in range(right.dim)])
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of left_j (x) right_k
     at src_i) into a map src -> left (x) right."""
+    coerce = field.coerce
     return LinearMap._from_columns(field, src, tensor_space(left, right), [
-        tuple((j * right.dim + k, field.coerce(v))
-              for j in range(left.dim) for k, v in enumerate(cube[i][j]) if v)
+        tuple((j * right.dim + k, v) for j in range(left.dim)
+              for k, v in enumerate(map(coerce, cube[i][j])) if v)
         for i in range(src.dim)])
 
 

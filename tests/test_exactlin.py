@@ -20,6 +20,7 @@ from homhopf.exactlin import (
     SCALAR_SPACE,
     Space,
     basis_tuple_names,
+    bilinear_as_map,
     compose,
     equal_on_basis,
     flip_map,
@@ -29,6 +30,7 @@ from homhopf.exactlin import (
     matrix_rank,
     power,
     solve_linear,
+    splitting_as_map,
     tensor,
     tensor_space,
     tensor_space_list,
@@ -407,6 +409,22 @@ def test_field_zero_and_one_are_shared():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
     assert GF7.zero is GF7.zero and GF7.one is GF7.one
     assert identity(GF7, Space(("x", "y"))).matrix[0][1] is GF7.zero
+
+
+@pytest.mark.parametrize("field, zero", [(GF7, 7), (GF7, 14), (QQ, "0")],
+                         ids=["GF7-7", "GF7-14", "Q-str"])
+def test_packers_drop_entries_that_are_zero_in_the_field(field, zero):
+    # an entry nonzero as given but zero in the field is no nonzero
+    s, t = Space(("x",)), Space(("a", "b"))
+    cube = [[[zero, 3]]]
+    packed = [bilinear_as_map(field, s, s, t, cube),
+              splitting_as_map(field, s, s, t, cube)]
+    dense = [LinearMap(field, tensor_space(s, s), t, [[0], [3]]),
+             LinearMap(field, s, tensor_space(s, t), [[0], [3]])]
+    for got, want in zip(packed, dense):
+        assert got.nonzero_columns() == (((1, 3),),)
+        assert got == want and hash(got) == hash(want)
+        assert equal_on_basis("packed", got, want, [got.domain]).passed
 
 
 # ---------------------------------------------------------------------------
