@@ -25,6 +25,7 @@ i * dim(second factor) + j (row-major, left factor major).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from math import prod
 
@@ -41,6 +42,33 @@ class NonInvertibleError(ValueError):
 
 class FieldMismatch(ValueError):
     """Operands over different fields."""
+
+
+def _low(v):
+    """The kernel's form of a scalar: an integral ``Fraction`` becomes its
+    ``int`` numerator; anything else (a proper fraction, a ``ModInt``) is
+    returned as it is."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _coords(field, values) -> list:
+    """``values`` coerced into ``field``, in kernel form."""
+    return [_low(field.coerce(v)) for v in values]
+
+
+def _nonzeros(field, items) -> tuple:
+    """The (index, value) pairs of ``items`` whose value is nonzero in
+    ``field``, values coerced and in kernel form.  A value that is false as
+    given is zero in every field and is not coerced."""
+    pairs = ((k, _low(field.coerce(v))) for k, v in items if v)
+    return tuple((k, v) for k, v in pairs if v)
+
+
+def _lift(field, v):
+    """A kernel scalar handed out as the field element it stands for."""
+    return field.coerce(v) if type(v) is int else v
 
 
 def _same_field(field, f, what: str):
@@ -139,11 +167,12 @@ class LinearMap:
     def matrix(self) -> tuple:
         """The dense rows; built from the columns on first use."""
         if self._rows is None:
-            zero = self.field.zero
-            rows = [[zero] * self.domain.dim for _ in range(self.codomain.dim)]
+            field = self.field
+            rows = [[field.zero] * self.domain.dim
+                    for _ in range(self.codomain.dim)]
             for j, col in enumerate(self._cols):
                 for i, v in col:
-                    rows[i][j] = v
+                    rows[i][j] = _lift(field, v)
             self._rows = tuple(map(tuple, rows))
         return self._rows
 
@@ -153,14 +182,15 @@ class LinearMap:
         if self._cols is None:
             rows = self._rows
             self._cols = tuple(
-                tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                tuple((i, _low(row[j])) for i, row in enumerate(rows) if row[j])
                 for j in range(self.domain.dim))
         return self._cols
 
     def column(self, j: int) -> tuple:
-        out = [self.field.zero] * self.codomain.dim
+        field = self.field
+        out = [field.zero] * self.codomain.dim
         for i, v in self.nonzero_columns()[j]:
-            out[i] = v
+            out[i] = _lift(field, v)
         return tuple(out)
 
     def apply(self, vector):
@@ -199,14 +229,14 @@ class LinearMap:
 
 
 def identity(field, space: Space) -> LinearMap:
-    one = field.one
+    one = _low(field.one)
     return LinearMap._from_columns(
         field, space, space, [((j, one),) for j in range(space.dim)])
 
 
 def vector_as_map(field, space: Space, coords) -> LinearMap:
     """A vector of ``space`` viewed as a map from the scalar line."""
-    coords = [field.coerce(v) for v in coords]
+    coords = _coords(field, coords)
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -216,7 +246,7 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
     """A linear functional on ``space`` viewed as a map to the scalar line."""
-    coords = [field.coerce(v) for v in coords]
+    coords = _coords(field, coords)
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -225,7 +255,7 @@ def functional_as_map(field, space: Space, coords) -> LinearMap:
 
 def flip_map(field, a: Space, b: Space) -> LinearMap:
     """The swap a (x) b -> b (x) a on basis vectors."""
-    one = field.one
+    one = _low(field.one)
     return LinearMap._from_columns(
         field, tensor_space(a, b), tensor_space(b, a),
         [((j * a.dim + i, one),) for i in range(a.dim) for j in range(b.dim)])
@@ -242,19 +272,17 @@ def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
 def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of out_k at
     (left_i, right_j)) into a map left (x) right -> out."""
-    coerce = field.coerce
     return LinearMap._from_columns(field, tensor_space(left, right), out, [
-        tuple((k, v) for k, v in enumerate(map(coerce, cube[i][j])) if v)
+        _nonzeros(field, enumerate(cube[i][j]))
         for i in range(left.dim) for j in range(right.dim)])
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of left_j (x) right_k
     at src_i) into a map src -> left (x) right."""
-    coerce = field.coerce
     return LinearMap._from_columns(field, src, tensor_space(left, right), [
-        tuple((j * right.dim + k, v) for j in range(left.dim)
-              for k, v in enumerate(map(coerce, cube[i][j])) if v)
+        _nonzeros(field, ((j * right.dim + k, v) for j in range(left.dim)
+                          for k, v in enumerate(cube[i][j])))
         for i in range(src.dim)])
 
 
@@ -328,8 +356,9 @@ def inverse(f: LinearMap) -> LinearMap:
     for j, col in enumerate(f.nonzero_columns()):
         for i, v in col:
             rows[i][j] = v
+    one = _low(field.one)
     for i, row in enumerate(rows):
-        row[n + i] = field.one
+        row[n + i] = one
     if len(_gauss_jordan(rows, n)) < n:
         raise NonInvertibleError("map is singular")
     cols = [[] for _ in range(n)]
@@ -392,7 +421,9 @@ def _gauss_jordan(rows, width: int) -> list:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
-        prow = {k: v / p for k, v in rows[r].items()}
+        if type(p) is int:
+            p = Fraction(p)     # int / int would be a float
+        prow = {k: _low(v / p) for k, v in rows[r].items()}
         rows[r] = prow
         for i, row in enumerate(rows):
             factor = row.get(c)
@@ -425,7 +456,7 @@ def _sparse_rows(field, rows, width=None):
             items = enumerate(row)
             if width is not None and len(row) != width:
                 raise DimensionMismatch("ragged matrix")
-        coerced = ((k, field.coerce(v)) for k, v in items)
+        coerced = ((k, _low(field.coerce(v))) for k, v in items)
         out.append({k: v for k, v in coerced if v})
     return out
 
@@ -447,7 +478,7 @@ def solve_linear(field, rows, rhs, unknowns: int | None = None):
     n = unknowns
     aug = _sparse_rows(field, rows, n)
     for row, b in zip(aug, rhs):
-        b = field.coerce(b)
+        b = _low(field.coerce(b))
         if b:
             row[n] = b
     pivots = _gauss_jordan(aug, n)
@@ -455,10 +486,10 @@ def solve_linear(field, rows, rhs, unknowns: int | None = None):
     for i in range(len(pivots), m):
         if n in aug[i]:
             return NoSolution(row_index=i, reduced_row=tuple(
-                aug[i].get(k, zero) for k in range(n + 1)))
+                _lift(field, aug[i].get(k, zero)) for k in range(n + 1)))
     solution = [zero] * n
     for row, c in zip(aug, pivots):
-        solution[c] = row.get(n, zero)
+        solution[c] = _lift(field, row.get(n, zero))
     return solution
 
 
@@ -521,7 +552,7 @@ class Pipeline:
         self.field = field
         self.domain_legs = tuple(legs)
         self.legs = list(legs)
-        one = field.one
+        one = _low(field.one)
         self.columns = [{j: one} for j in range(prod(s.dim for s in legs))]
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
@@ -613,7 +644,7 @@ class Pipeline:
         their tensor product and they become consecutive new legs.
         """
         spaces = [space] if isinstance(space, Space) else list(space)
-        coords = [self.field.coerce(v) for v in coords]
+        coords = _coords(self.field, coords)
         if len(coords) != prod(s.dim for s in spaces):
             raise DimensionMismatch("adjoin_vector: coordinate count does not match")
         vector = tuple((r, w) for r, w in enumerate(coords) if w)

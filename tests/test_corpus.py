@@ -1,5 +1,7 @@
 """Registry goldens, mutation coverage, exports, and prime-field variants."""
 
+from fractions import Fraction
+
 import pytest
 
 from homhopf.corpus import (
@@ -163,6 +165,29 @@ def test_failing_witnesses_reevaluate_to_unequal_sides():
             assert w is not None and w.lhs != w.rhs
             w2 = second[check].first_failure().witness
             assert (w2.basis, w2.lhs, w2.rhs) == (w.basis, w.lhs, w.rhs)
+
+
+def walk_witnesses(report):
+    if report.witness is not None:
+        yield report.witness
+    for sub in report.subchecks:
+        yield from walk_witnesses(sub)
+
+
+def test_witness_scalars_over_q_are_fractions():
+    # the kernel holds integral rationals as int; reports hand out Fractions
+    entries = corpus_entries()
+    entries += [mutate(entry_by_name(name), site, 1) for name, site in (
+        ("h4_twisted", ("mult", 1, 2, 3)),
+        ("example24_n1", ("sigma", 2, 2, 0)),
+        ("radford_classical", ("coact", 1, 1, 1)))]
+    witnesses = [w for entry in entries
+                 for report in entry.run_reports().values()
+                 for w in walk_witnesses(report)]
+    assert len(witnesses) > 10
+    for w in witnesses:
+        scalars = w.lhs + w.rhs + (w.entry[2:] if w.entry else ())
+        assert all(type(v) is Fraction for v in scalars), w
 
 
 def test_selftest_builds_each_derived_object_once(count_calls):

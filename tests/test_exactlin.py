@@ -428,6 +428,74 @@ def test_packers_drop_entries_that_are_zero_in_the_field(field, zero):
 
 
 # ---------------------------------------------------------------------------
+# Scalar representation: inside the kernel an integral rational is an int;
+# every value handed out is a field element, and no quotient is a float.
+
+
+def only_type(values, kind):
+    return all(type(v) is kind for v in values)
+
+
+def test_quotients_over_q_are_exact_fractions():
+    sol = solve_linear(QQ, [[3]], [1])
+    assert sol == [Fraction(1, 3)] and only_type(sol, Fraction)
+    sp = Space(("x", "y"))
+    inv = inverse(LinearMap(QQ, sp, sp, [[2, 0], [0, 3]]))
+    assert inv.matrix == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert only_type(inv.matrix[0] + inv.matrix[1], Fraction)
+    stuck = solve_linear(QQ, [[2, 2], [1, 1]], [1, 0])
+    assert isinstance(stuck, NoSolution)
+    assert only_type(stuck.reduced_row, Fraction)
+    assert stuck.reduced_row[-1] != 0
+
+
+def test_maps_compiled_from_integral_data_hold_ints():
+    h = sweedler_h4_hom()
+    sp, m, alpha = h.space, h.algebra.mult_map, h.algebra.alpha
+    assoc = Pipeline(QQ, [sp, sp, sp]).merge_legs(0, 2, m) \
+        .map_leg(1, alpha).merge_legs(0, 2, m)
+    for f in (m, alpha, assoc.finish()):
+        assert only_type((v for col in f.nonzero_columns() for _, v in col),
+                         int)
+        assert only_type((v for row in f.matrix for v in row), Fraction)
+        assert only_type(f.column(0), Fraction)
+    assert only_type((v for col in assoc.sparse_columns()
+                      for v in col.values()), int)
+
+
+def test_a_proper_fraction_stays_a_fraction_in_the_kernel():
+    sp = Space(("x",))
+    half = LinearMap(QQ, sp, sp, [[Fraction(1, 2)]])
+    for f in (half, compose(half, identity(QQ, sp))):
+        (((_, v),),) = f.nonzero_columns()
+        assert type(v) is Fraction and v == Fraction(1, 2)
+
+
+def test_kernel_and_dense_maps_agree_whatever_the_integer_form():
+    sp = Space(("x", "y"))
+    half = LinearMap(QQ, sp, sp, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    two = LinearMap(QQ, sp, sp, [[2, 0], [0, 2]])
+    # compose holds Fraction(1), identity holds int 1, the dense map both
+    maps = [compose(half, two), identity(QQ, sp),
+            LinearMap(QQ, sp, sp, [[1, 0], [0, 1]])]
+    assert type(maps[0].nonzero_columns()[0][0][1]) is Fraction
+    assert type(maps[1].nonzero_columns()[0][0][1]) is int
+    for f in maps:
+        for g in maps:
+            assert f == g and hash(f) == hash(g)
+            assert f.matrix == g.matrix
+            assert only_type(f.matrix[0] + f.matrix[1], Fraction)
+
+
+def test_maps_equal_witness_holds_field_elements():
+    f = rational_map([[1, 2], [3, 4]])
+    g = compose(identity(QQ, f.codomain), rational_map([[1, 2], [3, 5]]))
+    witness = maps_equal(f, g).witness
+    assert witness.entry == (1, 1, 4, 5)
+    assert only_type(witness.entry[2:] + witness.lhs + witness.rhs, Fraction)
+
+
+# ---------------------------------------------------------------------------
 # Differential oracle for the Pipeline leg compiler.  Every step is modelled
 # as one Kronecker map built from tensor, compose, identity and flip_map,
 # composed onto the map compiled so far; the compiled map must equal it.
