@@ -12,6 +12,23 @@ never densified unless a caller wants the full matrix.  Linear systems are
 solved by one sparse exact Gauss–Jordan elimination on rows stored as
 {column: value} dicts.
 
+Inside the kernel an integral rational may be a plain ``int``, so the
+products of integral structure constants never build a ``Fraction``;
+every other scalar is a field element.  ``_low`` lowers every value as it
+comes in: in the packers (``identity``, ``vector_as_map``,
+``functional_as_map``, ``flip_map``, ``bilinear_as_map``,
+``splitting_as_map``), in ``nonzero_columns()`` built from dense rows, in
+the rows and right-hand side of ``solve_linear``, in the identity block
+of ``inverse``, and in ``Pipeline``'s start and adjoined vectors.  The sparse columns, the ``Pipeline`` columns
+and the Gauss–Jordan rows may therefore hold ``int``s; since ``Fraction(n)
+== n`` and both hash alike, a map compares equal whichever form an integer
+takes.  Gauss–Jordan never divides two ``int``s (that is a float): an
+``int`` pivot is made a ``Fraction`` first, and an integral quotient is
+lowered again.  Every ``int`` handed out (in ``matrix``, ``column()``,
+the ``solve_linear`` solution, ``NoSolution.reduced_row``) goes back
+through ``field.coerce``, so callers see only ``Fraction`` or ``ModInt``.
+GF(p) scalars are ``ModInt`` throughout.
+
 ``Pipeline`` is the one audited compiler that turns Sweedler-style formulas
 ("split the second leg, act on legs two and three, multiply legs one and
 four, ...") into a single map by composing per-leg operations on flat basis
@@ -144,7 +161,7 @@ class LinearMap:
 
     @classmethod
     def _from_columns(cls, field, domain: Space, codomain: Space, columns):
-        """Kernel output, whose entries are already scalars of ``field``: for
+        """Kernel output, whose entries are already kernel scalars: for
         each domain basis vector the ((row, value), ...) nonzeros of its
         image, rows ascending.  Only the column count is checked."""
         self = cls.__new__(cls)
@@ -652,7 +669,8 @@ class Pipeline:
 
     def sparse_columns(self) -> list:
         """The compiled map without sorting or densifying: for each domain
-        basis vector a {codomain index: value} dict of its nonzeros."""
+        basis vector a {codomain index: value} dict of its nonzeros, values
+        in kernel form (an integral rational is an ``int``)."""
         return self.columns
 
     def finish(self) -> LinearMap:

@@ -1,9 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields GF(p).
 
-Every scalar in the package is either a ``fractions.Fraction`` (over Q) or a
-``ModInt`` (over GF(p)).  Both support the usual arithmetic operators, are
-falsy exactly when zero, and compare exactly, so all kernel code is written
-against plain operators and stays field-agnostic.
+Every scalar the package hands out is either a ``fractions.Fraction`` (over
+Q) or a ``ModInt`` (over GF(p)).  Both support the usual arithmetic
+operators, are falsy exactly when zero, and compare exactly, so all kernel
+code is written against plain operators and stays field-agnostic.  Inside
+the kernel (``exactlin``) an integral rational is held as a plain ``int``,
+which mixes exactly with ``Fraction`` and equals and hashes like it; the
+kernel turns it back into a ``Fraction`` through ``coerce`` before handing
+it out.
 """
 
 from __future__ import annotations
