@@ -18,11 +18,11 @@ every other scalar is a field element.  ``_low`` lowers every value as it
 comes in: in the packers (``identity``, ``vector_as_map``,
 ``functional_as_map``, ``flip_map``, ``bilinear_as_map``,
 ``splitting_as_map``), in ``nonzero_columns()`` built from dense rows, in
-the rows and right-hand side of ``solve_linear``, in the identity block
-of ``inverse``, and in ``Pipeline``'s start and adjoined vectors.  The sparse columns, the ``Pipeline`` columns
-and the Gauss–Jordan rows may therefore hold ``int``s; since ``Fraction(n)
-== n`` and both hash alike, a map compares equal whichever form an integer
-takes.  Gauss–Jordan never divides two ``int``s (that is a float): an
+the rows and right-hand side of ``solve_linear``, in the identity block of
+``inverse``, and in ``Pipeline``'s start and adjoined vectors.  The sparse
+columns, the ``Pipeline`` columns and the Gauss–Jordan rows may therefore
+hold ``int``s; since ``Fraction(n) == n`` and both hash alike, a map
+compares equal whichever form an integer takes.  Gauss–Jordan never divides two ``int``s (that is a float): an
 ``int`` pivot is made a ``Fraction`` first, and an integral quotient is
 lowered again.  Every ``int`` handed out (in ``matrix``, ``column()``,
 the ``solve_linear`` solution, ``NoSolution.reduced_row``) goes back
@@ -68,11 +68,6 @@ def _low(v):
     if type(v) is Fraction and v.denominator == 1:
         return v.numerator
     return v
-
-
-def _coords(field, values) -> list:
-    """``values`` coerced into ``field``, in kernel form."""
-    return [_low(field.coerce(v)) for v in values]
 
 
 def _nonzeros(field, items) -> tuple:
@@ -253,7 +248,7 @@ def identity(field, space: Space) -> LinearMap:
 
 def vector_as_map(field, space: Space, coords) -> LinearMap:
     """A vector of ``space`` viewed as a map from the scalar line."""
-    coords = _coords(field, coords)
+    coords = [_low(field.coerce(v)) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -263,7 +258,7 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
     """A linear functional on ``space`` viewed as a map to the scalar line."""
-    coords = _coords(field, coords)
+    coords = [_low(field.coerce(v)) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -661,7 +656,7 @@ class Pipeline:
         their tensor product and they become consecutive new legs.
         """
         spaces = [space] if isinstance(space, Space) else list(space)
-        coords = _coords(self.field, coords)
+        coords = [_low(self.field.coerce(v)) for v in coords]
         if len(coords) != prod(s.dim for s in spaces):
             raise DimensionMismatch("adjoin_vector: coordinate count does not match")
         vector = tuple((r, w) for r, w in enumerate(coords) if w)
