@@ -414,7 +414,7 @@ def test_field_zero_and_one_are_shared():
 @pytest.mark.parametrize("field, zero", [(GF7, 7), (GF7, 14), (QQ, "0")],
                          ids=["GF7-7", "GF7-14", "Q-str"])
 def test_packers_drop_entries_that_are_zero_in_the_field(field, zero):
-    # an entry nonzero as given but zero in the field is no nonzero
+    # an entry that is nonzero as given but zero in the field is dropped
     s, t = Space(("x",)), Space(("a", "b"))
     cube = [[[zero, 3]]]
     packed = [bilinear_as_map(field, s, s, t, cube),
@@ -475,7 +475,8 @@ def test_kernel_and_dense_maps_agree_whatever_the_integer_form():
     sp = Space(("x", "y"))
     half = LinearMap(QQ, sp, sp, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
     two = LinearMap(QQ, sp, sp, [[2, 0], [0, 2]])
-    # compose holds Fraction(1), identity holds int 1, the dense map both
+    # compose keeps a Fraction(1), identity holds int 1, and the dense map
+    # holds Fraction rows and int columns
     maps = [compose(half, two), identity(QQ, sp),
             LinearMap(QQ, sp, sp, [[1, 0], [0, 1]])]
     assert type(maps[0].nonzero_columns()[0][0][1]) is Fraction
