@@ -33,7 +33,12 @@ GF(p) scalars are ``ModInt`` throughout.
 ("split the second leg, act on legs two and three, multiply legs one and
 four, ...") into a single map by composing per-leg operations on flat basis
 indices.  Every axiom checker in the package is built on it, so there is
-exactly one place where tensor-leg bookkeeping can go wrong.
+exactly one place where tensor-leg bookkeeping can go wrong.  It holds the
+map factored into blocks of consecutive legs, a run no step has touched
+being an implicit identity, and a step fuses and rewrites only the blocks
+it spans; so m(b, c) in a(bc) is computed once, not once for every a.
+``permute``, ``sparse_columns()``, ``finish`` and a read of ``columns``
+fuse every block first.
 
 Basis ordering convention, used everywhere: e_i (x) e_j maps to index
 i * dim(second factor) + j (row-major, left factor major).
@@ -555,50 +560,138 @@ class Pipeline:
     The pipeline starts as the identity on a tensor product of "legs" and is
     transformed step by step: apply a map to one leg, split a leg with a
     comultiplication-like map, merge adjacent legs with a multiplication-like
-    map, permute legs, or adjoin a fixed vector as new legs.  ``columns``
-    holds, for each domain basis vector, a {flat codomain index: value} dict
-    of its nonzero coordinates; ``finish`` sorts them into a LinearMap.
+    map, permute legs, or adjoin a fixed vector as new legs.
+
+    The map so far is held factored into blocks, ``[number of current legs,
+    columns]``, whose left-major Kronecker product it is.  A block is a run
+    of consecutive domain legs (possibly none: an adjoined vector) together
+    with the current legs they have become; its columns are, for each basis
+    vector of its own domain, a {flat index over its current legs: value}
+    dict of nonzeros.  A run no step has touched is an identity run, with
+    columns ``None``.  A step fuses only the blocks it spans (an identity
+    run is split at the step's edges first) and rewrites that one block; a
+    step that covers identity runs alone takes the map's columns as they
+    are.  So a step on some legs is not repeated for every basis tuple of
+    the others.  ``permute``, ``sparse_columns()`` and ``finish`` fuse every
+    block into one first.
+
+    ``columns`` is ``sparse_columns()``: reading it fuses in place, so a
+    caller that reads it after every step (a tracer counting nonzeros)
+    makes the pipeline evaluate over full-domain columns from then on.
     """
 
     def __init__(self, field, legs):
+        legs = tuple(legs)
+        if not legs:
+            raise DimensionMismatch(
+                "a Pipeline needs at least one leg; the scalar domain is "
+                "[SCALAR_SPACE]")
         self.field = field
-        self.domain_legs = tuple(legs)
+        self.domain_legs = legs
         self.legs = list(legs)
-        one = _low(field.one)
-        self.columns = [{j: one} for j in range(prod(s.dim for s in legs))]
+        self._blocks = [[len(legs), None]]
+
+    def _span(self, i: int, count: int):
+        """Blocks b0..b1-1 covering legs i..i+count-1, after splitting the
+        identity runs that straddle i or i + count; and the leg position of
+        the first.  For count 0 the span is the touched block that position
+        i lies strictly inside, or empty at a block edge."""
+        blocks = self._blocks
+        for cut in (i, i + count):
+            start = 0
+            for b, (n, cols) in enumerate(blocks):
+                if start < cut < start + n and cols is None:
+                    blocks[b:b + 1] = [[cut - start, None],
+                                       [start + n - cut, None]]
+                    break
+                start += n
+        b0 = b1 = start = end = 0
+        for n, _ in blocks:
+            end += n
+            if end <= i:
+                b0 += 1
+                start = end
+            if end - n < i + count:
+                b1 += 1
+        return b0, b1, start
+
+    def _fuse(self, b0: int, b1: int, start: int):
+        """The left-major Kronecker product of blocks b0..b1-1, whose first
+        leg is ``start``: its columns, or None when all are identity runs.
+        No product is formed with an identity run."""
+        dims = [s.dim for s in self.legs]
+        acc = None
+        size = 1                # codomain size of the product so far
+        for n, cols in self._blocks[b0:b1]:
+            d = prod(dims[start:start + n])
+            start += n
+            if cols is None:
+                if acc is not None:
+                    acc = [{k * d + j: v for k, v in col.items()}
+                           for col in acc for j in range(d)]
+            elif acc is None:
+                acc = cols if size == 1 else [
+                    {j * d + k: v for k, v in col.items()}
+                    for j in range(size) for col in cols]
+            else:
+                items = [tuple(col.items()) for col in cols]
+                acc = [{ka * d + kb: va * vb for ka, va in a.items()
+                        for kb, vb in b}
+                       for a in acc for b in items]
+            size *= d
+        return acc
+
+    def _fuse_all(self) -> list:
+        """Fuse every block into one and return its columns."""
+        n = len(self.legs)
+        cols = self._fuse(0, len(self._blocks), 0)
+        if cols is None:
+            one = _low(self.field.one)
+            cols = [{j: one} for j in range(prod(s.dim for s in self.legs))]
+        self._blocks = [[n, cols]]
+        return cols
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
         """Replace legs i..i+count-1 (count may be 0) by ``new_legs`` through
         the map on their tensor product whose nonzero columns are ``cols``.
 
-        A flat index splits as (hi, mid, low) around the replaced legs; mid
-        indexes ``cols`` and each row r there lands at (hi, r, low)."""
-        dims = [s.dim for s in self.legs]
-        lo = prod(dims[i + count:])
-        block = prod(dims[i:i + count]) * lo
-        out_block = prod(s.dim for s in new_legs) * lo
-        shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
-        new_columns = []
-        for col in self.columns:
-            out: dict = {}
-            get = out.get
-            for key, v in col.items():
-                hi, rest = divmod(key, block)
-                mid, low = divmod(rest, lo)
-                base = hi * out_block + low
-                for r, w in shifted[mid]:
-                    nk = base + r
-                    acc = get(nk)
-                    if acc is None:
-                        out[nk] = w * v
-                    else:
-                        acc = acc + w * v
-                        if acc:
-                            out[nk] = acc
+        Only the blocks spanning those legs are fused and rewritten.  A flat
+        index of that block splits as (hi, mid, low) around the replaced
+        legs; mid indexes ``cols`` and each row r there lands at
+        (hi, r, low)."""
+        b0, b1, start = self._span(i, count)
+        blocks = self._blocks
+        n = sum(blocks[b][0] for b in range(b0, b1))
+        fused = self._fuse(b0, b1, start)
+        if fused is None:
+            new_columns = [dict(col) for col in cols]
+        else:
+            dims = [s.dim for s in self.legs[i:start + n]]
+            lo = prod(dims[count:])
+            block = prod(dims[:count]) * lo
+            out_block = prod(s.dim for s in new_legs) * lo
+            shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
+            new_columns = []
+            for col in fused:
+                out: dict = {}
+                get = out.get
+                for key, v in col.items():
+                    hi, rest = divmod(key, block)
+                    mid, low = divmod(rest, lo)
+                    base = hi * out_block + low
+                    for r, w in shifted[mid]:
+                        nk = base + r
+                        acc = get(nk)
+                        if acc is None:
+                            out[nk] = w * v
                         else:
-                            del out[nk]
-            new_columns.append(out)
-        self.columns = new_columns
+                            acc = acc + w * v
+                            if acc:
+                                out[nk] = acc
+                            else:
+                                del out[nk]
+                new_columns.append(out)
+        blocks[b0:b1] = [[n - count + len(new_legs), new_columns]]
         self.legs[i:i + count] = new_legs
         return self
 
@@ -636,7 +729,7 @@ class Pipeline:
                    for t, u in enumerate(order)]
         moves = [m for m in strides if m[0] != m[2]]
         new_columns = []
-        for col in self.columns:
+        for col in self._fuse_all():
             out = {}
             for key, v in col.items():
                 nk = key
@@ -645,7 +738,7 @@ class Pipeline:
                     nk += digit * new - digit * old
                 out[nk] = v
             new_columns.append(out)
-        self.columns = new_columns
+        self._blocks = [[len(order), new_columns]]
         self.legs = [self.legs[u] for u in order]
         return self
 
@@ -665,11 +758,14 @@ class Pipeline:
     def sparse_columns(self) -> list:
         """The compiled map without sorting or densifying: for each domain
         basis vector a {codomain index: value} dict of its nonzeros, values
-        in kernel form (an integral rational is an ``int``)."""
-        return self.columns
+        in kernel form (an integral rational is an ``int``).  Fuses every
+        block in place."""
+        return self._fuse_all()
+
+    columns = property(sparse_columns)
 
     def finish(self) -> LinearMap:
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),
             tensor_space_list(self.legs),
-            [tuple(sorted(col.items())) for col in self.columns])
+            [tuple(sorted(col.items())) for col in self._fuse_all()])

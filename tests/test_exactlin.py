@@ -9,7 +9,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homhopf.corpus import sweedler_h4_hom
+from homhopf.corpus import classical_sweedler_h4, sweedler_h4_hom
 from homhopf.exactlin import (
     DimensionMismatch,
     FieldMismatch,
@@ -673,6 +673,197 @@ def test_pipeline_chains_match_kronecker_construction(data):
     kinds = data.draw(st.lists(st.sampled_from(STEP_KINDS), min_size=2,
                                max_size=4))
     check_steps(data, data.draw(FIELDS), random_legs(data), kinds)
+
+
+# The Pipeline holds the map factored into blocks of consecutive legs and
+# fuses only the blocks a step spans; these cases sit on block edges.
+
+
+def touch_every_leg(data, field, legs):
+    """map_leg steps on each leg in turn, each leg becoming its own touched
+    block; returns the steps and the legs they leave."""
+    steps, current = [], []
+    for i, leg in enumerate(legs):
+        f = data.draw(random_map(field, leg, fresh_space(data.draw(DIMS))))
+        steps.append(("map_leg", (i, f)))
+        current.append(f.codomain)
+    return steps, current
+
+
+def merge_step(data, field, legs, i, count):
+    f = data.draw(random_map(field, tensor_space_list(legs[i:i + count]),
+                             fresh_space(data.draw(DIMS))))
+    return ("merge_legs", (i, count, f)), legs[:i] + [f.codomain] + legs[i + count:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipeline_merge_spans_several_touched_blocks(data):
+    field = data.draw(FIELDS)
+    legs = random_legs(data, least=3)
+    steps, current = touch_every_leg(data, field, legs)
+    count = data.draw(st.integers(2, 3))
+    i = data.draw(st.integers(0, len(current) - count))
+    merge, _ = merge_step(data, field, current, i, count)
+    check_steps(data, field, legs, steps + [merge])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipeline_disjoint_splits_then_interleaving_permute(data):
+    """The shape of comult_multiplicative: split two legs apart, interleave
+    their halves, then merge across the former blocks."""
+    field = data.draw(FIELDS)
+    legs = random_legs(data, least=2)
+    halves = [fresh_space(data.draw(DIMS)) for _ in range(4)]
+    f = data.draw(random_map(field, legs[0], tensor_space(*halves[:2])))
+    g = data.draw(random_map(field, legs[1], tensor_space(*halves[2:])))
+    rest = list(range(4, len(legs) + 2))
+    current = [halves[0], halves[2], halves[1], halves[3]] + legs[2:]
+    first, current = merge_step(data, field, current, 0, 2)
+    second, _ = merge_step(data, field, current, 1, 2)
+    check_steps(data, field, legs, [
+        ("split_leg", (0, f, *halves[:2])),
+        ("split_leg", (2, g, *halves[2:])),
+        ("permute", ([0, 2, 1, 3] + rest,)),
+        first, second])
+
+
+@pytest.mark.parametrize("at", [0, 1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pipeline_adjoins_between_touched_blocks(at, data):
+    """A vector adjoined at either end or between two touched blocks, then
+    merged with a neighbouring leg."""
+    field = data.draw(FIELDS)
+    legs = [fresh_space(data.draw(DIMS)) for _ in range(3)]
+    steps, current = touch_every_leg(data, field, legs)
+    spaces = [fresh_space(data.draw(DIMS))
+              for _ in range(data.draw(st.integers(1, 2)))]
+    size = prod(s.dim for s in spaces)
+    coords = data.draw(st.lists(SMALL_SCALARS, min_size=size, max_size=size))
+    steps.append(("adjoin_vector", (at, spaces, coords)))
+    current[at:at] = spaces
+    count = len(spaces) + 1
+    merge, _ = merge_step(data, field, current, min(at, len(current) - count),
+                          count)
+    check_steps(data, field, legs, steps + [merge])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipeline_adjoins_inside_a_touched_block(data):
+    field = data.draw(FIELDS)
+    legs = random_legs(data, least=2)
+    left, right = fresh_space(data.draw(DIMS)), fresh_space(data.draw(DIMS))
+    f = data.draw(random_map(field, legs[0], tensor_space(left, right)))
+    space = fresh_space(data.draw(DIMS))
+    coords = data.draw(st.lists(SMALL_SCALARS, min_size=space.dim,
+                                max_size=space.dim))
+    check_steps(data, field, legs, [("split_leg", (0, f, left, right)),
+                                    ("adjoin_vector", (1, space, coords))])
+
+
+@pytest.mark.parametrize("kind", ["map_leg", "split_leg", "merge_legs"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pipeline_step_on_untouched_legs_beside_touched(kind, side, data):
+    """One leg is touched; the step acts on the untouched leg (or two legs,
+    for a merge) to one side of it, and a last merge joins the two."""
+    field = data.draw(FIELDS)
+    legs = [fresh_space(data.draw(DIMS)) for _ in range(4)]
+    touched = 2 if side == "left" else 1
+    f = data.draw(random_map(field, legs[touched],
+                             fresh_space(data.draw(DIMS))))
+    current = list(legs)
+    current[touched] = f.codomain
+    if kind == "merge_legs":
+        step, current = merge_step(data, field, current,
+                                   0 if side == "left" else 2, 2)
+    else:
+        i = touched - 1 if side == "left" else touched + 1
+        if kind == "map_leg":
+            g = data.draw(random_map(field, current[i],
+                                     fresh_space(data.draw(DIMS))))
+            step, new = ("map_leg", (i, g)), [g.codomain]
+        else:
+            halves = [fresh_space(data.draw(DIMS)) for _ in range(2)]
+            g = data.draw(random_map(field, current[i],
+                                     tensor_space(*halves)))
+            step, new = ("split_leg", (i, g, *halves)), halves
+        current[i:i + 1] = new
+    t = current.index(f.codomain)
+    join, _ = merge_step(data, field, current, t - 1 if side == "left" else t,
+                         2)
+    check_steps(data, field, legs, [("map_leg", (touched, f)), step, join])
+
+
+@pytest.mark.parametrize("read", ["sparse_columns", "columns", "every step"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipeline_reading_columns_mid_chain_keeps_the_map(read, data):
+    """Reading the columns fuses every block in place; the columns read
+    equal the model's at that point, and the chain goes on to the same
+    final map as the model."""
+    field = data.draw(FIELDS)
+    legs = random_legs(data)
+    kinds = data.draw(st.lists(st.sampled_from(STEP_KINDS), min_size=2,
+                               max_size=4))
+    at = data.draw(st.integers(0, len(kinds) - 1))
+    pipe, model = Pipeline(field, legs), KroneckerModel(field, legs)
+    for k, kind in enumerate(kinds):
+        name, args = data.draw(pipeline_step(field, model.legs, kind))
+        getattr(pipe, name)(*args)
+        getattr(model, name)(*args)
+        if k == at or read == "every step":
+            columns = (pipe.columns if read != "sparse_columns"
+                       else pipe.sparse_columns())
+            assert columns == [dict(col)
+                               for col in model.map.nonzero_columns()]
+    assert pipe.finish() == model.map
+
+
+def test_pipeline_columns_is_a_read_only_view_of_sparse_columns():
+    sp = Space(("x", "y"))
+    swap = LinearMap(QQ, sp, sp, [[0, 1], [1, 0]])
+    pipe = Pipeline(QQ, [sp, sp]).map_leg(1, swap)
+    assert pipe.columns == pipe.sparse_columns() == [
+        {1: 1}, {0: 1}, {3: 1}, {2: 1}]
+    with pytest.raises(AttributeError):
+        pipe.columns = []
+
+
+def test_a_pipeline_needs_a_leg():
+    with pytest.raises(DimensionMismatch):
+        Pipeline(QQ, [])
+    one = Pipeline(QQ, [SCALAR_SPACE]).adjoin_vector(1, Space(("x", "y")),
+                                                     [2, 3]).finish()
+    assert one.domain == SCALAR_SPACE and one.matrix == ((2,), (3,))
+
+
+def test_hom_associativity_builds_fewer_modints(monkeypatch):
+    """Both sides of Hom-associativity of Sweedler's H4 over GF(7) build 160
+    ModInts: a step on untouched legs takes its map's columns as they are
+    and is not repeated for every basis tuple of the other legs.  Rewriting
+    full-domain columns at every step builds 272."""
+    a = classical_sweedler_h4(GF7).algebra
+    sp, m, alpha = a.space, a.mult_map, a.alpha
+    created = [0]
+    init = ModInt.__init__
+
+    def counted(obj, value, p):
+        created[0] += 1
+        init(obj, value, p)
+
+    monkeypatch.setattr(ModInt, "__init__", counted)
+    lhs = Pipeline(GF7, [sp, sp, sp]).map_leg(0, alpha) \
+        .merge_legs(1, 2, m).merge_legs(0, 2, m).finish()
+    rhs = Pipeline(GF7, [sp, sp, sp]).merge_legs(0, 2, m) \
+        .map_leg(1, alpha).merge_legs(0, 2, m).finish()
+    monkeypatch.undo()
+    assert lhs == rhs
+    assert created[0] <= 160
 
 
 # ---------------------------------------------------------------------------
