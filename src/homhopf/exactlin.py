@@ -592,39 +592,41 @@ class Pipeline:
         self._blocks = [[len(legs), None]]
 
     def _span(self, i: int, count: int):
-        """Blocks b0..b1-1 covering legs i..i+count-1, after splitting the
-        identity runs that straddle i or i + count; and the leg position of
-        the first.  For count 0 the span is the touched block that position
-        i lies strictly inside, or empty at a block edge."""
+        """Blocks b0..b1-1 covering legs i..i+count-1, and the legs
+        first..end they cover; an identity run straddling i or i + count is
+        split there first.  For count 0 the span is the touched block that
+        position i lies strictly inside, or empty at a block edge."""
         blocks = self._blocks
-        for cut in (i, i + count):
-            start = 0
-            for b, (n, cols) in enumerate(blocks):
-                if start < cut < start + n and cols is None:
-                    blocks[b:b + 1] = [[cut - start, None],
-                                       [start + n - cut, None]]
-                    break
-                start += n
-        b0 = b1 = start = end = 0
-        for n, _ in blocks:
-            end += n
-            if end <= i:
-                b0 += 1
-                start = end
-            if end - n < i + count:
-                b1 += 1
-        return b0, b1, start
-
-    def _fuse(self, b0: int, b1: int, start: int):
-        """The left-major Kronecker product of blocks b0..b1-1, whose first
-        leg is ``start``: its columns, or None when all are identity runs.
-        No product is formed with an identity run."""
-        dims = [s.dim for s in self.legs]
-        acc = None
-        size = 1                # codomain size of the product so far
-        for n, cols in self._blocks[b0:b1]:
-            d = prod(dims[start:start + n])
+        b = start = 0
+        while b < len(blocks) and start + blocks[b][0] <= i:
+            start += blocks[b][0]
+            b += 1
+        if b < len(blocks) and start < i and blocks[b][1] is None:
+            n = blocks[b][0]
+            blocks[b:b + 1] = [[i - start, None], [start + n - i, None]]
+            start, b = i, b + 1
+        b0, first, stop = b, start, i + count
+        while b < len(blocks) and start < stop:
+            n, cols = blocks[b]
+            if cols is None and start + n > stop:
+                blocks[b:b + 1] = [[stop - start, None],
+                                   [start + n - stop, None]]
+                n = stop - start
             start += n
+            b += 1
+        return b0, b, first, start
+
+    @staticmethod
+    def _fuse(blocks, dims):
+        """The left-major Kronecker product of ``blocks``, whose legs have
+        dimensions ``dims``: its columns, or None when all are identity
+        runs.  No product is formed with an identity run."""
+        acc = None
+        at = 0
+        size = 1                # codomain size of the product so far
+        for n, cols in blocks:
+            d = prod(dims[at:at + n])
+            at += n
             if cols is None:
                 if acc is not None:
                     acc = [{k * d + j: v for k, v in col.items()}
@@ -643,12 +645,12 @@ class Pipeline:
 
     def _fuse_all(self) -> list:
         """Fuse every block into one and return its columns."""
-        n = len(self.legs)
-        cols = self._fuse(0, len(self._blocks), 0)
+        dims = [s.dim for s in self.legs]
+        cols = self._fuse(self._blocks, dims)
         if cols is None:
             one = _low(self.field.one)
-            cols = [{j: one} for j in range(prod(s.dim for s in self.legs))]
-        self._blocks = [[n, cols]]
+            cols = [{j: one} for j in range(prod(dims))]
+        self._blocks = [[len(dims), cols]]
         return cols
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
@@ -659,16 +661,19 @@ class Pipeline:
         index of that block splits as (hi, mid, low) around the replaced
         legs; mid indexes ``cols`` and each row r there lands at
         (hi, r, low)."""
-        b0, b1, start = self._span(i, count)
         blocks = self._blocks
-        n = sum(blocks[b][0] for b in range(b0, b1))
-        fused = self._fuse(b0, b1, start)
+        if len(blocks) == 1 and blocks[0][1] is not None:
+            b0, b1, first, end = 0, 1, 0, len(self.legs)
+        else:
+            b0, b1, first, end = self._span(i, count)
+        dims = [s.dim for s in self.legs[first:end]]
+        fused = blocks[b0][1] if b1 - b0 == 1 else self._fuse(
+            blocks[b0:b1], dims)
         if fused is None:
             new_columns = [dict(col) for col in cols]
         else:
-            dims = [s.dim for s in self.legs[i:start + n]]
-            lo = prod(dims[count:])
-            block = prod(dims[:count]) * lo
+            lo = prod(dims[i - first + count:])
+            block = prod(dims[i - first:i - first + count]) * lo
             out_block = prod(s.dim for s in new_legs) * lo
             shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
             new_columns = []
@@ -691,7 +696,7 @@ class Pipeline:
                             else:
                                 del out[nk]
                 new_columns.append(out)
-        blocks[b0:b1] = [[n - count + len(new_legs), new_columns]]
+        blocks[b0:b1] = [[len(dims) - count + len(new_legs), new_columns]]
         self.legs[i:i + count] = new_legs
         return self
 

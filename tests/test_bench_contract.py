@@ -34,7 +34,8 @@ tracer = load_tracer()
     (module, name) for module, names in tracer.FUNCTIONS.items()
     for name in names])
 def test_every_traced_function_exists(module, name):
-    assert callable(getattr(importlib.import_module(f"homhopf.{module}"), name))
+    module = importlib.import_module(f"homhopf.{module}")
+    assert callable(getattr(module, name))
 
 
 @pytest.mark.parametrize("method", sorted(tracer.PIPELINE_STEPS))

@@ -693,7 +693,8 @@ def touch_every_leg(data, field, legs):
 def merge_step(data, field, legs, i, count):
     f = data.draw(random_map(field, tensor_space_list(legs[i:i + count]),
                              fresh_space(data.draw(DIMS))))
-    return ("merge_legs", (i, count, f)), legs[:i] + [f.codomain] + legs[i + count:]
+    return (("merge_legs", (i, count, f)),
+            legs[:i] + [f.codomain] + legs[i + count:])
 
 
 @settings(max_examples=20, deadline=None)
