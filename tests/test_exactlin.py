@@ -691,6 +691,8 @@ def touch_every_leg(data, field, legs):
 
 
 def merge_step(data, field, legs, i, count):
+    """A merge_legs step over legs i..i+count-1 of ``legs``, and the legs it
+    leaves."""
     f = data.draw(random_map(field, tensor_space_list(legs[i:i + count]),
                              fresh_space(data.draw(DIMS))))
     return (("merge_legs", (i, count, f)),
