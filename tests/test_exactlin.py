@@ -31,6 +31,7 @@ from homhopf.exactlin import (
     power,
     solve_linear,
     splitting_as_map,
+    strip_scalar_leg,
     tensor,
     tensor_space,
     tensor_space_list,
@@ -502,14 +503,11 @@ def test_maps_equal_witness_holds_field_elements():
 # composed onto the map compiled so far; the compiled map must equal it.
 
 
-def kron(field, maps, domain=None):
-    """Left-major tensor product of ``maps``; ``domain`` relabels a domain
-    that carries one-dimensional scalar legs (the matrix is unchanged)."""
+def kron(maps):
+    """Left-major tensor product of ``maps``."""
     out = maps[0]
     for m in maps[1:]:
         out = tensor(out, m)
-    if domain is not None:
-        out = LinearMap(field, domain, out.codomain, out.matrix)
     return out
 
 
@@ -523,9 +521,10 @@ class KroneckerModel:
 
     def _apply(self, i, count, middle, new_legs):
         ids = [identity(self.field, s) for s in self.legs]
-        step = kron(self.field, ids[:i] + [middle] + ids[i + count:],
-                    domain=self.map.codomain)
-        self.map = compose(step, self.map)
+        step = kron(ids[:i] + [middle] + ids[i + count:])
+        # The step's domain names a scalar leg the map's codomain may not
+        # carry; relabelling the map keeps its columns sparse.
+        self.map = compose(step, strip_scalar_leg(self.map, step.domain))
         self.legs[i:i + count] = new_legs
 
     def map_leg(self, i, f):
