@@ -40,7 +40,7 @@ from .exactlin import (
     splitting_as_map,
     strip_scalar_leg,
     tensor_from_bilinear,
-    transpose,
+    tensor_space,
 )
 from .homcore import HomAlgebra, HomBialgebra, HomCoalgebra, _coerce_cube
 from .report import CheckReport
@@ -362,36 +362,56 @@ def convolution_unit(coalg: HomCoalgebra, alg: HomAlgebra) -> LinearMap:
     return compose(alg.unit_map, coalg.counit_map)
 
 
+def _comult_mates(coalg: HomCoalgebra):
+    """The two mates of Delta_C, re-indexed from its sparse columns:
+    c2 -> sum Delta_c^{c1 c2} c1 (x) c and c1 -> sum Delta_c^{c1 c2} c2 (x) c,
+    both maps C -> C (x) C."""
+    csp = coalg.space
+    q = csp.dim
+    left = [[] for _ in range(q)]
+    right = [[] for _ in range(q)]
+    for c, col in enumerate(coalg.comult_map.nonzero_columns()):
+        for k, v in col:
+            c1, c2 = divmod(k, q)
+            left[c2].append((c1 * q + c, v))
+            right[c1].append((c2 * q + c, v))
+    cc = tensor_space(csp, csp)
+    return tuple(LinearMap._from_columns(
+        coalg.field, csp, cc, [tuple(sorted(col)) for col in mate])
+        for mate in (left, right))
+
+
 def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
     """Linear system on the entries of g expressing f*g = e = g*f.
 
     Unknowns are the entries of g (row-major), i.e. the coordinates of g as
     a vector of A (x) C; equations stack the coordinates of f*g - e and
     g*f - e over every basis vector of C.  Each of g -> f*g and g -> g*f is
-    compiled as one operator on A (x) C: adjoin f as a vector of A (x) C,
-    multiply the two A legs, and merge the two C legs with the transpose of
-    Delta_C.  Rows are returned as {unknown: value} dicts of their nonzeros.
+    compiled as one operator on g's own domain A (x) C from a mate of
+    Delta_C (``_comult_mates``), which splits g's C leg into the leg f acts
+    on and the output leg c:
+
+      * f*g: split c2 by c2 -> sum Delta_c^{c1 c2} c1 (x) c, apply f to c1,
+        move that A leg in front of g's and multiply the two A legs;
+      * g*f: split c1 by c1 -> sum Delta_c^{c1 c2} c2 (x) c, apply f to c2
+        and multiply (g's leg, f's leg) as they stand.
+
+    Rows are returned as {unknown: value} dicts of their nonzeros.
     """
     field = alg.field
     if f.field != field:
         raise FieldMismatch(f"convolution: map over {f.field!r} into {field!r}")
     csp, asp = coalg.space, alg.space
     q, p = csp.dim, asp.dim
-    fvec = [v for row in f.matrix for v in row]
-    dt = transpose(coalg.comult_map)
+    left, right = _comult_mates(coalg)
     e = convolution_unit(coalg, alg)
     rows = [{} for _ in range(2 * p * q)]
-    # f adjoined before the legs (A_g, C_g) of g gives f*g, after them g*f
-    for offset, at in ((0, 0), (p * q, 2)):
-        columns = (
-            Pipeline(field, [asp, csp])
-            .adjoin_vector(at, [asp, csp], fvec)
-            .permute([0, 2, 1, 3])
-            .merge_legs(0, 2, alg.mult_map)
-            .merge_legs(1, 2, dt)
-            .sparse_columns()
-        )
-        for u, col in enumerate(columns):
+    f_g = Pipeline(field, [asp, csp]).split_leg(1, left, csp, csp) \
+        .map_leg(1, f).permute([1, 0, 2]).merge_legs(0, 2, alg.mult_map)
+    g_f = Pipeline(field, [asp, csp]).split_leg(1, right, csp, csp) \
+        .map_leg(1, f).merge_legs(0, 2, alg.mult_map)
+    for offset, pipeline in ((0, f_g), (p * q, g_f)):
+        for u, col in enumerate(pipeline.sparse_columns()):
             for eq, v in col.items():
                 rows[offset + eq][u] = v
     rhs = [v for row in e.matrix for v in row] * 2

@@ -10,7 +10,10 @@ asked for (``matrix`` for the rows, ``nonzero_columns()`` for the columns);
 equality, hashing and basis sweeps read the columns, so kernel output is
 never densified unless a caller wants the full matrix.  Linear systems are
 solved by one sparse exact Gauss–Jordan elimination on rows stored as
-{column: value} dicts.
+{column: value} dicts.  It keeps a column index, for each pivotable column
+the set of rows holding a nonzero there, so its work is proportional to
+the nonzeros it touches; since each row's update reads only that row and
+the pivot row, the result is the same as a row-by-row scan's, row for row.
 
 Inside the kernel an integral rational may be a plain ``int``, so the
 products of integral structure constants never build a ``Fraction``;
@@ -104,10 +107,8 @@ class Space:
             raise ValueError("a space needs at least one basis vector")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate basis names in {self.names}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
+        # set once, and not a field: equality, hash and repr see only names
+        object.__setattr__(self, "dim", len(self.names))
 
     def __repr__(self):
         return f"Space({list(self.names)})"
@@ -428,31 +429,59 @@ def _gauss_jordan(rows, width: int) -> list:
     never pivoted on.  For each column c in turn the pivot is the first row
     at or below the current one with a nonzero in c: it is swapped up,
     normalised, and c is cleared in every other row.
+
+    ``holding[c]`` is the set of row positions with a nonzero in column c
+    (for c below ``width``), updated on a swap, on fill-in and on
+    cancellation.  Finding a pivot and clearing its column visit only those
+    rows, so the work is proportional to the nonzeros the elimination
+    touches, not to rows times columns.  The pivot is still the smallest
+    position at or below the current row, and each row's update reads only
+    itself and the pivot row, so the order the set is visited in does not
+    matter: the reduced rows, their order and the pivots are those of a
+    row-by-row scan.
     """
     m = len(rows)
+    holding = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for k in row:
+            if k < width:
+                holding[k].add(i)
     pivots = []
     r = 0
     for c in range(width):
-        piv = next((i for i in range(r, m) if c in rows[i]), None)
+        piv = min((i for i in holding[c] if i >= r), default=None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            # a column held by just one of the two rows moves with it
+            for k in rows[r].keys() ^ rows[piv].keys():
+                if k < width:
+                    holding[k] ^= {r, piv}
+            rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
         if type(p) is int:
             p = Fraction(p)     # int / int would be a float
         prow = {k: _low(v / p) for k, v in rows[r].items()}
         rows[r] = prow
-        for i, row in enumerate(rows):
-            factor = row.get(c)
-            if factor is None or i == r:
+        for i in list(holding[c]):
+            if i == r:
                 continue
+            row = rows[i]
+            factor = row[c]
             for k, v in prow.items():
                 acc = row.get(k)
-                acc = -(factor * v) if acc is None else acc - factor * v
+                if acc is None:             # fill-in
+                    row[k] = -(factor * v)
+                    if k < width:
+                        holding[k].add(i)
+                    continue
+                acc = acc - factor * v
                 if acc:
                     row[k] = acc
-                else:
+                else:                       # cancellation
                     del row[k]
+                    if k < width:
+                        holding[k].discard(i)
         pivots.append(c)
         r += 1
         if r == m:

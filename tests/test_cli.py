@@ -212,3 +212,28 @@ def test_antipode_command_builds_the_crossed_product_once(data_dir, capsys,
     assert main(["antipode", str(data_dir / "sign_biproduct.struct")]) == 0
     assert "[pass] biproduct: biproduct-antipode" in capsys.readouterr().out
     assert calls[0] == 1
+
+
+def test_check_sweeps_a_hopf_bundles_axioms_once(data_dir, capsys,
+                                                 count_calls):
+    counts = [count_calls("homcore", name) for name in (
+        "check_hom_algebra", "check_hom_coalgebra", "check_hom_bialgebra")]
+    assert main(["check", str(data_dir / "h4.struct")]) == 0
+    out = capsys.readouterr().out
+    for check in ("hom-algebra", "hom-coalgebra", "hom-bialgebra",
+                  "hom-hopf"):
+        assert f"[pass] H4: {check}\n" in out
+    assert [calls[0] for calls in counts] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("what, expected", [
+    ("hom-algebra", [1, 0, 0]), ("hom-coalgebra", [0, 1, 0]),
+    ("hom-bialgebra", [1, 1, 1]), ("hom-hopf", [1, 1, 1])])
+def test_check_of_one_axiom_set_sweeps_only_that_set(data_dir, capsys,
+                                                     count_calls, what,
+                                                     expected):
+    counts = [count_calls("homcore", name) for name in (
+        "check_hom_algebra", "check_hom_coalgebra", "check_hom_bialgebra")]
+    assert main(["check", str(data_dir / "h4.struct"), "--what", what]) == 0
+    assert capsys.readouterr().out == f"[pass] H4: {what}\n"
+    assert [calls[0] for calls in counts] == expected

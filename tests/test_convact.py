@@ -38,6 +38,7 @@ from homhopf.exactlin import (
     identity,
     maps_equal,
     matrix_rank,
+    solve_linear,
 )
 from homhopf.fields import QQ, ModInt, PrimeField
 from homhopf.homcore import (
@@ -328,6 +329,52 @@ def test_convolution_system_matches_unit_map_assembly(name):
         ref_rows, ref_rhs = unit_map_assembly(f, h.coalgebra, h.algebra)
         assert rows == sparse_rows(ref_rows)
         assert rhs == ref_rhs
+
+
+def non_invertible_maps(h, nilpotent):
+    """The zero map and the rank-1 map c -> (basis vector ``nilpotent``) of
+    h's space: no g makes f*g or g*f have a unit component."""
+    q = h.space.dim
+    x = h.space.names.index(nilpotent)
+    return (LinearMap(h.field, h.space, h.space, [[0] * q] * q),
+            LinearMap(h.field, h.space, h.space,
+                      [[int(r == x)] * q for r in range(q)]))
+
+
+@pytest.mark.parametrize("name, nilpotent", [
+    ("h4_classical", "x"), ("h4_twisted", "x"), ("taft3_gf7", "g0x1")])
+def test_non_invertible_system_matches_unit_map_assembly(name, nilpotent):
+    h = hopf_entry(name)
+    for f in non_invertible_maps(h, nilpotent):
+        rows, rhs = _convolution_system(f, h.coalgebra, h.algebra)
+        ref_rows, ref_rhs = unit_map_assembly(f, h.coalgebra, h.algebra)
+        assert rows == sparse_rows(ref_rows)
+        assert rhs == ref_rhs
+        with pytest.raises(NotConvolutionInvertible) as err:
+            convolution_inverse(f, h.coalgebra, h.algebra)
+        assert err.value.certificate == solve_linear(h.field, ref_rows,
+                                                     ref_rhs)
+
+
+def test_convolution_system_builds_few_modints(monkeypatch):
+    """Compiling the T_3 system from the mates of Delta builds 291 ModInts.
+    Adjoining f as a vector of A (x) C and merging with the transpose of
+    Delta built 1,227."""
+    h = taft_hopf(3, 7, 2)
+    f = identity(h.field, h.space)
+    h.coalgebra.comult_map, h.algebra.mult_map  # built outside the count
+    created = [0]
+    init = ModInt.__init__
+
+    def counted(obj, value, p):
+        created[0] += 1
+        init(obj, value, p)
+
+    monkeypatch.setattr(ModInt, "__init__", counted)
+    rows, _ = _convolution_system(f, h.coalgebra, h.algebra)
+    monkeypatch.undo()
+    assert len(rows) == 2 * 81
+    assert created[0] <= 400
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -1,6 +1,7 @@
 """Kernel operations: composition, Kronecker products, powers, exact solve,
 map comparison, and the leg pipeline."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from homhopf.exactlin import (
     transpose,
     vector_as_map,
 )
+from homhopf.exactlin import _gauss_jordan, _lift, _sparse_rows
 from homhopf.fields import QQ, ModInt, PrimeField
 from homhopf.report import CheckReport, Witness
 
@@ -56,6 +58,17 @@ def test_space_validation():
     with pytest.raises(ValueError):
         Space(("a", "a"))
     assert Space(("a", "b")).dim == 2
+
+
+def test_space_dim_is_set_once_and_is_not_a_field():
+    sp = Space(("a", "b", "c"))
+    assert sp.dim == 3
+    assert [f.name for f in dataclasses.fields(Space)] == ["names"]
+    assert sp == Space(("a", "b", "c"))
+    assert hash(sp) == hash(Space(("a", "b", "c")))
+    assert repr(sp) == "Space(['a', 'b', 'c'])"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.dim = 4
 
 
 def test_compose_identity_is_neutral():
@@ -326,6 +339,67 @@ def test_sparse_inverse_matches_dense_reference(field, n, data):
             inverse(f)
     else:
         assert inverse(f).matrix == expected
+
+
+@st.composite
+def tall_sparse_systems(draw):
+    """(field, rows, rhs): tall sparse systems up to 24 x 12 over Q and
+    GF(7), twice as many rows as columns like the convolution system.  A
+    column is sometimes a multiple of an earlier one, so rank-deficient
+    systems occur; half the right-hand sides are A x for a random x and the
+    rest arbitrary, so consistent and inconsistent systems both occur."""
+    field = draw(st.sampled_from([QQ, GF7]))
+    n = draw(st.integers(1, 12))
+    m = 2 * n
+    columns = []
+    for j in range(n):
+        if j and draw(st.integers(0, 3)) == 0:
+            earlier = columns[draw(st.integers(0, j - 1))]
+            scale = draw(st.sampled_from([1, -1, 2, 3]))
+            columns.append([scale * v for v in earlier])
+        else:
+            columns.append(draw(st.lists(SMALL_SCALARS, min_size=m,
+                                         max_size=m)))
+    rows = [[col[i] for col in columns] for i in range(m)]
+    if draw(st.booleans()):
+        x = draw(st.lists(SMALL_SCALARS, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(SMALL_SCALARS, min_size=m, max_size=m))
+    return field, rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_sparse_systems())
+def test_tall_sparse_elimination_matches_dense_reference(system):
+    """The indexed elimination leaves the same reduced rows, in the same
+    order, with the same pivots as the dense row-by-row scan, and so the
+    same solution or NoSolution certificate."""
+    field, rows, rhs = system
+    n = len(rows[0])
+    sparse = _sparse_rows(field, rows, n)
+    for row, b in zip(sparse, _sparse_rows(field, [[b] for b in rhs])):
+        if b:
+            row[n] = b[0]
+    dense = [[field.coerce(v) for v in row] + [field.coerce(b)]
+             for row, b in zip(rows, rhs)]
+    assert _gauss_jordan(sparse, n) == dense_gauss_jordan(dense, n)
+    assert [[_lift(field, row[k]) if k in row else field.zero
+             for k in range(n + 1)] for row in sparse] == dense
+    dict_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert solve_linear(field, dict_rows, rhs, unknowns=n) == \
+        dense_reference_solve(field, rows, rhs)
+
+
+def test_inverse_of_a_singular_map_found_after_row_swaps():
+    # column 0 needs a swap; rows 1 and 2 are dependent, which shows only
+    # once column 1 is cleared
+    rows = [[0, 1, 2, 0], [1, 0, 0, 3], [0, 2, 4, 0], [2, 1, 2, 6]]
+    sp = Space(("e0", "e1", "e2", "e3"))
+    for field in (QQ, GF7):
+        assert dense_reference_inverse(field, rows) is None
+        with pytest.raises(NonInvertibleError):
+            inverse(LinearMap(field, sp, sp, rows))
 
 
 def test_dict_rows_need_the_number_of_unknowns():
