@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import BuiltBiproduct, CrossedProductSpec
-from .convact import convolve
 from .exactlin import (
     LinearMap,
     Pipeline,
@@ -39,7 +38,7 @@ from .exactlin import (
     power,
     strip_scalar_leg,
 )
-from .homcore import HomAlgebra, HomBialgebra, morphism_laws
+from .homcore import HomAlgebra, HomBialgebra, convolve, morphism_laws
 from .report import CheckReport
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convact import Coaction, Cocycle, ModuleAction, convolution_unit, convolve, pair_coalgebra
+from .convact import Coaction, Cocycle, ModuleAction, pair_coalgebra
 from .exactlin import (
     LinearMap,
     Pipeline,
@@ -42,6 +42,10 @@ from .homcore import (
     HomHopf,
     check_hom_bialgebra,
     comult_tensor_from_map,
+    convolution_unit,
+    convolve,
+    inverse_laws,
+    morphism_laws,
     mult_tensor_from_map,
 )
 from .report import CheckReport
@@ -635,8 +639,7 @@ def check_sigma_antipode(h: HomBialgebra, sigma: Cocycle,
         )
 
     return CheckReport.combine("sigma_antipode", [
-        equal_on_basis("sigma_antipode_alpha_commute",
-                       compose(s, h.alpha), compose(h.alpha, s), (hsp,)),
+        *morphism_laws(s, h, h, structure_compat="sigma_antipode_alpha_commute"),
         equal_on_basis("sigma_antipode_right", one_side(1), target, (hsp,)),
         equal_on_basis("sigma_antipode_left", one_side(0), target, (hsp,)),
     ])
@@ -646,17 +649,11 @@ def check_algebra_antipode(alg: HomAlgebra, coalg: HomCoalgebra,
                            s: LinearMap) -> CheckReport:
     """S_A is a convolution inverse of the identity on (A-as-coalgebra,
     A-as-algebra) and commutes with the shared structure map."""
-    field = alg.field
-    asp = alg.space
-    ida = identity(field, asp)
-    e = convolution_unit(coalg, alg)
     return CheckReport.combine("algebra_antipode", [
-        equal_on_basis("antipode_left_inverse",
-                       convolve(s, ida, coalg, alg), e, (asp,)),
-        equal_on_basis("antipode_right_inverse",
-                       convolve(ida, s, coalg, alg), e, (asp,)),
-        equal_on_basis("antipode_structure_commute",
-                       compose(s, alg.alpha), compose(alg.alpha, s), (asp,)),
+        *inverse_laws(s, identity(alg.field, alg.space), coalg, alg,
+                      (alg.space,), "antipode_left_inverse",
+                      "antipode_right_inverse"),
+        *morphism_laws(s, alg, alg, structure_compat="antipode_structure_commute"),
     ])
 
 

@@ -21,10 +21,17 @@ checked eagerly); the axioms are verified on demand by the check_* functions,
 since representing broken structures and reporting exactly where they break
 is the whole point.  Every axiom is multilinear, so passing on all basis
 tuples implies the identity on the whole space.
+
+Convolution of f, g: C -> A is m_A o (f (x) g) o Delta_C.  For bilinear maps
+out of H (x) H, the coalgebra used is the componentwise tensor coalgebra
+(Delta interleaved with the middle flip, structure map alpha (x) alpha).
+Every antipode law that says "s is a two-sided convolution inverse of f" is
+swept by ``inverse_laws``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
@@ -101,17 +108,22 @@ def _check_structure_map(space: Space, m: LinearMap, what: str):
     inverse(m)  # eager invertibility check; raises NonInvertibleError
 
 
+@dataclass(repr=False)
 class HomAlgebra:
     """(A, m, 1, alpha): multiplication cube c[i][j][k], unit coordinates,
     and an invertible structure map."""
 
-    def __init__(self, field, space: Space, mult, unit, alpha: LinearMap):
-        self.field = field
-        self.space = space
-        self.mult = _coerce_cube(field, space.dim, space.dim, space.dim, mult)
-        self.unit = _coerce_vector(field, space, unit)
-        self.alpha = alpha
-        _check_structure_map(space, alpha, "structure map alpha")
+    field: object
+    space: Space
+    mult: tuple
+    unit: tuple
+    alpha: LinearMap
+
+    def __post_init__(self):
+        d = self.space.dim
+        self.mult = _coerce_cube(self.field, d, d, d, self.mult)
+        self.unit = _coerce_vector(self.field, self.space, self.unit)
+        _check_structure_map(self.space, self.alpha, "structure map alpha")
 
     @cached_property
     def mult_map(self) -> LinearMap:
@@ -121,32 +133,26 @@ class HomAlgebra:
     def unit_map(self) -> LinearMap:
         return vector_as_map(self.field, self.space, self.unit)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomAlgebra)
-            and self.field == other.field
-            and self.space == other.space
-            and self.mult == other.mult
-            and self.unit == other.unit
-            and self.alpha == other.alpha
-        )
-
     def __repr__(self):
         return f"HomAlgebra(dim={self.space.dim})"
 
 
+@dataclass(repr=False)
 class HomCoalgebra:
     """(C, Delta, eps, gamma): comultiplication cube d[i][j][k], counit
     coordinates, and an invertible structure map."""
 
-    def __init__(self, field, space: Space, comult, counit, gamma: LinearMap):
-        self.field = field
-        self.space = space
-        self.comult = _coerce_cube(field, space.dim, space.dim, space.dim,
-                                   comult)
-        self.counit = _coerce_vector(field, space, counit)
-        self.gamma = gamma
-        _check_structure_map(space, gamma, "structure map gamma")
+    field: object
+    space: Space
+    comult: tuple
+    counit: tuple
+    gamma: LinearMap
+
+    def __post_init__(self):
+        d = self.space.dim
+        self.comult = _coerce_cube(self.field, d, d, d, self.comult)
+        self.counit = _coerce_vector(self.field, self.space, self.counit)
+        _check_structure_map(self.space, self.gamma, "structure map gamma")
 
     @cached_property
     def comult_map(self) -> LinearMap:
@@ -156,30 +162,22 @@ class HomCoalgebra:
     def counit_map(self) -> LinearMap:
         return functional_as_map(self.field, self.space, self.counit)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomCoalgebra)
-            and self.field == other.field
-            and self.space == other.space
-            and self.comult == other.comult
-            and self.counit == other.counit
-            and self.gamma == other.gamma
-        )
-
     def __repr__(self):
         return f"HomCoalgebra(dim={self.space.dim})"
 
 
+@dataclass(repr=False)
 class HomBialgebra:
     """Algebra and coalgebra on one space sharing one structure map."""
 
-    def __init__(self, algebra: HomAlgebra, coalgebra: HomCoalgebra):
-        if algebra.space != coalgebra.space:
+    algebra: HomAlgebra
+    coalgebra: HomCoalgebra
+
+    def __post_init__(self):
+        if self.algebra.space != self.coalgebra.space:
             raise ValueError("bialgebra halves live on different spaces")
-        if algebra.alpha != coalgebra.gamma:
+        if self.algebra.alpha != self.coalgebra.gamma:
             raise ValueError("bialgebra halves carry different structure maps")
-        self.algebra = algebra
-        self.coalgebra = coalgebra
 
     @property
     def field(self):
@@ -198,25 +196,20 @@ class HomBialgebra:
         """The componentwise tensor coalgebra on H (x) H, built once."""
         return tensor_coalgebra(self.coalgebra, self.coalgebra)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomBialgebra)
-            and self.algebra == other.algebra
-            and self.coalgebra == other.coalgebra
-        )
-
     def __repr__(self):
         return f"HomBialgebra(dim={self.space.dim})"
 
 
+@dataclass(repr=False)
 class HomHopf:
     """A Hom-bialgebra with an antipode (convolution inverse of the identity)."""
 
-    def __init__(self, bialgebra: HomBialgebra, antipode: LinearMap):
-        if antipode.domain != bialgebra.space or antipode.codomain != bialgebra.space:
+    bialgebra: HomBialgebra
+    antipode: LinearMap
+
+    def __post_init__(self):
+        if self.antipode.domain != self.space or self.antipode.codomain != self.space:
             raise ValueError("antipode must be an endomorphism of the carrier")
-        self.bialgebra = bialgebra
-        self.antipode = antipode
 
     @property
     def field(self):
@@ -237,13 +230,6 @@ class HomHopf:
     @property
     def coalgebra(self) -> HomCoalgebra:
         return self.bialgebra.coalgebra
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomHopf)
-            and self.bialgebra == other.bialgebra
-            and self.antipode == other.antipode
-        )
 
     def __repr__(self):
         return f"HomHopf(dim={self.space.dim})"
@@ -280,6 +266,38 @@ def tensor_coalgebra(c: HomCoalgebra, d: HomCoalgebra) -> HomCoalgebra:
     counit = [vc * vd for vc in c.counit for vd in d.counit]
     return HomCoalgebra(field, space, comult_tensor_from_map(comult, space),
                         counit, c.gamma @ d.gamma)
+
+
+def convolve(f: LinearMap, g: LinearMap, coalg: HomCoalgebra,
+             alg: HomAlgebra) -> LinearMap:
+    """f * g = m_A o (f (x) g) o Delta_C for f, g: C -> A."""
+    csp, asp = coalg.space, alg.space
+    if f.domain != csp or g.domain != csp or f.codomain != asp or g.codomain != asp:
+        raise ValueError("convolution factors must map the coalgebra into the algebra")
+    return (
+        Pipeline(alg.field, [csp])
+        .split_leg(0, coalg.comult_map, csp, csp)
+        .map_leg(0, f)
+        .map_leg(1, g)
+        .merge_legs(0, 2, alg.mult_map)
+        .finish()
+    )
+
+
+def convolution_unit(coalg: HomCoalgebra, alg: HomAlgebra) -> LinearMap:
+    """The convolution identity element: unit_A o eps_C."""
+    return compose(alg.unit_map, coalg.counit_map)
+
+
+def inverse_laws(s: LinearMap, f: LinearMap, coalg: HomCoalgebra,
+                 alg: HomAlgebra, factors, left: str,
+                 right: str) -> list[CheckReport]:
+    """Sweep the two laws making s a convolution inverse of f: C -> A over
+    the basis tuples ``factors`` of C, reported as ``left`` (s * f = 1 eps)
+    and ``right`` (f * s = 1 eps)."""
+    e = convolution_unit(coalg, alg)
+    return [equal_on_basis(left, convolve(s, f, coalg, alg), e, factors),
+            equal_on_basis(right, convolve(f, s, coalg, alg), e, factors)]
 
 
 def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
@@ -454,21 +472,11 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
 
 def check_antipode(h: HomHopf) -> CheckReport:
     """S(h1)h2 = eps(h)1 = h1 S(h2) on every basis vector, plus S alpha = alpha S."""
-    field, sp = h.field, h.space
-    m, d = h.algebra.mult_map, h.coalgebra.comult_map
     s = h.antipode
-    target = compose(h.algebra.unit_map, h.coalgebra.counit_map)
-
-    left = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
-        .map_leg(0, s).merge_legs(0, 2, m).finish()
-    right = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
-        .map_leg(1, s).merge_legs(0, 2, m).finish()
-
     return CheckReport.combine("hom_antipode", [
-        equal_on_basis("antipode_left", left, target, (sp,)),
-        equal_on_basis("antipode_right", right, target, (sp,)),
-        equal_on_basis("antipode_alpha_commute",
-                       compose(s, h.alpha), compose(h.alpha, s), (sp,)),
+        *inverse_laws(s, identity(h.field, h.space), h.coalgebra, h.algebra,
+                      (h.space,), "antipode_left", "antipode_right"),
+        *morphism_laws(s, h, h, structure_compat="antipode_alpha_commute"),
     ])
 
 
