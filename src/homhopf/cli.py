@@ -98,8 +98,21 @@ def _bialgebra_checks(what: str, obj):
                 "hom_hopf", [report, check_antipode(obj)])
 
 
-def _applicable_checks(what: str, obj):
-    """Yield (check name, thunk) pairs applying the axiom set to a bundle."""
+def _applicable_checks(what: str, obj, swept: dict):
+    """Yield (check name, thunk) pairs applying the axiom set to a bundle.
+    An action, coaction or crossed-product datum that the parser shares
+    between bundles is swept once per check: its report is kept in
+    ``swept`` under the check name and the object's identity (the parsed
+    file holds every such object for the whole command)."""
+
+    def once(check: str, sweep, target):
+        def thunk():
+            key = (check, id(target))
+            if key not in swept:
+                swept[key] = sweep(target)
+            return swept[key]
+        return check, thunk
+
     if isinstance(obj, (HomBialgebra, HomHopf)):
         yield from _bialgebra_checks(what, obj)
     if what in ("hom-algebra", "all") and isinstance(obj, HomAlgebra):
@@ -116,10 +129,10 @@ def _applicable_checks(what: str, obj):
         action = obj.crossed.action
     if action is not None:
         if what in ("weak-module-algebra", "all"):
-            yield "weak-module-algebra", \
-                lambda: check_weak_module_algebra(action)
+            yield once("weak-module-algebra", check_weak_module_algebra,
+                       action)
         if what in ("hom-module", "all"):
-            yield "hom-module", lambda: check_hom_module(action)
+            yield once("hom-module", check_hom_module, action)
 
     coaction = None
     if isinstance(obj, Coaction):
@@ -127,8 +140,7 @@ def _applicable_checks(what: str, obj):
     elif isinstance(obj, BiproductSpec):
         coaction = obj.coaction
     if coaction is not None and what in ("comodule-coalgebra", "all"):
-        yield "comodule-coalgebra", \
-            lambda: check_comodule_coalgebra(coaction)
+        yield once("comodule-coalgebra", check_comodule_coalgebra, coaction)
 
     crossed = None
     if isinstance(obj, CrossedProductSpec):
@@ -136,8 +148,7 @@ def _applicable_checks(what: str, obj):
     elif isinstance(obj, BiproductSpec):
         crossed = obj.crossed
     if crossed is not None and what in ("cocycle-conditions", "all"):
-        yield "cocycle-conditions", \
-            lambda: check_cocycle_conditions(crossed)
+        yield once("cocycle-conditions", check_cocycle_conditions, crossed)
 
     if isinstance(obj, BiproductSpec):
         if what in ("twisted-cocycle", "all"):
@@ -245,9 +256,10 @@ def _build_or_report(out, name: str, spec: BiproductSpec):
 
 
 def cmd_check(args, sf, out):
+    swept = {}
     checks = [(name, check_name, thunk) for name in sorted(sf.bundles)
               for check_name, thunk in _applicable_checks(
-                  args.what, sf.bundles[name])]
+                  args.what, sf.bundles[name], swept)]
     if not checks:
         raise _NoBundle(
             f"no bundle in {args.file} supports check {args.what!r}")

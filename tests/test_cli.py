@@ -226,6 +226,27 @@ def test_check_sweeps_a_hopf_bundles_axioms_once(data_dir, capsys,
     assert [calls[0] for calls in counts] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("name", ["radford.struct", "sign_biproduct.struct"])
+def test_check_sweeps_each_shared_object_once(data_dir, capsys, count_calls,
+                                              name):
+    counts = [count_calls(module, check) for module, check in (
+        ("convact", "check_weak_module_algebra"),
+        ("convact", "check_hom_module"),
+        ("convact", "check_comodule_coalgebra"),
+        ("constructions", "check_cocycle_conditions"))]
+    assert main(["check", str(data_dir / name)]) == 0
+    out = capsys.readouterr().out
+    for bundle, check in (("action", "hom-module"),
+                          ("crossed", "hom-module"),
+                          ("biproduct", "hom-module"),
+                          ("coaction", "comodule-coalgebra"),
+                          ("biproduct", "comodule-coalgebra"),
+                          ("crossed", "cocycle-conditions"),
+                          ("biproduct", "cocycle-conditions")):
+        assert f"[pass] {bundle}: {check}\n" in out
+    assert [calls[0] for calls in counts] == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("what, expected", [
     ("hom-algebra", [1, 0, 0]), ("hom-coalgebra", [0, 1, 0]),
     ("hom-bialgebra", [1, 1, 1]), ("hom-hopf", [1, 1, 1])])
