@@ -166,7 +166,6 @@ def parse(text) -> StructureFile:
         maps[name] = LinearMap(field, dom, cod, rows)
 
     tensors = {}
-    tensor_shapes = {}
     for name, body in sorted(doc.get("tensors", {}).items()):
         shape = body.get("shape")
         _require(isinstance(shape, list) and len(shape) == 3,
@@ -186,7 +185,6 @@ def parse(text) -> StructureFile:
                         for v in plane) for plane in slab)
             for slab in entries
         )
-        tensor_shapes[name] = tuple(shape)
 
     bundle_specs = doc.get("bundles", {})
     for name, body in bundle_specs.items():
