@@ -100,10 +100,9 @@ def _bialgebra_checks(what: str, obj):
 
 def _applicable_checks(what: str, obj, swept: dict):
     """Yield (check name, thunk) pairs applying the axiom set to a bundle.
-    An action, coaction or crossed-product datum that the parser shares
-    between bundles is swept once per check: its report is kept in
-    ``swept`` under the check name and the object's identity (the parsed
-    file holds every such object for the whole command)."""
+    An action, coaction or crossed datum shared between bundles is swept
+    once per check: ``swept`` keeps the report under the check name and the
+    object's identity, which the parsed file keeps alive."""
 
     def once(check: str, sweep, target):
         def thunk():

@@ -47,7 +47,7 @@ from .homcore import (
     HomCoalgebra,
     _coerce_cube,
     convolution_unit,
-    convolve,
+    convolve,  # kept importable as convact.convolve
     inverse_laws,
 )
 from .report import CheckReport
