@@ -37,11 +37,16 @@ GF(p) scalars are ``ModInt`` throughout.
 four, ...") into a single map by composing per-leg operations on flat basis
 indices.  Every axiom checker in the package is built on it, so there is
 exactly one place where tensor-leg bookkeeping can go wrong.  It holds the
-map factored into blocks of consecutive legs, a run no step has touched
-being an implicit identity, and a step fuses and rewrites only the blocks
-it spans; so m(b, c) in a(bc) is computed once, not once for every a.
+map factored into blocks of consecutive legs, each keeping only its nonzero
+columns keyed by domain index, a run no step has touched being an implicit
+identity.  A step rewrites only the blocks it spans, so m(b, c) in a(bc) is
+computed once, not once for every a; a step spanning several blocks never
+forms their Kronecker product (Van Loan, "The ubiquitous Kronecker
+product", 2000) but folds the others into the step map and rewrites the
+nonzero columns of one, so its work follows the nonzeros, as in
+Gustavson's sparse product (ACM TOMS 4(3), 1978), not the domain size.
 ``permute``, ``sparse_columns()``, ``finish`` and a read of ``columns``
-fuse every block first.
+fuse every block first, over nonzero columns only.
 
 Basis ordering convention, used everywhere: e_i (x) e_j maps to index
 i * dim(second factor) + j (row-major, left factor major).
@@ -592,21 +597,27 @@ class Pipeline:
     map, permute legs, or adjoin a fixed vector as new legs.
 
     The map so far is held factored into blocks, ``[number of current legs,
-    columns]``, whose left-major Kronecker product it is.  A block is a run
-    of consecutive domain legs (possibly none: an adjoined vector) together
-    with the current legs they have become; its columns are, for each basis
-    vector of its own domain, a {flat index over its current legs: value}
-    dict of nonzeros.  A run no step has touched is an identity run, with
-    columns ``None``.  A step fuses only the blocks it spans (an identity
-    run is split at the step's edges first) and rewrites that one block; a
-    step that covers identity runs alone takes the map's columns as they
-    are.  So a step on some legs is not repeated for every basis tuple of
-    the others.  ``permute``, ``sparse_columns()`` and ``finish`` fuse every
-    block into one first.
+    domain size, columns]``, whose left-major Kronecker product it is.  A
+    block is a run of consecutive domain legs (possibly none: an adjoined
+    vector) together with the current legs they have become; its columns
+    are a {domain index: {flat index over its current legs: value}} dict
+    holding only the nonzero columns.  A run no step has touched is an
+    identity run, with columns ``None``.
 
-    ``columns`` is ``sparse_columns()``: reading it fuses in place, so a
-    caller that reads it after every step (a tracer counting nonzeros)
-    makes the pipeline evaluate over full-domain columns from then on.
+    A step rewrites only the blocks it spans (an identity run is split at
+    the step's edges first) into one block; a step that covers identity
+    runs alone takes its map's columns as they are, and one spanning
+    several blocks folds all but one into the step map instead of forming
+    their Kronecker product (``_fold_rewrite``).  So α ⊗ m under m costs
+    one pass over m's nonzero columns for each column of α, and no step
+    visits an empty column.  A ``map_leg`` by the identity map is no step.
+
+    ``permute``, ``sparse_columns()`` and ``finish`` fuse every block into
+    one first, over nonzero columns only.  ``columns`` is
+    ``sparse_columns()``: one dict per domain basis vector, an empty dict
+    for a zero column.  Reading it fuses in place, so a caller that reads
+    it after every step (a tracer counting nonzeros) makes the pipeline
+    rewrite one fused block from then on; the map is the same.
     """
 
     def __init__(self, field, legs):
@@ -618,7 +629,7 @@ class Pipeline:
         self.field = field
         self.domain_legs = legs
         self.legs = list(legs)
-        self._blocks = [[len(legs), None]]
+        self._blocks = [[len(legs), None, None]]
 
     def _span(self, i: int, count: int):
         """Blocks b0..b1-1 covering legs i..i+count-1, and the legs
@@ -632,88 +643,187 @@ class Pipeline:
             b += 1
         if b < len(blocks) and start < i and blocks[b][1] is None:
             n = blocks[b][0]
-            blocks[b:b + 1] = [[i - start, None], [start + n - i, None]]
+            blocks[b:b + 1] = [[i - start, None, None],
+                               [start + n - i, None, None]]
             start, b = i, b + 1
         b0, first, stop = b, start, i + count
         while b < len(blocks) and start < stop:
-            n, cols = blocks[b]
+            n, cols, _ = blocks[b]
             if cols is None and start + n > stop:
-                blocks[b:b + 1] = [[stop - start, None],
-                                   [start + n - stop, None]]
+                blocks[b:b + 1] = [[stop - start, None, None],
+                                   [start + n - stop, None, None]]
                 n = stop - start
             start += n
             b += 1
         return b0, b, first, start
 
     @staticmethod
-    def _fuse(blocks, dims):
-        """The left-major Kronecker product of ``blocks``, whose legs have
-        dimensions ``dims``: its columns, or None when all are identity
-        runs.  No product is formed with an identity run."""
-        acc = None
-        at = 0
-        size = 1                # codomain size of the product so far
-        for n, cols in blocks:
-            d = prod(dims[at:at + n])
-            at += n
+    def _kron(blocks, cods) -> dict:
+        """The left-major Kronecker product of ``blocks``, whose codomain
+        sizes are ``cods``, as {domain index: {row: value}} over its nonzero
+        columns.  A value is None where it is 1 from identity runs alone,
+        so an identity run costs no multiplication."""
+        acc = None              # the empty product
+        for (_, cols, size), cod in zip(blocks, cods):
             if cols is None:
-                if acc is not None:
-                    acc = [{k * d + j: v for k, v in col.items()}
-                           for col in acc for j in range(d)]
+                acc = {j: {j: None} for j in range(cod)} if acc is None else {
+                    k * cod + j: {r * cod + j: v for r, v in col.items()}
+                    for k, col in acc.items() for j in range(cod)}
             elif acc is None:
-                acc = cols if size == 1 else [
-                    {j * d + k: v for k, v in col.items()}
-                    for j in range(size) for col in cols]
+                acc = cols
             else:
-                items = [tuple(col.items()) for col in cols]
-                acc = [{ka * d + kb: va * vb for ka, va in a.items()
-                        for kb, vb in b}
-                       for a in acc for b in items]
-            size *= d
-        return acc
+                items = [(kb, tuple(cb.items())) for kb, cb in cols.items()]
+                acc = {k * size + kb: {r * cod + rb: wb if v is None else v * wb
+                                       for r, v in col.items() for rb, wb in cb}
+                       for k, col in acc.items() for kb, cb in items}
+        return {0: {0: None}} if acc is None else acc
 
-    def _fuse_all(self) -> list:
+    def _fuse_all(self) -> dict:
         """Fuse every block into one and return its columns."""
-        dims = [s.dim for s in self.legs]
-        cols = self._fuse(self._blocks, dims)
-        if cols is None:
-            one = _low(self.field.one)
-            cols = [{j: one} for j in range(prod(dims))]
-        self._blocks = [[len(dims), cols]]
-        return cols
+        blocks = self._blocks
+        if len(blocks) > 1 or blocks[0][1] is None:
+            dims = [s.dim for s in self.legs]
+            cods, at = [], 0
+            for n, _, _ in blocks:
+                cods.append(prod(dims[at:at + n]))
+                at += n
+            if all(b[1] is None for b in blocks):
+                one = _low(self.field.one)
+                cols = {j: {j: one} for j in range(prod(dims))}
+            else:
+                cols = self._kron(blocks, cods)
+            size = prod([c if b[1] is None else b[2]
+                         for b, c in zip(blocks, cods)])
+            blocks[:] = [[len(dims), cols, size]]
+        return blocks[0][1]
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
         """Replace legs i..i+count-1 (count may be 0) by ``new_legs`` through
         the map on their tensor product whose nonzero columns are ``cols``.
 
-        Only the blocks spanning those legs are fused and rewritten.  A flat
-        index of that block splits as (hi, mid, low) around the replaced
-        legs; mid indexes ``cols`` and each row r there lands at
+        Only the blocks spanning those legs are rewritten, into one block.
+        A flat index over the span's current legs splits as (hi, mid, low)
+        around the replaced legs, and each row r of ``cols[mid]`` lands at
         (hi, r, low)."""
         blocks = self._blocks
         if len(blocks) == 1 and blocks[0][1] is not None:
             b0, b1, first, end = 0, 1, 0, len(self.legs)
         else:
             b0, b1, first, end = self._span(i, count)
+        span = blocks[b0:b1]
         dims = [s.dim for s in self.legs[first:end]]
-        fused = blocks[b0][1] if b1 - b0 == 1 else self._fuse(
-            blocks[b0:b1], dims)
-        if fused is None:
-            new_columns = [dict(col) for col in cols]
+        n_new = len(dims) - count + len(new_legs)
+        touched = [t for t, b in enumerate(span) if b[1] is not None]
+        if not touched:
+            # the span is the replaced legs themselves, or empty
+            blocks[b0:b1] = [[n_new, {k: dict(col) for k, col in enumerate(cols)
+                                      if col}, prod(dims)]]
+            self.legs[i:i + count] = new_legs
+            return self
+        a, e = i - first, i - first + count
+        lo = prod(dims[e:])
+        out_block = prod([s.dim for s in new_legs]) * lo
+        shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
+        if len(span) == 1:
+            _, kept, size = span[0]
+            new_columns = self._apply(kept, prod(dims[a:]), lo, out_block,
+                                      [(0, 1, shifted)])
         else:
-            lo = prod(dims[i - first + count:])
-            block = prod(dims[i - first:i - first + count]) * lo
-            out_block = prod(s.dim for s in new_legs) * lo
-            shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
-            new_columns = []
-            for col in fused:
+            new_columns, size = self._fold_rewrite(
+                span, touched, dims, a, e, shifted, out_block)
+        blocks[b0:b1] = [[n_new, new_columns, size]]
+        self.legs[i:i + count] = new_legs
+        return self
+
+    def _fold_rewrite(self, span, touched, dims, a, e, shifted, out_block):
+        """The columns and domain size of the block replacing ``span``, for
+        a step on its legs a..e-1 whose columns, rows scaled by the size of
+        the legs after e, are ``shifted``.
+
+        The touched block with the most nonzero columns is kept, on legs
+        p..q-1.  The blocks left and right of it are multiplied out over
+        their nonzero columns; for each pair of those columns the step map
+        is folded with them into one image for each mid of the kept block,
+        which is then rewritten through these images.  A row of the left
+        product splits as (its hi, its mid) and one of the right product as
+        (its mid, its low), since only the first block of the span has legs
+        before a and only the last has legs after e."""
+        bounds, cods, sizes = [0], [], []
+        for n, cols, size in span:
+            cods.append(prod(dims[bounds[-1]:bounds[-1] + n]))
+            sizes.append(cods[-1] if cols is None else size)
+            bounds.append(bounds[-1] + n)
+        t = touched[0]
+        for u in touched:
+            if len(span[u][1]) > len(span[t][1]):
+                t = u
+        p, q = bounds[t], bounds[t + 1]
+        lo_t = prod(dims[e:q])
+        lo_r = prod(dims[max(q, e):])
+        m_t, m_r = prod(dims[max(p, a):min(q, e)]), prod(dims[q:e])
+        size_t, size_r = sizes[t], prod(sizes[t + 1:])
+        kept = span[t][1]
+        folds = []
+        if len(touched) == 1:
+            # identity runs beside the kept block lie inside the step, so
+            # each pair of their indices selects a slice of the step map
+            n_l = prod(cods[:t])
+            for jl in range(n_l):
+                for jr in range(size_r):
+                    at = jl * m_t * size_r + jr
+                    folds.append((jl * size_t * size_r + jr, size_r,
+                                  shifted[at:at + m_t * size_r:size_r]))
+        else:
+            m_l = prod(dims[a:p])
+            hi_step = prod(dims[p:a]) * out_block   # one hi of the left
+            # (offset, value, step column at mid 0) of each nonzero row
+            left = [(kl * size_t * size_r,
+                     [(rl // m_l * hi_step, vl, rl % m_l * m_t * m_r)
+                      for rl, vl in cl.items()])
+                    for kl, cl in self._kron(span[:t], cods[:t]).items()]
+            right = [(kr, [(rr % lo_r, vr, rr // lo_r)
+                           for rr, vr in cr.items()])
+                     for kr, cr in self._kron(span[t + 1:], cods[t + 1:]).items()]
+            mids = {key // lo_t % m_t for col in kept.values() for key in col}
+            for start, terms_l in left:
+                for kr, terms_r in right:
+                    terms = [(ol + orr, vr if vl is None else vl if vr is None
+                              else vl * vr, al + ar)
+                             for ol, vl, al in terms_l for orr, vr, ar in terms_r]
+                    if len(terms) == 1:             # no two rows meet
+                        off, s, at = terms[0]
+                        folds.append((start + kr, size_r, {m: [
+                            (off + r, w if s is None else w * s)
+                            for r, w in shifted[at + m * m_r]] for m in mids}))
+                        continue
+                    images = {}
+                    for m in mids:
+                        acc: dict = {}
+                        for off, s, at in terms:
+                            for r, w in shifted[at + m * m_r]:
+                                w = w if s is None else w * s
+                                got = acc.get(off + r)
+                                acc[off + r] = w if got is None else got + w
+                        images[m] = [(k, w) for k, w in acc.items() if w]
+                    folds.append((start + kr, size_r, images))
+        return (self._apply(kept, m_t * lo_t, lo_t, out_block, folds),
+                prod(sizes))
+
+    @staticmethod
+    def _apply(kept, kept_block, lo_t, out_block, folds) -> dict:
+        """The new block's columns: each nonzero column of the kept block
+        rewritten through each fold.  A row of the kept block splits as
+        (hi, mid, low) by ``kept_block`` and ``lo_t``."""
+        new_columns = {}
+        for start, stride, images in folds:
+            for kk, col in kept.items():
                 out: dict = {}
                 get = out.get
                 for key, v in col.items():
-                    hi, rest = divmod(key, block)
-                    mid, low = divmod(rest, lo)
+                    hi, rest = divmod(key, kept_block)
+                    mid, low = divmod(rest, lo_t)
                     base = hi * out_block + low
-                    for r, w in shifted[mid]:
+                    for r, w in images[mid]:
                         nk = base + r
                         acc = get(nk)
                         if acc is None:
@@ -724,17 +834,20 @@ class Pipeline:
                                 out[nk] = acc
                             else:
                                 del out[nk]
-                new_columns.append(out)
-        blocks[b0:b1] = [[len(dims) - count + len(new_legs), new_columns]]
-        self.legs[i:i + count] = new_legs
-        return self
+                if out:
+                    new_columns[start + kk * stride] = out
+        return new_columns
 
     def map_leg(self, i: int, f: LinearMap):
-        """Apply f to leg i."""
+        """Apply f to leg i; the identity map is no step."""
         if f.domain != self.legs[i]:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
         _same_field(self.field, f, "map_leg")
-        return self._rewrite(i, 1, f.nonzero_columns(), [f.codomain])
+        cols = f.nonzero_columns()
+        if f.domain is f.codomain and all(
+                col == ((j, 1),) for j, col in enumerate(cols)):
+            return self
+        return self._rewrite(i, 1, cols, [f.codomain])
 
     def split_leg(self, i: int, f: LinearMap, out_left: Space, out_right: Space):
         """Replace leg i by two legs via f: leg -> out_left (x) out_right."""
@@ -762,8 +875,8 @@ class Pipeline:
         strides = [(prod(dims[u + 1:]), dims[u], prod(new_dims[t + 1:]))
                    for t, u in enumerate(order)]
         moves = [m for m in strides if m[0] != m[2]]
-        new_columns = []
-        for col in self._fuse_all():
+        cols = self._fuse_all()
+        for k, col in cols.items():
             out = {}
             for key, v in col.items():
                 nk = key
@@ -771,8 +884,7 @@ class Pipeline:
                     digit = key // old % d
                     nk += digit * new - digit * old
                 out[nk] = v
-            new_columns.append(out)
-        self._blocks = [[len(order), new_columns]]
+            cols[k] = out
         self.legs = [self.legs[u] for u in order]
         return self
 
@@ -794,12 +906,17 @@ class Pipeline:
         basis vector a {codomain index: value} dict of its nonzeros, values
         in kernel form (an integral rational is an ``int``).  Fuses every
         block in place."""
-        return self._fuse_all()
+        cols = self._fuse_all()
+        return [cols[k] if k in cols else {}
+                for k in range(self._blocks[0][2])]
 
     columns = property(sparse_columns)
 
     def finish(self) -> LinearMap:
+        cols = self._fuse_all()
+        out = [()] * self._blocks[0][2]
+        for k, col in cols.items():
+            out[k] = tuple(sorted(col.items()))
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),
-            tensor_space_list(self.legs),
-            [tuple(sorted(col.items())) for col in self._fuse_all()])
+            tensor_space_list(self.legs), out)

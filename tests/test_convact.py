@@ -34,7 +34,9 @@ from homhopf.corpus import (
 from homhopf.exactlin import (
     FieldMismatch,
     LinearMap,
+    Pipeline,
     Space,
+    compose,
     identity,
     maps_equal,
     matrix_rank,
@@ -48,6 +50,7 @@ from homhopf.homcore import (
     HomHopf,
     check_antipode,
     check_hom_bialgebra,
+    mult_tensor_from_map,
 )
 
 
@@ -375,6 +378,71 @@ def test_convolution_system_builds_few_modints(monkeypatch):
     monkeypatch.undo()
     assert len(rows) == 2 * 81
     assert created[0] <= 400
+
+
+def count_modints(monkeypatch, build):
+    """The result of ``build()`` and the number of ModInts it constructs."""
+    created = [0]
+    init = ModInt.__init__
+
+    def counted(obj, value, p):
+        created[0] += 1
+        init(obj, value, p)
+
+    monkeypatch.setattr(ModInt, "__init__", counted)
+    try:
+        return build(), created[0]
+    finally:
+        monkeypatch.undo()
+
+
+def test_convolving_with_the_identity_is_no_extra_step(monkeypatch):
+    """On T_3, s * id builds 45 ModInts, as many as the chain without the
+    identity step; rewriting through the identity built 63."""
+    h = taft_hopf(3, 7, 2)
+    sp, coalg, alg = h.space, h.coalgebra, h.algebra
+    s = convolution_inverse(identity(h.field, sp), coalg, alg)
+    ident = identity(h.field, sp)
+    coalg.comult_map, alg.mult_map  # built outside the count
+    with_step, n_with = count_modints(
+        monkeypatch, lambda: convolve(s, ident, coalg, alg))
+    without, n_without = count_modints(
+        monkeypatch, lambda: Pipeline(h.field, [sp])
+        .split_leg(0, coalg.comult_map, sp, sp).map_leg(0, s)
+        .merge_legs(0, 2, alg.mult_map).finish())
+    assert with_step == without
+    assert n_with <= n_without
+
+
+def yau_twisted_taft_algebra():
+    """The Yau twist of T_3's algebra along the automorphism x -> 3x over
+    GF(7): product phi o m and structure map phi, which is not the
+    identity."""
+    a = taft_hopf(3, 7, 2).algebra
+    phi = LinearMap(a.field, a.space, a.space, [
+        [3 ** (j % 3) if i == j else 0 for j in range(9)] for i in range(9)])
+    return HomAlgebra(a.field, a.space, mult_tensor_from_map(
+        compose(phi, a.mult_map), a.space), a.unit, phi)
+
+
+@pytest.mark.parametrize("twisted, bound", [(False, 540), (True, 648)])
+def test_hom_associativity_work_follows_the_nonzeros(monkeypatch, twisted,
+                                                      bound):
+    """Both sides of alpha(a)(bc) = (ab)alpha(c) on T_3 build 540 ModInts
+    (alpha = id, whose step is skipped) and 648 on its Yau twist: a step
+    over alpha's block and m's folds alpha into the step map once per
+    column of alpha and rewrites m's nonzero columns.  Fusing the blocks
+    into their full-domain Kronecker product before rewriting built 1,512
+    on each."""
+    a = yau_twisted_taft_algebra() if twisted else taft_hopf(3, 7, 2).algebra
+    sp, m, alpha = a.space, a.mult_map, a.alpha
+    (lhs, rhs), created = count_modints(monkeypatch, lambda: (
+        Pipeline(a.field, [sp, sp, sp]).map_leg(0, alpha)
+        .merge_legs(1, 2, m).merge_legs(0, 2, m).finish(),
+        Pipeline(a.field, [sp, sp, sp]).merge_legs(0, 2, m)
+        .map_leg(1, alpha).merge_legs(0, 2, m).finish()))
+    assert lhs == rhs
+    assert created <= bound
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

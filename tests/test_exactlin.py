@@ -875,6 +875,64 @@ def test_pipeline_step_on_untouched_legs_beside_touched(kind, side, data):
     check_steps(data, field, legs, [("map_leg", (touched, f)), step, join])
 
 
+# A block keeps only its nonzero columns, keyed by domain index.  Maps with
+# zero columns leave gaps in those keys, inside a block and at its edges.
+
+
+@st.composite
+def gappy_map(draw, field, domain, codomain):
+    """A map with zero columns: a random map with a drawn proper subset of
+    its columns zeroed, a rank-1 map u v^T whose v may have zeros, or (more
+    rarely, since it zeroes the whole chain) the zero map."""
+    kind = draw(st.sampled_from(["columns", "columns", "rank1", "rank1",
+                                 "zero"]))
+    if kind == "zero":
+        return LinearMap(field, domain, codomain,
+                         [[0] * domain.dim for _ in range(codomain.dim)])
+    if kind == "rank1":
+        u = draw(st.lists(SMALL_SCALARS, min_size=codomain.dim,
+                          max_size=codomain.dim).filter(any))
+        v = draw(st.lists(SMALL_SCALARS, min_size=domain.dim,
+                          max_size=domain.dim))
+        return LinearMap(field, domain, codomain, [[a * b for b in v] for a in u])
+    rows = draw(st.lists(
+        st.lists(SMALL_SCALARS, min_size=domain.dim, max_size=domain.dim),
+        min_size=codomain.dim, max_size=codomain.dim))
+    zeroed = draw(st.sets(st.integers(0, domain.dim - 1),
+                          max_size=domain.dim - 1))
+    return LinearMap(field, domain, codomain, [
+        [0 if j in zeroed else x for j, x in enumerate(row)] for row in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pipeline_keeps_the_gaps_of_touched_blocks(data):
+    """Every leg is touched by a map with zero columns and one leg is split
+    in two by another; a third merges two or three adjacent legs, across
+    the edges of those blocks or inside the split one; two drawn steps
+    follow.  The compiled map equals the Kronecker model."""
+    field = data.draw(FIELDS)
+    legs = random_legs(data, least=2)
+    steps, current = [], []
+    for i, leg in enumerate(legs):
+        f = data.draw(gappy_map(field, leg, fresh_space(data.draw(DIMS))))
+        steps.append(("map_leg", (i, f)))
+        current.append(f.codomain)
+    at = data.draw(st.integers(0, len(current) - 1))
+    halves = [fresh_space(data.draw(DIMS)) for _ in range(2)]
+    f = data.draw(gappy_map(field, current[at], tensor_space(*halves)))
+    steps.append(("split_leg", (at, f, *halves)))
+    current[at:at + 1] = halves
+    count = data.draw(st.integers(2, 3))
+    i = data.draw(st.integers(0, len(current) - count))
+    g = data.draw(gappy_map(field, tensor_space_list(current[i:i + count]),
+                            fresh_space(data.draw(DIMS))))
+    steps.append(("merge_legs", (i, count, g)))
+    kinds = data.draw(st.lists(st.sampled_from(STEP_KINDS), min_size=2,
+                               max_size=2))
+    check_steps(data, field, legs, steps + kinds)
+
+
 @pytest.mark.parametrize("read", ["sparse_columns", "columns", "every step"])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
