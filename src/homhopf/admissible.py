@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .constructions import BuiltBiproduct, CrossedProductSpec
 from .exactlin import (
     LinearMap,
-    Pipeline,
     compose,
     equal_on_basis,
     identity,
@@ -40,6 +39,7 @@ from .exactlin import (
 )
 from .homcore import HomAlgebra, HomBialgebra, convolve, morphism_laws
 from .report import CheckReport
+from .sweedler import compile_map, const, inputs, split
 
 
 class NotAdmissibleError(ValueError):
@@ -117,82 +117,36 @@ def check_cocycle_inverse_identities(spec: CrossedProductSpec) -> CheckReport:
     """
     if spec.cocycle.inverse is None:
         raise ValueError("cocycle inverse required; run cocycle_inverse first")
-    field = spec.field
-    a, h = spec.algebra, spec.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
-    m, k = spec.m, spec.k
+    field, m, k = spec.field, spec.m, spec.k
+    alg, hopf = spec.algebra, spec.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
     act = spec.action.act_map
     sig = spec.cocycle.sigma_map
     sig_inv = spec.cocycle.inverse_map()
-    ma, mh = a.mult_map, h.algebra.mult_map
-    dh = h.coalgebra.comult_map
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    dh = hopf.coalgebra.comult_map
+    ak1, ak2 = power(alpha, k + 1), power(alpha, k + 2)
 
-    lhs = (
-        Pipeline(field, [hsp, hsp, hsp])
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)
-        .map_leg(0, alpha)
-        .merge_legs(0, 2, act)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, hsp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(0, dh, hsp, hsp)            # h11 h12 h2 l g
-        .split_leg(3, dh, hsp, hsp)
-        .split_leg(3, dh, hsp, hsp)            # h11 h12 h2 l11 l12 l2 g
-        .split_leg(6, dh, hsp, hsp)            # h11 h12 h2 l11 l12 l2 g1 g2
-        .permute([0, 3, 1, 4, 6, 2, 5, 7])     # h11 l11 h12 l12 g1 h2 l2 g2
-        .map_leg(0, power(alpha, k + 2))
-        .map_leg(1, power(alpha, k + 2))
-        .merge_legs(0, 2, sig)                 # s1 h12 l12 g1 h2 l2 g2
-        .merge_legs(1, 2, mh)
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)                 # s1 s2 h2 l2 g2
-        .merge_legs(0, 2, ma)                  # t h2 l2 g2
-        .merge_legs(2, 2, mh)
-        .map_leg(1, power(alpha, k + 2))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig_inv)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
+    h, l, g, a = inputs(hsp, hsp, hsp, asp)
+    (h1, h2), (l1, l2), (g1, g2) = split(dh, h), split(dh, l), split(dh, g)
+    (h11, h12), (l11, l12) = split(dh, h1), split(dh, l1)
+    s = sig(ak2(h11), ak2(l11))        # the first factor of both right sides
     action_on_cocycle = equal_on_basis(
-        "action_on_cocycle_values", lhs, rhs, (hsp, hsp, hsp))
-
-    lhs = (
-        Pipeline(field, [hsp, hsp, asp])
-        .merge_legs(0, 2, mh)
-        .map_leg(0, power(alpha, m))
-        .map_leg(1, power(beta, 2))
-        .merge_legs(0, 2, act)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, hsp, asp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(0, dh, hsp, hsp)            # h11 h12 h2 l a
-        .split_leg(3, dh, hsp, hsp)
-        .split_leg(3, dh, hsp, hsp)            # h11 h12 h2 l11 l12 l2 a
-        .permute([0, 3, 1, 4, 6, 2, 5])        # h11 l11 h12 l12 a h2 l2
-        .map_leg(0, power(alpha, k + 2))
-        .map_leg(1, power(alpha, k + 2))
-        .merge_legs(0, 2, sig)                 # s1 h12 l12 a h2 l2
-        .merge_legs(1, 2, mh)
-        .map_leg(1, power(alpha, m))
-        .merge_legs(1, 2, act)                 # s1 t h2 l2
-        .merge_legs(0, 2, ma)
-        .map_leg(1, power(alpha, k + 2))
-        .map_leg(2, power(alpha, k + 2))
-        .merge_legs(1, 2, sig_inv)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
+        "action_on_cocycle_values",
+        compile_map(field, (h, l, g), [act(alpha(h), sig(ak1(l), ak1(g)))]),
+        compile_map(field, (h, l, g), [
+            ma(ma(s, sig(ak1(mh(h12, l12)), ak1(g1))),
+               sig_inv(ak2(h2), ak1(mh(l2, g2))))]),
+        (hsp, hsp, hsp))
     action_of_products = equal_on_basis(
-        "action_of_products_via_cocycle", lhs, rhs, (hsp, hsp, asp))
+        "action_of_products_via_cocycle",
+        compile_map(field, (h, l, a), [
+            act(power(alpha, m)(mh(h, l)), power(beta, 2)(a))]),
+        compile_map(field, (h, l, a), [
+            ma(ma(s, act(power(alpha, m)(mh(h12, l12)), a)),
+               sig_inv(ak2(h2), ak2(l2)))]),
+        (hsp, hsp, asp))
 
     return CheckReport.combine(
         "cocycle_inverse_identities", [action_on_cocycle, action_of_products])
@@ -217,48 +171,33 @@ def check_twisted_module(h: HomBialgebra, carrier: HomAlgebra,
     mx = carrier.mult_map
     dh = h.coalgebra.comult_map
 
+    one = h.algebra.unit
     if side == "left":
-        lhs = Pipeline(field, [hsp, hsp, xsp]).merge_legs(1, 2, phi) \
-            .map_leg(0, alpha).merge_legs(0, 2, phi).finish()
-        rhs = (
-            Pipeline(field, [hsp, hsp, xsp])
-            .split_leg(0, dh, hsp, hsp)
-            .split_leg(2, dh, hsp, hsp)        # g1 g2 l1 l2 x
-            .permute([0, 2, 1, 3, 4])          # g1 l1 g2 l2 x
-            .merge_legs(0, 2, sigma_bar)       # s g2 l2 x
-            .merge_legs(1, 2, mh)
-            .merge_legs(1, 2, phi)             # s phi(g2l2,x)
-            .map_leg(0, beta)
-            .merge_legs(0, 2, mx)
-            .finish()
-        )
-        law = equal_on_basis("left_twisted_module_law", lhs, rhs,
-                             (hsp, hsp, xsp))
-        unit_lhs = Pipeline(field, [xsp]) \
-            .adjoin_vector(0, hsp, h.algebra.unit).merge_legs(0, 2, phi).finish()
-        unit = equal_on_basis("left_twisted_module_unit", unit_lhs, beta, (xsp,))
+        g, l, x = inputs(hsp, hsp, xsp)
+        (g1, g2), (l1, l2) = split(dh, g), split(dh, l)
+        law = equal_on_basis(
+            "left_twisted_module_law",
+            compile_map(field, (g, l, x), [phi(alpha(g), phi(l, x))]),
+            compile_map(field, (g, l, x), [
+                mx(beta(sigma_bar(g1, l1)), phi(mh(g2, l2), x))]),
+            (hsp, hsp, xsp))
+        unit = equal_on_basis(
+            "left_twisted_module_unit",
+            compile_map(field, (x,), [phi(const(hsp, one), x)]), beta, (xsp,))
         return CheckReport.combine("left_twisted_module", [law, unit])
 
     if side == "right":
-        lhs = Pipeline(field, [xsp, hsp, hsp]).merge_legs(0, 2, phi) \
-            .map_leg(1, alpha).merge_legs(0, 2, phi).finish()
-        rhs = (
-            Pipeline(field, [xsp, hsp, hsp])
-            .split_leg(1, dh, hsp, hsp)
-            .split_leg(3, dh, hsp, hsp)        # x l1 l2 g1 g2
-            .permute([0, 1, 3, 2, 4])          # x l1 g1 l2 g2
-            .merge_legs(1, 2, sigma_bar)       # x s l2 g2
-            .merge_legs(2, 2, mh)
-            .merge_legs(1, 2, phi)             # x phi(s,l2g2)
-            .map_leg(0, beta)
-            .merge_legs(0, 2, mx)
-            .finish()
-        )
-        law = equal_on_basis("right_twisted_module_law", lhs, rhs,
-                             (xsp, hsp, hsp))
-        unit_lhs = Pipeline(field, [xsp]) \
-            .adjoin_vector(1, hsp, h.algebra.unit).merge_legs(0, 2, phi).finish()
-        unit = equal_on_basis("right_twisted_module_unit", unit_lhs, beta, (xsp,))
+        x, l, g = inputs(xsp, hsp, hsp)
+        (l1, l2), (g1, g2) = split(dh, l), split(dh, g)
+        law = equal_on_basis(
+            "right_twisted_module_law",
+            compile_map(field, (x, l, g), [phi(phi(x, l), alpha(g))]),
+            compile_map(field, (x, l, g), [
+                mx(beta(x), phi(sigma_bar(l1, g1), mh(l2, g2)))]),
+            (xsp, hsp, hsp))
+        unit = equal_on_basis(
+            "right_twisted_module_unit",
+            compile_map(field, (x,), [phi(x, const(hsp, one))]), beta, (xsp,))
         return CheckReport.combine("right_twisted_module", [law, unit])
 
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -273,22 +212,20 @@ def check_weak_bimodule(h: HomBialgebra, carrier_structure: LinearMap,
     xsp = carrier_structure.domain
     alpha = h.alpha
 
+    g, x, l = inputs(hsp, xsp, hsp)
+    one = h.algebra.unit
     left_unit = equal_on_basis(
         "left_action_unit",
-        Pipeline(field, [xsp]).adjoin_vector(0, hsp, h.algebra.unit)
-        .merge_legs(0, 2, left).finish(),
+        compile_map(field, (x,), [left(const(hsp, one), x)]),
         carrier_structure, (xsp,))
     right_unit = equal_on_basis(
         "right_action_unit",
-        Pipeline(field, [xsp]).adjoin_vector(1, hsp, h.algebra.unit)
-        .merge_legs(0, 2, right).finish(),
+        compile_map(field, (x,), [right(x, const(hsp, one))]),
         carrier_structure, (xsp,))
     compat = equal_on_basis(
         "bimodule_middle_compat",
-        Pipeline(field, [hsp, xsp, hsp]).merge_legs(1, 2, right)
-        .map_leg(0, alpha).merge_legs(0, 2, left).finish(),
-        Pipeline(field, [hsp, xsp, hsp]).merge_legs(0, 2, left)
-        .map_leg(1, alpha).merge_legs(0, 2, right).finish(),
+        compile_map(field, (g, x, l), [left(alpha(g), right(x, l))]),
+        compile_map(field, (g, x, l), [right(left(g, x), alpha(l))]),
         (hsp, xsp, hsp))
     return CheckReport.combine(
         "weak_bimodule", [left_unit, right_unit, compat])
@@ -300,84 +237,40 @@ def canonical_system(b: BuiltBiproduct) -> MappingSystem:
     displayed canonical actions and coactions on the carrier."""
     spec = b.spec
     field = b.field
-    a = spec.crossed.algebra
-    h = spec.crossed.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
+    alg, hopf = spec.crossed.algebra, spec.crossed.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
     m, k = spec.crossed.m, spec.crossed.k
     act = spec.crossed.action.act_map
     sig = spec.crossed.cocycle.sigma_map
-    ma, mh = a.mult_map, h.algebra.mult_map
-    dh = h.coalgebra.comult_map
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    dh = hopf.coalgebra.comult_map
     rho = spec.coaction.coact_map
+    akm = power(alpha, k + 1 - m)
 
-    retr_c = strip_scalar_leg(
-        Pipeline(field, [asp, hsp])
-        .map_leg(1, h.coalgebra.counit_map).finish(), asp)
-    sect_c = Pipeline(field, [asp]).adjoin_vector(1, hsp, h.algebra.unit).finish()
-    proj_h = strip_scalar_leg(
-        Pipeline(field, [asp, hsp])
-        .map_leg(0, spec.coalgebra.counit_map).finish(), hsp)
-    sect_h = Pipeline(field, [hsp]).adjoin_vector(0, asp, a.unit).finish()
-
-    sigma_bar = (
-        Pipeline(field, [hsp, hsp])
-        .map_leg(0, power(alpha, k + 1 - m))
-        .map_leg(1, power(alpha, k + 1 - m))
-        .merge_legs(0, 2, sig)
-        .adjoin_vector(1, hsp, h.algebra.unit)
-        .finish()
-    )
-
-    phi_left = (
-        Pipeline(field, [hsp, asp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(0, dh, hsp, hsp)            # l11 l12 l2 a h
-        .split_leg(4, dh, hsp, hsp)            # l11 l12 l2 a h1 h2
-        .permute([0, 3, 1, 4, 2, 5])           # l11 a l12 h1 l2 h2
-        .map_leg(0, alpha)
-        .map_leg(1, power(beta, -1))
-        .merge_legs(0, 2, act)                 # t l12 h1 l2 h2
-        .map_leg(1, power(alpha, k + 2 - m))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)                 # t s l2 h2
-        .merge_legs(0, 2, ma)
-        .map_leg(1, power(alpha, 1 - m))
-        .map_leg(2, alpha)
-        .merge_legs(1, 2, mh)
-        .finish()
-    )
-    phi_right = (
-        Pipeline(field, [asp, hsp, hsp])
-        .split_leg(1, dh, hsp, hsp)            # a h1 h2 l
-        .split_leg(3, dh, hsp, hsp)            # a h1 h2 l1 l2
-        .permute([0, 1, 3, 2, 4])              # a h1 l1 h2 l2
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1 - m))
-        .merge_legs(1, 2, sig)                 # a s h2 l2
-        .merge_legs(0, 2, ma)
-        .map_leg(1, alpha)
-        .map_leg(2, power(alpha, 1 - m))
-        .merge_legs(1, 2, mh)
-        .finish()
-    )
-    rho_left = (
-        Pipeline(field, [asp, hsp])
-        .split_leg(0, rho, hsp, asp)           # a(-1) a(0) h
-        .split_leg(2, dh, hsp, hsp)            # a(-1) a(0) h1 h2
-        .permute([0, 2, 1, 3])                 # a(-1) h1 a(0) h2
-        .map_leg(0, power(alpha, -1))
-        .map_leg(1, power(alpha, -1 - m))
-        .merge_legs(0, 2, mh)
-        .finish()
-    )
-    rho_right = (
-        Pipeline(field, [asp, hsp])
-        .split_leg(1, dh, hsp, hsp)
-        .map_leg(0, power(beta, -1))
-        .map_leg(2, power(alpha, -m))
-        .finish()
-    )
+    a, h, l = inputs(asp, hsp, hsp)
+    (h1, h2), (l1, l2) = split(dh, h), split(dh, l)
+    l11, l12 = split(dh, l1)
+    am, a0 = split(rho, a, hsp, asp)
+    retr_c = strip_scalar_leg(compile_map(
+        field, (a, h), [a, hopf.coalgebra.counit_map(h)]), asp)
+    sect_c = compile_map(field, (a,), [a, const(hsp, hopf.algebra.unit)])
+    proj_h = strip_scalar_leg(compile_map(
+        field, (a, h), [spec.coalgebra.counit_map(a), h]), hsp)
+    sect_h = compile_map(field, (h,), [const(asp, alg.unit), h])
+    sigma_bar = compile_map(field, (h, l), [
+        sig(akm(h), akm(l)), const(hsp, hopf.algebra.unit)])
+    phi_left = compile_map(field, (l, a, h), [
+        ma(act(alpha(l11), power(beta, -1)(a)),
+           sig(power(alpha, k + 2 - m)(l12), power(alpha, k + 1)(h1))),
+        mh(power(alpha, 1 - m)(l2), alpha(h2))])
+    phi_right = compile_map(field, (a, h, l), [
+        ma(a, sig(power(alpha, k + 1)(h1), akm(l1))),
+        mh(alpha(h2), power(alpha, 1 - m)(l2))])
+    rho_left = compile_map(field, (a, h), [
+        mh(power(alpha, -1)(am), power(alpha, -1 - m)(h1)), a0, h2])
+    rho_right = compile_map(field, (a, h), [
+        power(beta, -1)(a), h1, power(alpha, -m)(h2)])
 
     return MappingSystem(
         biproduct=b,
@@ -404,10 +297,10 @@ def induced_actions(sys: MappingSystem) -> tuple[LinearMap, LinearMap]:
     asp = amb.space
     alpha = sys.hopf.alpha
     include = compose(sys.sect_H, power(alpha, -sys.m))
-    left = Pipeline(field, [hsp, asp]).map_leg(0, include) \
-        .merge_legs(0, 2, amb.algebra.mult_map).finish()
-    right = Pipeline(field, [asp, hsp]).map_leg(1, include) \
-        .merge_legs(0, 2, amb.algebra.mult_map).finish()
+    mult = amb.algebra.mult_map
+    h, a = inputs(hsp, asp)
+    left = compile_map(field, (h, a), [mult(include(h), a)])
+    right = compile_map(field, (a, h), [mult(a, include(h))])
     return left, right
 
 
@@ -418,12 +311,10 @@ def induced_coactions(sys: MappingSystem) -> tuple[LinearMap, LinearMap]:
     amb = sys.ambient
     asp = amb.space
     project = compose(power(sys.hopf.alpha, -sys.m), sys.proj_H)
-    left = Pipeline(field, [asp]) \
-        .split_leg(0, amb.coalgebra.comult_map, asp, asp) \
-        .map_leg(0, project).finish()
-    right = Pipeline(field, [asp]) \
-        .split_leg(0, amb.coalgebra.comult_map, asp, asp) \
-        .map_leg(1, project).finish()
+    (a,) = inputs(asp)
+    a1, a2 = split(amb.coalgebra.comult_map, a)
+    left = compile_map(field, (a,), [project(a1), a2])
+    right = compile_map(field, (a,), [a1, project(a2)])
     return left, right
 
 
@@ -485,48 +376,40 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
     # C carries only the trivial right action c <- h = eps(h) beta(c), so the
     # equivariance of p is a right-action statement; there is no left action
     # on C for p to intertwine.
-    eps_h = h.coalgebra.counit_map
+    a, g = inputs(asp, hsp)
     p_right_equivariant = equal_on_basis(
         "retraction_right_equivariant",
         compose(p, right),
-        strip_scalar_leg(
-            Pipeline(field, [asp, hsp]).map_leg(0, compose(beta, p))
-            .map_leg(1, eps_h).finish(), csp),
+        strip_scalar_leg(compile_map(field, (a, g), [
+            compose(beta, p)(a), h.coalgebra.counit_map(g)]), csp),
         (asp, hsp))
     cond3 = CheckReport.combine("action_conditions", [
         bimodule, left_module, right_module, p_right_equivariant,
     ])
 
     rho_l, rho_r = induced_coactions(sys)
+    (lh, l0), (r0, rh) = split(rho_l, a, hsp, asp), split(rho_r, a, asp, hsp)
     jp = compose(j, p)
     sub_left = equal_on_basis(
         "image_closed_under_left_coaction",
-        compose(
-            Pipeline(field, [asp]).split_leg(0, rho_l, hsp, asp)
-            .map_leg(1, jp).finish(), j),
+        compose(compile_map(field, (a,), [lh, jp(l0)]), j),
         compose(rho_l, j), (csp,))
     sub_right = equal_on_basis(
         "image_closed_under_right_coaction",
-        compose(
-            Pipeline(field, [asp]).split_leg(0, rho_r, asp, hsp)
-            .map_leg(0, jp).finish(), j),
+        compose(compile_map(field, (a,), [jp(r0), rh]), j),
         compose(rho_r, j), (csp,))
     # C's left comodule structure is the coaction of the biproduct datum
     # itself; only its right coaction is the trivial beta^{-1}(c) (x) 1_H.
-    beta_inv = inverse(beta)
-    triv_right = Pipeline(field, [csp]).map_leg(0, beta_inv) \
-        .adjoin_vector(1, hsp, h.algebra.unit).finish()
+    (c,) = inputs(csp)
+    triv_right = compile_map(field, (c,), [
+        inverse(beta)(c), const(hsp, h.algebra.unit)])
     p_co_left = equal_on_basis(
         "retraction_left_coaction_compat",
-        compose(
-            Pipeline(field, [asp]).split_leg(0, rho_l, hsp, asp)
-            .map_leg(1, p).finish(), j),
+        compose(compile_map(field, (a,), [lh, p(l0)]), j),
         sys.biproduct.spec.coaction.coact_map, (csp,))
     p_co_right = equal_on_basis(
         "retraction_right_coaction_compat",
-        compose(
-            Pipeline(field, [asp]).split_leg(0, rho_r, asp, hsp)
-            .map_leg(0, p).finish(), j),
+        compose(compile_map(field, (a,), [p(r0), rh]), j),
         triv_right, (csp,))
     cond4 = CheckReport.combine("coaction_conditions", [
         sub_left, sub_right, p_co_left, p_co_right])
@@ -587,40 +470,17 @@ def admissible_isomorphism(sys: MappingSystem, enforce: bool = True):
     alpha, beta, gamma = h.alpha, sys.small_coalgebra.gamma, amb.alpha
     p, j, pi, i = sys.retr_C, sys.sect_C, sys.proj_H, sys.sect_H
 
-    f = compose(
-        inverse(gamma),
-        Pipeline(field, [csp, hsp]).map_leg(0, j).map_leg(1, i)
-        .merge_legs(0, 2, amb.algebra.mult_map).finish(),
-    )
-    g = (
-        Pipeline(field, [asp])
-        .split_leg(0, amb.coalgebra.comult_map, asp, asp)
-        .map_leg(0, compose(beta, p))
-        .map_leg(1, compose(alpha, pi))
-        .finish()
-    )
+    c, y, a = inputs(csp, hsp, asp)
+    a1, a2 = split(amb.coalgebra.comult_map, a)
+    f = compose(inverse(gamma), compile_map(
+        field, (c, y), [amb.algebra.mult_map(j(c), i(y))]))
+    g = compile_map(field, (a,), [compose(beta, p)(a1), compose(alpha, pi)(a2)])
 
     bsp = b.space
-    rho_c = sys.biproduct.spec.coaction.coact_map
-    eq_exchange_lhs = (
-        Pipeline(field, [asp])
-        .split_leg(0, amb.coalgebra.comult_map, asp, asp)
-        .map_leg(0, p)
-        .split_leg(0, rho_c, hsp, csp)        # p(a1)(-1) p(a1)(0) a2
-        .permute([0, 2, 1])
-        .map_leg(0, power(alpha, sys.m + 1))
-        .map_leg(1, pi)
-        .merge_legs(0, 2, h.algebra.mult_map)
-        .map_leg(1, beta)
-        .finish()
-    )
-    eq_exchange_rhs = (
-        Pipeline(field, [asp])
-        .split_leg(0, amb.coalgebra.comult_map, asp, asp)
-        .map_leg(0, compose(alpha, pi))
-        .map_leg(1, p)
-        .finish()
-    )
+    xh, x0 = split(sys.biproduct.spec.coaction.coact_map, p(a1), hsp, csp)
+    eq_exchange_lhs = compile_map(field, (a,), [
+        h.algebra.mult_map(power(alpha, sys.m + 1)(xh), pi(a2)), beta(x0)])
+    eq_exchange_rhs = compile_map(field, (a,), [compose(alpha, pi)(a1), p(a2)])
 
     report = CheckReport.combine("biproduct_isomorphism", [
         equal_on_basis("roundtrip_on_ambient", compose(f, g),

@@ -11,11 +11,11 @@ and the one-parameter smash coproduct on A (x) H comultiplies by
                     (x) beta(a2(0)) >< h2,
     eps(a >< h) = eps(a) eps(h).
 
-Every Sweedler-style formula here is compiled as a composition of kernel
-primitives via ``Pipeline`` — splits, permutations, structure-map powers and
-merges — never as a hand-expanded index loop.  Constructions return the
-structure either way; the companion check_* functions decide validity and
-name the first failing basis tuple.
+Every Sweedler-style formula here is written once as a term over its input
+legs and compiled by ``sweedler.compile_map`` into splits, permutations,
+structure-map powers and merges, never as a hand-expanded index loop.
+Constructions return the structure either way; the companion check_*
+functions decide validity and name the first failing basis tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .convact import Coaction, Cocycle, ModuleAction, pair_coalgebra
 from .exactlin import (
     LinearMap,
-    Pipeline,
     SCALAR_SPACE,
     compose,
     equal_on_basis,
@@ -49,6 +48,7 @@ from .homcore import (
     mult_tensor_from_map,
 )
 from .report import CheckReport
+from .sweedler import compile_map, const, inputs, split
 
 
 class ConditionsFailError(ValueError):
@@ -127,33 +127,24 @@ class BiproductSpec:
 def crossed_product(spec: CrossedProductSpec) -> HomAlgebra:
     """The algebra on A (x) H with the crossed multiplication, unit 1 # 1 and
     structure map beta (x) alpha.  No axioms are asserted here."""
-    field = spec.field
-    a = spec.algebra
-    h = spec.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
-    dh = h.coalgebra.comult_map
+    field, m, k = spec.field, spec.m, spec.k
+    alg, hopf = spec.algebra, spec.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
+    act, sig = spec.action.act_map, spec.cocycle.sigma_map
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    dh = hopf.coalgebra.comult_map
 
-    mult = (
-        Pipeline(field, [asp, hsp, asp, hsp])
-        .split_leg(1, dh, hsp, hsp)            # a h1 h2 b g
-        .split_leg(1, dh, hsp, hsp)            # a h11 h12 h2 b g
-        .split_leg(5, dh, hsp, hsp)            # a h11 h12 h2 b g1 g2
-        .permute([0, 1, 4, 2, 5, 3, 6])        # a h11 b h12 g1 h2 g2
-        .map_leg(1, power(alpha, spec.m))
-        .map_leg(2, power(beta, -2))
-        .merge_legs(1, 2, spec.action.act_map)  # a (h11.b) h12 g1 h2 g2
-        .map_leg(2, power(alpha, spec.k + 1))
-        .map_leg(3, power(alpha, spec.k))
-        .merge_legs(2, 2, spec.cocycle.sigma_map)  # a t s h2 g2
-        .merge_legs(1, 2, a.mult_map)           # a ts h2 g2
-        .merge_legs(0, 2, a.mult_map)           # a(ts) h2 g2
-        .merge_legs(1, 2, h.algebra.mult_map)   # .. h2g2
-        .map_leg(1, alpha)
-        .finish()
-    )
+    a, h, b, g = inputs(asp, hsp, asp, hsp)
+    h1, h2 = split(dh, h)
+    h11, h12 = split(dh, h1)
+    g1, g2 = split(dh, g)
+    mult = compile_map(field, (a, h, b, g), [
+        ma(a, ma(act(power(alpha, m)(h11), power(beta, -2)(b)),
+                 sig(power(alpha, k + 1)(h12), power(alpha, k)(g1)))),
+        alpha(mh(h2, g2))])
     space = tensor_space(asp, hsp)
-    unit = [va * vh for va in a.unit for vh in h.algebra.unit]
+    unit = [va * vh for va in alg.unit for vh in hopf.algebra.unit]
     return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
                       beta @ alpha)
 
@@ -164,18 +155,12 @@ def smash_product(a: HomAlgebra, h: HomBialgebra, action: ModuleAction,
     This is what the crossed product collapses to when sigma is trivial."""
     field = a.field
     asp, hsp = a.space, h.space
-    mult = (
-        Pipeline(field, [asp, hsp, asp, hsp])
-        .split_leg(1, h.coalgebra.comult_map, hsp, hsp)  # a h1 h2 b g
-        .permute([0, 1, 3, 2, 4])                        # a h1 b h2 g
-        .map_leg(1, power(h.alpha, m))
-        .map_leg(2, power(a.alpha, -1))
-        .merge_legs(1, 2, action.act_map)                # a (h1.b) h2 g
-        .merge_legs(0, 2, a.mult_map)                    # .. h2 g
-        .map_leg(1, h.alpha)
-        .merge_legs(1, 2, h.algebra.mult_map)
-        .finish()
-    )
+    x, y, b, g = inputs(asp, hsp, asp, hsp)
+    y1, y2 = split(h.coalgebra.comult_map, y)
+    mult = compile_map(field, (x, y, b, g), [
+        a.mult_map(x, action.act_map(power(h.alpha, m)(y1),
+                                     power(a.alpha, -1)(b))),
+        h.algebra.mult_map(h.alpha(y2), g)])
     space = tensor_space(asp, hsp)
     unit = [va * vh for va in a.unit for vh in h.algebra.unit]
     return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
@@ -187,103 +172,47 @@ def check_cocycle_conditions(spec: CrossedProductSpec) -> CheckReport:
     Hom-algebra with unit 1 # 1: normality of sigma plus compatibility with
     the structure maps, the action-symmetry law, and the twisted
     2-cocycle law."""
-    field = spec.field
-    a, h = spec.algebra, spec.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
+    field, m, k = spec.field, spec.m, spec.k
+    alg, hopf = spec.algebra, spec.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
     act, sig = spec.action.act_map, spec.cocycle.sigma_map
-    ma, mh = a.mult_map, h.algebra.mult_map
-    dh = h.coalgebra.comult_map
-    m, k = spec.m, spec.k
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    dh = hopf.coalgebra.comult_map
+    ak1, ak2 = power(alpha, k + 1), power(alpha, k + 2)
 
-    eps_unit = compose(a.unit_map, h.coalgebra.counit_map)
+    h, l, g, a = inputs(hsp, hsp, hsp, asp)
+    one = hopf.algebra.unit
+    eps_unit = compose(alg.unit_map, hopf.coalgebra.counit_map)
     normal_right = equal_on_basis(
         "cocycle_normal_on_right_unit",
-        Pipeline(field, [hsp]).adjoin_vector(1, hsp, h.algebra.unit)
-        .merge_legs(0, 2, sig).finish(),
-        eps_unit, (hsp,),
-    )
+        compile_map(field, (h,), [sig(h, const(hsp, one))]), eps_unit, (hsp,))
     normal_left = equal_on_basis(
         "cocycle_normal_on_left_unit",
-        Pipeline(field, [hsp]).adjoin_vector(0, hsp, h.algebra.unit)
-        .merge_legs(0, 2, sig).finish(),
-        eps_unit, (hsp,),
-    )
+        compile_map(field, (h,), [sig(const(hsp, one), h)]), eps_unit, (hsp,))
     structure = equal_on_basis(
         "cocycle_structure_compat",
-        Pipeline(field, [hsp, hsp]).map_leg(0, alpha).map_leg(1, alpha)
-        .merge_legs(0, 2, sig).finish(),
-        compose(beta, sig), (hsp, hsp),
-    )
+        compile_map(field, (h, l), [sig(alpha(h), alpha(l))]),
+        compose(beta, sig), (hsp, hsp))
     normality = CheckReport.combine(
         "cocycle_normality", [normal_right, normal_left, structure])
 
-    lhs = (
-        Pipeline(field, [hsp, hsp, asp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)            # h1 h2 l1 l2 a
-        .permute([0, 2, 4, 1, 3])              # h1 l1 a h2 l2
-        .merge_legs(0, 2, mh)
-        .map_leg(0, power(alpha, m))
-        .merge_legs(0, 2, act)                 # (h1l1.a) h2 l2
-        .map_leg(1, power(alpha, k + 2))
-        .map_leg(2, power(alpha, k + 2))
-        .merge_legs(1, 2, sig)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, hsp, asp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)            # h1 h2 l1 l2 a
-        .permute([0, 2, 1, 3, 4])              # h1 l1 h2 l2 a
-        .map_leg(0, power(alpha, k + 2))
-        .map_leg(1, power(alpha, k + 2))
-        .merge_legs(0, 2, sig)                 # s h2 l2 a
-        .merge_legs(1, 2, mh)
-        .map_leg(1, power(alpha, m))
-        .merge_legs(1, 2, act)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
+    (h1, h2), (l1, l2), (g1, g2) = split(dh, h), split(dh, l), split(dh, g)
     symmetry = equal_on_basis(
-        "cocycle_action_symmetry", lhs, rhs, (hsp, hsp, asp))
-
-    lhs = (
-        Pipeline(field, [hsp, hsp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)
-        .split_leg(4, dh, hsp, hsp)            # h1 h2 l1 l2 g1 g2
-        .permute([0, 2, 4, 1, 3, 5])           # h1 l1 g1 h2 l2 g2
-        .map_leg(0, power(alpha, m + 1))
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)                 # h1 s1 h2 l2 g2
-        .merge_legs(0, 2, act)                 # (h1.s1) h2 l2 g2
-        .merge_legs(2, 2, mh)                  # t h2 (l2g2)
-        .map_leg(1, power(alpha, k + 2))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, hsp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)            # h1 h2 l1 l2 g
-        .permute([0, 2, 1, 3, 4])              # h1 l1 h2 l2 g
-        .map_leg(0, power(alpha, k + 2))
-        .map_leg(1, power(alpha, k + 2))
-        .merge_legs(0, 2, sig)                 # s1 h2 l2 g
-        .merge_legs(1, 2, mh)                  # s1 (h2l2) g
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)
-        .merge_legs(0, 2, ma)
-        .finish()
-    )
+        "cocycle_action_symmetry",
+        compile_map(field, (h, l, a), [
+            ma(act(power(alpha, m)(mh(h1, l1)), a), sig(ak2(h2), ak2(l2)))]),
+        compile_map(field, (h, l, a), [
+            ma(sig(ak2(h1), ak2(l1)), act(power(alpha, m)(mh(h2, l2)), a))]),
+        (hsp, hsp, asp))
     twisted_cocycle = equal_on_basis(
-        "cocycle_twisted_two_cocycle", lhs, rhs, (hsp, hsp, hsp))
+        "cocycle_twisted_two_cocycle",
+        compile_map(field, (h, l, g), [
+            ma(act(power(alpha, m + 1)(h1), sig(ak1(l1), ak1(g1))),
+               sig(ak2(h2), ak1(mh(l2, g2))))]),
+        compile_map(field, (h, l, g), [
+            ma(sig(ak2(h1), ak2(l1)), sig(ak1(mh(h2, l2)), ak1(g)))]),
+        (hsp, hsp, hsp))
 
     return CheckReport.combine(
         "crossed_cocycle_conditions", [normality, symmetry, twisted_cocycle])
@@ -297,18 +226,13 @@ def smash_coproduct(coalg: HomCoalgebra, h: HomBialgebra, co: Coaction,
     field = coalg.field
     asp, hsp = coalg.space, h.space
     alpha, beta = h.alpha, coalg.gamma
-    comult = (
-        Pipeline(field, [asp, hsp])
-        .split_leg(0, coalg.comult_map, asp, asp)   # a1 a2 h
-        .split_leg(1, co.coact_map, hsp, asp)       # a1 a2(-1) a2(0) h
-        .split_leg(3, h.coalgebra.comult_map, hsp, hsp)  # a1 a2(-1) a2(0) h1 h2
-        .permute([0, 1, 3, 2, 4])                   # a1 a2(-1) h1 a2(0) h2
-        .map_leg(1, power(alpha, m))
-        .map_leg(2, power(alpha, -1))
-        .merge_legs(1, 2, h.algebra.mult_map)
-        .map_leg(2, beta)
-        .finish()
-    )
+    x, y = inputs(asp, hsp)
+    x1, x2 = split(coalg.comult_map, x)
+    x2h, x20 = split(co.coact_map, x2, hsp, asp)
+    y1, y2 = split(h.coalgebra.comult_map, y)
+    comult = compile_map(field, (x, y), [
+        x1, h.algebra.mult_map(power(alpha, m)(x2h), power(alpha, -1)(y1)),
+        beta(x20), y2])
     space = tensor_space(asp, hsp)
     counit = [va * vh for va in coalg.counit for vh in h.coalgebra.counit]
     return HomCoalgebra(field, space, comult_tensor_from_map(comult, space),
@@ -319,44 +243,24 @@ def check_twisted_comodule_cocycle(spec: BiproductSpec) -> CheckReport:
     """The compatibility between sigma and the coaction that a crossed
     product needs before it can carry the smash coproduct (both sides are
     maps A (x) H -> A (x) H (x) A)."""
-    field = spec.field
-    a = spec.crossed.algebra
-    h = spec.crossed.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
-    m, k = spec.crossed.m, spec.crossed.k
-    rho = spec.coaction.coact_map
-    da = spec.coalgebra.comult_map
-    dh = h.coalgebra.comult_map
-    sig = spec.crossed.cocycle.sigma_map
-    mh = h.algebra.mult_map
+    field, m, k = spec.field, spec.crossed.m, spec.crossed.k
+    alg, hopf = spec.crossed.algebra, spec.crossed.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
+    rho, sig = spec.coaction.coact_map, spec.crossed.cocycle.sigma_map
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    da, dh = spec.coalgebra.comult_map, hopf.coalgebra.comult_map
 
-    lhs = (
-        Pipeline(field, [asp, hsp])
-        .split_leg(0, da, asp, asp)            # a1 a2 g
-        .split_leg(1, rho, hsp, asp)           # a1 a2(-1) a2(0) g
-        .permute([0, 1, 3, 2])                 # a1 a2(-1) g a2(0)
-        .map_leg(0, beta)
-        .map_leg(1, power(alpha, m + 1))
-        .merge_legs(1, 2, mh)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [asp, hsp])
-        .split_leg(0, da, asp, asp)            # a1 a2 g
-        .split_leg(1, rho, hsp, asp)           # a1 a2(-1) a2(0) g
-        .split_leg(1, dh, hsp, hsp)            # a1 a2(-1)1 a2(-1)2 a2(0) g
-        .split_leg(4, dh, hsp, hsp)            # a1 a2(-1)1 a2(-1)2 a2(0) g1 g2
-        .permute([0, 1, 4, 2, 5, 3])           # a1 a2(-1)1 g1 a2(-1)2 g2 a2(0)
-        .map_leg(1, power(alpha, k + m + 2))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)                 # a1 s a2(-1)2 g2 a2(0)
-        .merge_legs(0, 2, a.mult_map)          # a1s a2(-1)2 g2 a2(0)
-        .map_leg(1, power(alpha, m + 2))
-        .map_leg(2, alpha)
-        .merge_legs(1, 2, mh)
-        .finish()
-    )
+    a, g = inputs(asp, hsp)
+    a1, a2 = split(da, a)
+    h, a20 = split(rho, a2, hsp, asp)
+    h1, h2 = split(dh, h)
+    g1, g2 = split(dh, g)
+    lhs = compile_map(field, (a, g), [
+        beta(a1), mh(power(alpha, m + 1)(h), g), a20])
+    rhs = compile_map(field, (a, g), [
+        ma(a1, sig(power(alpha, k + m + 2)(h1), power(alpha, k + 1)(g1))),
+        mh(power(alpha, m + 2)(h2), alpha(g2)), a20])
     return CheckReport.combine("twisted_comodule_cocycle", [
         equal_on_basis("twisted_comodule_cocycle_identity", lhs, rhs, (asp, hsp))
     ])
@@ -365,19 +269,16 @@ def check_twisted_comodule_cocycle(spec: BiproductSpec) -> CheckReport:
 def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     """The nine compatibility conditions that make the crossed product plus
     smash coproduct a Hom-bialgebra."""
-    field = spec.field
-    a = spec.crossed.algebra
-    h = spec.crossed.hopf_bialgebra
-    asp, hsp = a.space, h.space
-    alpha, beta = h.alpha, a.alpha
-    m, k = spec.crossed.m, spec.crossed.k
+    field, m, k = spec.field, spec.crossed.m, spec.crossed.k
+    alg, hopf = spec.crossed.algebra, spec.crossed.hopf_bialgebra
+    asp, hsp = alg.space, hopf.space
+    alpha, beta = hopf.alpha, alg.alpha
     act = spec.crossed.action.act_map
     sig = spec.crossed.cocycle.sigma_map
     rho = spec.coaction.coact_map
-    ma, mh = a.mult_map, h.algebra.mult_map
-    da, dh = spec.coalgebra.comult_map, h.coalgebra.comult_map
+    ma, mh = alg.mult_map, hopf.algebra.mult_map
+    da, dh = spec.coalgebra.comult_map, hopf.coalgebra.comult_map
     eps_a = spec.coalgebra.counit_map
-    eps_h = h.coalgebra.counit_map
 
     # 1. the counit of A is a Hom-algebra map
     eps_kron = [x * y for x in spec.coalgebra.counit for y in spec.coalgebra.counit]
@@ -387,7 +288,7 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
             LinearMap(field, tensor_space(asp, asp), SCALAR_SPACE, [eps_kron]),
             (asp, asp)),
         equal_on_basis(
-            "counit_on_unit", compose(eps_a, a.unit_map),
+            "counit_on_unit", compose(eps_a, alg.unit_map),
             LinearMap(field, SCALAR_SPACE, SCALAR_SPACE, [[field.one]]),
             (SCALAR_SPACE,)),
         equal_on_basis(
@@ -395,7 +296,7 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     ])
 
     # 2. eps_A(h.a) = eps_H(h) eps_A(a)
-    eps_mixed = [x * y for x in h.coalgebra.counit for y in spec.coalgebra.counit]
+    eps_mixed = [x * y for x in hopf.coalgebra.counit for y in spec.coalgebra.counit]
     c2 = equal_on_basis(
         "action_counit_compat", compose(eps_a, act),
         LinearMap(field, tensor_space(hsp, asp), SCALAR_SPACE, [eps_mixed]),
@@ -403,16 +304,14 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
 
     # 3. sigma is a Hom-coalgebra map from the pair coalgebra on H (x) H —
     # the same coalgebra that defines convolution of bilinear maps
-    pair = pair_coalgebra(h)
-    eps_pair = [x * y for x in h.coalgebra.counit for y in h.coalgebra.counit]
+    h, g, a, b = inputs(hsp, hsp, asp, asp)
+    pair = pair_coalgebra(hopf)
+    (u,) = inputs(pair.space)
+    eps_pair = [x * y for x in hopf.coalgebra.counit for y in hopf.coalgebra.counit]
     c3 = CheckReport.combine("cocycle_coalgebra_map", [
         equal_on_basis(
             "cocycle_comult_compat", compose(da, sig),
-            Pipeline(field, [pair.space])
-            .split_leg(0, pair.comult_map, pair.space, pair.space)
-            .map_leg(0, sig)
-            .map_leg(1, sig)
-            .finish(),
+            compile_map(field, (u,), [sig(v) for v in split(pair.comult_map, u)]),
             (hsp, hsp)),
         equal_on_basis(
             "cocycle_counit_compat", compose(eps_a, sig),
@@ -420,141 +319,77 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
             (hsp, hsp)),
         equal_on_basis(
             "cocycle_structure_compat",
-            Pipeline(field, [hsp, hsp]).map_leg(0, alpha).map_leg(1, alpha)
-            .merge_legs(0, 2, sig).finish(),
+            compile_map(field, (h, g), [sig(alpha(h), alpha(g))]),
             compose(beta, sig), (hsp, hsp)),
     ])
 
     # 4. Delta_A(1) = 1 (x) 1
-    unit_kron = [x * y for x in a.unit for y in a.unit]
+    unit_kron = [x * y for x in alg.unit for y in alg.unit]
     c4 = equal_on_basis(
-        "comult_preserves_unit", compose(da, a.unit_map),
+        "comult_preserves_unit", compose(da, alg.unit_map),
         vector_as_map(field, tensor_space(asp, asp), unit_kron),
         (SCALAR_SPACE,))
 
     # 5. the coaction is multiplicative and unital
+    (am, a0), (bm, b0) = split(rho, a, hsp, asp), split(rho, b, hsp, asp)
     c5 = CheckReport.combine("coaction_algebra_map", [
         equal_on_basis(
             "coaction_multiplicative", compose(rho, ma),
-            Pipeline(field, [asp, asp])
-            .split_leg(0, rho, hsp, asp)
-            .split_leg(2, rho, hsp, asp)
-            .permute([0, 2, 1, 3])
-            .merge_legs(0, 2, mh)
-            .merge_legs(1, 2, ma)
-            .finish(),
+            compile_map(field, (a, b), [mh(am, bm), ma(a0, b0)]),
             (asp, asp)),
         equal_on_basis(
-            "coaction_on_unit", compose(rho, a.unit_map),
+            "coaction_on_unit", compose(rho, alg.unit_map),
             vector_as_map(field, tensor_space(hsp, asp),
-                          [x * y for x in h.algebra.unit for y in a.unit]),
+                          [x * y for x in hopf.algebra.unit for y in alg.unit]),
             (SCALAR_SPACE,)),
     ])
 
     # 6. compatibility between sigma and the coaction
-    lhs = (
-        Pipeline(field, [hsp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)            # h1 h2 g1 g2
-        .permute([0, 2, 1, 3])                 # h1 g1 h2 g2
-        .map_leg(0, power(alpha, k + 2))
-        .map_leg(1, power(alpha, k + 2))
-        .merge_legs(0, 2, sig)                 # s h2 g2
-        .split_leg(0, rho, hsp, asp)           # s(-1) s(0) h2 g2
-        .merge_legs(2, 2, mh)                  # s(-1) s(0) h2g2
-        .map_leg(2, power(alpha, -1))
-        .permute([0, 2, 1])                    # s(-1) (h2g2) s(0)
-        .map_leg(0, power(alpha, m - 1))
-        .merge_legs(0, 2, mh)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, hsp])
-        .split_leg(0, dh, hsp, hsp)
-        .split_leg(2, dh, hsp, hsp)
-        .permute([0, 2, 1, 3])                 # h1 g1 h2 g2
-        .merge_legs(0, 2, mh)                  # h1g1 h2 g2
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + 1))
-        .merge_legs(1, 2, sig)
-        .finish()
-    )
-    c6 = equal_on_basis("cocycle_coaction_compat", lhs, rhs, (hsp, hsp))
+    (h1, h2), (g1, g2) = split(dh, h), split(dh, g)
+    ak1, ak2 = power(alpha, k + 1), power(alpha, k + 2)
+    sm, s0 = split(rho, sig(ak2(h1), ak2(g1)), hsp, asp)
+    c6 = equal_on_basis(
+        "cocycle_coaction_compat",
+        compile_map(field, (h, g), [
+            mh(power(alpha, m - 1)(sm), power(alpha, -1)(mh(h2, g2))), s0]),
+        compile_map(field, (h, g), [mh(h1, g1), sig(ak1(h2), ak1(g2))]),
+        (hsp, hsp))
 
     # 7. Delta_A is multiplicative up to the action, cocycle and coaction
-    lhs = Pipeline(field, [asp, asp]).merge_legs(0, 2, ma) \
-        .split_leg(0, da, asp, asp).finish()
-    rhs = (
-        Pipeline(field, [asp, asp])
-        .split_leg(0, da, asp, asp)            # a1 a2 b
-        .split_leg(1, rho, hsp, asp)           # a1 a2(-1) a2(0) b
-        .split_leg(1, dh, hsp, hsp)            # a1 a2(-1)1 a2(-1)2 a2(0) b
-        .split_leg(4, da, asp, asp)            # a1 a2(-1)1 a2(-1)2 a2(0) b1 b2
-        .split_leg(5, rho, hsp, asp)           # a1 a2(-1)1 a2(-1)2 a2(0) b1 b2(-1) b2(0)
-        .permute([0, 1, 4, 2, 5, 3, 6])        # a1 a2(-1)1 b1 a2(-1)2 b2(-1) a2(0) b2(0)
-        .map_leg(1, power(alpha, 2 * m))
-        .map_leg(2, power(beta, -2))
-        .merge_legs(1, 2, act)                 # a1 t a2(-1)2 b2(-1) a2(0) b2(0)
-        .map_leg(2, power(alpha, k + m + 1))
-        .map_leg(3, power(alpha, k + m))
-        .merge_legs(2, 2, sig)                 # a1 t s a2(0) b2(0)
-        .merge_legs(1, 2, ma)
-        .merge_legs(0, 2, ma)                  # a1(ts) a2(0) b2(0)
-        .merge_legs(1, 2, ma)
-        .map_leg(1, beta)
-        .finish()
-    )
-    c7 = equal_on_basis("comult_twisted_multiplicative", lhs, rhs, (asp, asp))
+    a1, a2 = split(da, a)
+    a2m, a20 = split(rho, a2, hsp, asp)
+    a2m1, a2m2 = split(dh, a2m)
+    b1, b2 = split(da, b)
+    b2m, b20 = split(rho, b2, hsp, asp)
+    c7 = equal_on_basis(
+        "comult_twisted_multiplicative",
+        compile_map(field, (a, b), split(da, ma(a, b))),
+        compile_map(field, (a, b), [
+            ma(a1, ma(act(power(alpha, 2 * m)(a2m1), power(beta, -2)(b1)),
+                      sig(power(alpha, k + m + 1)(a2m2),
+                          power(alpha, k + m)(b2m)))),
+            beta(ma(a20, b20))]),
+        (asp, asp))
 
     # 8. Delta_A of an action value
-    lhs = Pipeline(field, [hsp, asp]).map_leg(0, power(alpha, m)) \
-        .merge_legs(0, 2, act).split_leg(0, da, asp, asp).finish()
-    rhs = (
-        Pipeline(field, [hsp, asp])
-        .split_leg(0, dh, hsp, hsp)            # h1 h2 b
-        .split_leg(0, dh, hsp, hsp)            # h11 h12 h2 b
-        .split_leg(3, da, asp, asp)            # h11 h12 h2 b1 b2
-        .split_leg(4, rho, hsp, asp)           # h11 h12 h2 b1 b2(-1) b2(0)
-        .permute([0, 3, 1, 4, 2, 5])           # h11 b1 h12 b2(-1) h2 b2(0)
-        .map_leg(0, power(alpha, m))
-        .map_leg(1, power(beta, -1))
-        .merge_legs(0, 2, act)                 # t h12 b2(-1) h2 b2(0)
-        .map_leg(1, power(alpha, k + 1))
-        .map_leg(2, power(alpha, k + m + 1))
-        .merge_legs(1, 2, sig)                 # t s h2 b2(0)
-        .merge_legs(0, 2, ma)                  # ts h2 b2(0)
-        .map_leg(1, power(alpha, m))
-        .map_leg(2, beta)
-        .merge_legs(1, 2, act)
-        .finish()
-    )
-    c8 = equal_on_basis("comult_action_compat", lhs, rhs, (hsp, asp))
+    h11, h12 = split(dh, h1)
+    c8 = equal_on_basis(
+        "comult_action_compat",
+        compile_map(field, (h, b), split(da, act(power(alpha, m)(h), b))),
+        compile_map(field, (h, b), [
+            ma(act(power(alpha, m)(h11), power(beta, -1)(b1)),
+               sig(ak1(h12), power(alpha, k + m + 1)(b2m))),
+            act(power(alpha, m)(h2), beta(b20))]),
+        (hsp, asp))
 
     # 9. the action and coaction braid past each other
-    lhs = (
-        Pipeline(field, [hsp, asp])
-        .split_leg(0, dh, hsp, hsp)            # h1 h2 b
-        .permute([0, 2, 1])                    # h1 b h2
-        .map_leg(0, power(alpha, m + 1))
-        .merge_legs(0, 2, act)                 # (h1.b) h2
-        .split_leg(0, rho, hsp, asp)           # t(-1) t(0) h2
-        .permute([0, 2, 1])                    # t(-1) h2 t(0)
-        .map_leg(0, power(alpha, m - 1))
-        .merge_legs(0, 2, mh)
-        .finish()
-    )
-    rhs = (
-        Pipeline(field, [hsp, asp])
-        .split_leg(0, dh, hsp, hsp)            # h1 h2 b
-        .split_leg(2, rho, hsp, asp)           # h1 h2 b(-1) b(0)
-        .permute([0, 2, 1, 3])                 # h1 b(-1) h2 b(0)
-        .map_leg(1, power(alpha, m))
-        .merge_legs(0, 2, mh)                  # h1 b(-1) .. h2 b(0)
-        .map_leg(1, power(alpha, m))
-        .merge_legs(1, 2, act)
-        .finish()
-    )
-    c9 = equal_on_basis("action_coaction_compat", lhs, rhs, (hsp, asp))
+    tm, t0 = split(rho, act(power(alpha, m + 1)(h1), b), hsp, asp)
+    c9 = equal_on_basis(
+        "action_coaction_compat",
+        compile_map(field, (h, b), [mh(power(alpha, m - 1)(tm), h2), t0]),
+        compile_map(field, (h, b), [
+            mh(h1, power(alpha, m)(bm)), act(power(alpha, m)(h2), b0)]),
+        (hsp, asp))
 
     return CheckReport.combine(
         "biproduct_conditions", [c1, c2, c3, c4, c5, c6, c7, c8, c9])
@@ -624,24 +459,17 @@ def check_sigma_antipode(h: HomBialgebra, sigma: Cocycle,
                       [x * y for x in sigma.target.unit for y in h.algebra.unit]),
         h.coalgebra.counit_map,
     )
+    (z,) = inputs(hsp)
+    z1, z2 = split(dh, z)
 
-    def one_side(apply_to: int) -> LinearMap:
-        pipe = Pipeline(field, [hsp]).split_leg(0, dh, hsp, hsp)
-        pipe.map_leg(apply_to, s)
-        return (
-            pipe
-            .split_leg(0, dh, hsp, hsp)        # u1 u2 v
-            .split_leg(2, dh, hsp, hsp)        # u1 u2 v1 v2
-            .permute([0, 2, 1, 3])             # u1 v1 u2 v2
-            .merge_legs(0, 2, sig)
-            .merge_legs(1, 2, mh)
-            .finish()
-        )
+    def one_side(u, v) -> LinearMap:
+        (u1, u2), (v1, v2) = split(dh, u), split(dh, v)
+        return compile_map(field, (z,), [sig(u1, v1), mh(u2, v2)])
 
     return CheckReport.combine("sigma_antipode", [
         *morphism_laws(s, h, h, structure_compat="sigma_antipode_alpha_commute"),
-        equal_on_basis("sigma_antipode_right", one_side(1), target, (hsp,)),
-        equal_on_basis("sigma_antipode_left", one_side(0), target, (hsp,)),
+        equal_on_basis("sigma_antipode_right", one_side(z1, s(z2)), target, (hsp,)),
+        equal_on_basis("sigma_antipode_left", one_side(s(z1), z2), target, (hsp,)),
     ])
 
 
@@ -680,20 +508,11 @@ def biproduct_antipode(spec: BiproductSpec, bialgebra: HomBialgebra,
     if not pre.passed:
         raise PreconditionFailError(pre)
 
-    return (
-        Pipeline(field, [asp, hsp])
-        .split_leg(0, spec.coaction.coact_map, hsp, asp)  # a(-1) a(0) h
-        .permute([0, 2, 1])                               # a(-1) h a(0)
-        .map_leg(0, power(h.alpha, m - 1))
-        .map_leg(1, power(h.alpha, -2))
-        .merge_legs(0, 2, h.algebra.mult_map)             # w a(0)
-        .map_leg(0, s_h)
-        .map_leg(1, s_a)
-        .adjoin_vector(0, asp, a.unit)                    # 1_A S_H(w) S_A(a0)
-        .adjoin_vector(3, hsp, h.algebra.unit)            # 1_A S_H(w) S_A(a0) 1_H
-        .merge_legs(0, 4, bialgebra.algebra.mult_map)
-        .finish()
-    )
+    x, y = inputs(asp, hsp)
+    xh, x0 = split(spec.coaction.coact_map, x, hsp, asp)
+    w = h.algebra.mult_map(power(h.alpha, m - 1)(xh), power(h.alpha, -2)(y))
+    return compile_map(field, (x, y), [bialgebra.algebra.mult_map(
+        const(asp, a.unit), s_h(w), s_a(x0), const(hsp, h.algebra.unit))])
 
 
 def check_biproduct_antipode(bialgebra: HomBialgebra,

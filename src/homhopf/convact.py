@@ -51,6 +51,7 @@ from .homcore import (
     inverse_laws,
 )
 from .report import CheckReport
+from .sweedler import compile_map, const, inputs, split
 
 
 class NotConvolutionInvertible(ValueError):
@@ -207,22 +208,15 @@ def check_weak_module_algebra(action: ModuleAction) -> CheckReport:
     m = action.target.mult_map
     d = action.acting.coalgebra.comult_map
 
-    lhs = Pipeline(field, [hsp, asp, asp]).merge_legs(1, 2, m) \
-        .merge_legs(0, 2, act).finish()
-    rhs = (
-        Pipeline(field, [hsp, asp, asp])
-        .split_leg(0, d, hsp, hsp)
-        .permute([0, 2, 1, 3])
-        .merge_legs(0, 2, act)
-        .merge_legs(1, 2, act)
-        .merge_legs(0, 2, m)
-        .finish()
-    )
+    h, a, b = inputs(hsp, asp, asp)
+    h1, h2 = split(d, h)
     multiplicative = equal_on_basis(
-        "action_distributes_over_product", lhs, rhs, (hsp, asp, asp))
+        "action_distributes_over_product",
+        compile_map(field, (h, a, b), [act(h, m(a, b))]),
+        compile_map(field, (h, a, b), [m(act(h1, a), act(h2, b))]),
+        (hsp, asp, asp))
 
-    unit_lhs = Pipeline(field, [hsp]).adjoin_vector(1, asp, action.target.unit) \
-        .merge_legs(0, 2, act).finish()
+    unit_lhs = compile_map(field, (h,), [act(h, const(asp, action.target.unit))])
     unit_rhs = compose(action.target.unit_map,
                        action.acting.coalgebra.counit_map)
     unital = equal_on_basis("action_on_unit", unit_lhs, unit_rhs, (hsp,))
@@ -240,21 +234,19 @@ def check_hom_module(action: ModuleAction) -> CheckReport:
     beta = action.target.alpha
     mh = action.acting.algebra.mult_map
 
-    lhs = Pipeline(field, [hsp, hsp, asp]).map_leg(0, alpha) \
-        .merge_legs(1, 2, act).merge_legs(0, 2, act).finish()
-    rhs = Pipeline(field, [hsp, hsp, asp]).merge_legs(0, 2, mh) \
-        .map_leg(1, beta).merge_legs(0, 2, act).finish()
-    assoc = equal_on_basis("module_associativity", lhs, rhs, (hsp, hsp, asp))
-
-    lhs = compose(beta, act)
-    rhs = Pipeline(field, [hsp, asp]).map_leg(0, alpha).map_leg(1, beta) \
-        .merge_legs(0, 2, act).finish()
-    compat = equal_on_basis("module_structure_compat", lhs, rhs, (hsp, asp))
-
-    unit_lhs = Pipeline(field, [asp]) \
-        .adjoin_vector(0, hsp, action.acting.algebra.unit) \
-        .merge_legs(0, 2, act).finish()
-    unital = equal_on_basis("module_unit_law", unit_lhs, beta, (asp,))
+    h, g, a = inputs(hsp, hsp, asp)
+    assoc = equal_on_basis(
+        "module_associativity",
+        compile_map(field, (h, g, a), [act(alpha(h), act(g, a))]),
+        compile_map(field, (h, g, a), [act(mh(h, g), beta(a))]),
+        (hsp, hsp, asp))
+    compat = equal_on_basis(
+        "module_structure_compat", compose(beta, act),
+        compile_map(field, (h, a), [act(alpha(h), beta(a))]), (hsp, asp))
+    unital = equal_on_basis(
+        "module_unit_law",
+        compile_map(field, (a,), [act(const(hsp, action.acting.algebra.unit), a)]),
+        beta, (asp,))
 
     return CheckReport.combine("hom_module", [assoc, compat, unital])
 
@@ -271,16 +263,17 @@ def check_hom_comodule(co: Coaction) -> CheckReport:
     beta = co.target.gamma
     beta_inv = inverse(beta)
 
-    lhs = Pipeline(field, [asp]).split_leg(0, rho, hsp, asp) \
-        .split_leg(0, co.coacting.coalgebra.comult_map, hsp, hsp) \
-        .map_leg(2, beta_inv).finish()
-    rhs = Pipeline(field, [asp]).split_leg(0, rho, hsp, asp) \
-        .map_leg(0, inverse(alpha)).split_leg(1, rho, hsp, asp).finish()
-    coassoc = equal_on_basis("comodule_coassociativity", lhs, rhs, (asp,))
+    (a,) = inputs(asp)
+    h, a0 = split(rho, a, hsp, asp)
+    h1, h2 = split(co.coacting.coalgebra.comult_map, h)
+    a0h, a00 = split(rho, a0, hsp, asp)
+    coassoc = equal_on_basis(
+        "comodule_coassociativity",
+        compile_map(field, (a,), [h1, h2, beta_inv(a0)]),
+        compile_map(field, (a,), [inverse(alpha)(h), a0h, a00]), (asp,))
 
-    counit_lhs = strip_scalar_leg(
-        Pipeline(field, [asp]).split_leg(0, rho, hsp, asp)
-        .map_leg(0, co.coacting.coalgebra.counit_map).finish(), asp)
+    counit_lhs = strip_scalar_leg(compile_map(
+        field, (a,), [co.coacting.coalgebra.counit_map(h), a0]), asp)
     counit_law = equal_on_basis("comodule_counit_law", counit_lhs, beta_inv, (asp,))
 
     compat = equal_on_basis(
@@ -306,23 +299,18 @@ def check_comodule_coalgebra(co: Coaction) -> CheckReport:
 
     comodule = check_hom_comodule(co)
 
-    lhs = Pipeline(field, [asp]).split_leg(0, rho, hsp, asp) \
-        .split_leg(1, da, asp, asp).finish()
-    rhs = (
-        Pipeline(field, [asp])
-        .split_leg(0, da, asp, asp)
-        .split_leg(0, rho, hsp, asp)
-        .split_leg(2, rho, hsp, asp)
-        .permute([0, 2, 1, 3])
-        .merge_legs(0, 2, mh)
-        .finish()
-    )
-    comult_compat = equal_on_basis("coaction_comult_compat", lhs, rhs, (asp,))
+    (a,) = inputs(asp)
+    h, a0 = split(rho, a, hsp, asp)
+    a1, a2 = split(da, a)
+    (h1, a10), (h2, a20) = split(rho, a1, hsp, asp), split(rho, a2, hsp, asp)
+    comult_compat = equal_on_basis(
+        "coaction_comult_compat",
+        compile_map(field, (a,), [h, *split(da, a0)]),
+        compile_map(field, (a,), [mh(h1, h2), a10, a20]), (asp,))
 
     counit_rhs = compose(co.coacting.algebra.unit_map, co.target.counit_map)
-    counit_lhs = strip_scalar_leg(
-        Pipeline(field, [asp]).split_leg(0, rho, hsp, asp)
-        .map_leg(1, co.target.counit_map).finish(), hsp)
+    counit_lhs = strip_scalar_leg(compile_map(
+        field, (a,), [h, co.target.counit_map(a0)]), hsp)
     counit_compat = equal_on_basis(
         "coaction_counit_compat", counit_lhs, counit_rhs, (asp,))
 

@@ -32,11 +32,13 @@ the ``solve_linear`` solution, ``NoSolution.reduced_row``) goes back
 through ``field.coerce``, so callers see only ``Fraction`` or ``ModInt``.
 GF(p) scalars are ``ModInt`` throughout.
 
-``Pipeline`` is the one audited compiler that turns Sweedler-style formulas
-("split the second leg, act on legs two and three, multiply legs one and
-four, ...") into a single map by composing per-leg operations on flat basis
-indices.  Every axiom checker in the package is built on it, so there is
-exactly one place where tensor-leg bookkeeping can go wrong.  It holds the
+``Pipeline`` is the back end of the Sweedler-term compiler (``sweedler``):
+it composes per-leg operations on flat basis indices ("split the second
+leg, act on legs two and three, multiply legs one and four, ...") into a
+single map.  Every axiom in the package is written once as a term, which
+``sweedler.compile_map`` schedules into these steps, so there is exactly one
+place where tensor-leg bookkeeping can go wrong.  (Calling a ``LinearMap``
+on terms builds a term.)  The ``Pipeline`` holds the
 map factored into blocks of consecutive legs, each keeping only its nonzero
 columns keyed by domain index, a run no step has touched being an implicit
 identity.  A step rewrites only the blocks it spans, so m(b, c) in a(bc) is
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import prod
 
 from .report import CheckReport, Witness
@@ -97,13 +99,14 @@ def _lift(field, v):
 
 
 def _same_field(field, f, what: str):
-    if f.field != field:
+    if f.field is not field and f.field != field:
         raise FieldMismatch(f"{what}: map over {f.field!r} used with {field!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Space:
-    """A based vector space: an ordered tuple of distinct basis names."""
+    """A based vector space: an ordered tuple of distinct basis names.
+    Equality and hash see only the names; the hash is computed once."""
 
     names: tuple[str, ...]
 
@@ -112,8 +115,15 @@ class Space:
             raise ValueError("a space needs at least one basis vector")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate basis names in {self.names}")
-        # set once, and not a field: equality, hash and repr see only names
         object.__setattr__(self, "dim", len(self.names))
+        object.__setattr__(self, "_hash", hash((self.names,)))
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Space) and self.names == other.names)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Space({list(self.names)})"
@@ -130,11 +140,7 @@ def tensor_space(a: Space, b: Space) -> Space:
 
 
 def tensor_space_list(spaces) -> Space:
-    spaces = list(spaces)
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = tensor_space(out, s)
-    return out
+    return reduce(tensor_space, spaces)
 
 
 def decode_index(flat: int, dims) -> tuple[int, ...]:
@@ -247,8 +253,18 @@ class LinearMap:
     def __matmul__(self, other):
         return tensor(self, other)
 
+    def __call__(self, *args):
+        """The Sweedler term applying this map to the tensor of the terms
+        ``args``; see ``sweedler``."""
+        return sweedler.Term("map", self.codomain, self, args)
+
     def __repr__(self):
         return f"LinearMap({self.codomain.dim}x{self.domain.dim})"
+
+
+@cache
+def _identity_columns(n: int) -> tuple:
+    return tuple(((j, 1),) for j in range(n))
 
 
 def identity(field, space: Space) -> LinearMap:
@@ -356,15 +372,6 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
         tensor_space(f.codomain, g.codomain),
         [tuple((i1 * gr + i2, v * w) for i1, v in fcol for i2, w in gcol)
          for fcol in f.nonzero_columns() for gcol in gcols])
-
-
-def transpose(f: LinearMap) -> LinearMap:
-    """The transposed matrix, as a map from f's codomain to its domain."""
-    rows = [[] for _ in range(f.codomain.dim)]
-    for j, col in enumerate(f.nonzero_columns()):
-        for i, v in col:
-            rows[i].append((j, v))
-    return LinearMap._from_columns(f.field, f.codomain, f.domain, map(tuple, rows))
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -589,7 +596,8 @@ def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckR
 
 
 class Pipeline:
-    """Compiles a chain of per-leg tensor operations into one LinearMap.
+    """Compiles a chain of per-leg tensor operations into one LinearMap;
+    ``sweedler.compile_map`` emits the chains.
 
     The pipeline starts as the identity on a tensor product of "legs" and is
     transformed step by step: apply a map to one leg, split a leg with a
@@ -723,7 +731,8 @@ class Pipeline:
         a, e = i - first, i - first + count
         lo = prod(dims[e:])
         out_block = prod([s.dim for s in new_legs]) * lo
-        shifted = [tuple((r * lo, w) for r, w in col) for col in cols]
+        shifted = cols if lo == 1 else [
+            tuple((r * lo, w) for r, w in col) for col in cols]
         if len(span) == 1:
             _, kept, size = span[0]
             new_columns = self._apply(kept, prod(dims[a:]), lo, out_block,
@@ -844,8 +853,7 @@ class Pipeline:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
         _same_field(self.field, f, "map_leg")
         cols = f.nonzero_columns()
-        if f.domain is f.codomain and all(
-                col == ((j, 1),) for j, col in enumerate(cols)):
+        if f.domain is f.codomain and cols == _identity_columns(len(cols)):
             return self
         return self._rewrite(i, 1, cols, [f.codomain])
 
@@ -920,3 +928,8 @@ class Pipeline:
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),
             tensor_space_list(self.legs), out)
+
+
+# The terms build on the Pipeline above; imported last so that either
+# module may be imported first.
+from . import sweedler  # noqa: E402

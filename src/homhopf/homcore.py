@@ -37,7 +37,6 @@ from functools import cached_property
 from .exactlin import (
     LinearMap,
     NonInvertibleError,
-    Pipeline,
     SCALAR_SPACE,
     Space,
     bilinear_as_map,
@@ -54,6 +53,7 @@ from .exactlin import (
     vector_as_map,
 )
 from .report import CheckReport
+from .sweedler import compile_map, const, inputs, split
 
 
 class NotAutomorphism(ValueError):
@@ -239,14 +239,9 @@ def tensor_algebra(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     """Componentwise algebra on A (x) B with structure map alpha (x) beta."""
     field = a.field
     space = tensor_space(a.space, b.space)
-    legs = [a.space, b.space, a.space, b.space]
-    mult = (
-        Pipeline(field, legs)
-        .permute([0, 2, 1, 3])
-        .merge_legs(0, 2, a.mult_map)
-        .merge_legs(1, 2, b.mult_map)
-        .finish()
-    )
+    x, y, u, v = inputs(a.space, b.space, a.space, b.space)
+    mult = compile_map(field, (x, y, u, v),
+                       [a.mult_map(x, u), b.mult_map(y, v)])
     unit = [va * vb for va in a.unit for vb in b.unit]
     return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
                       a.alpha @ b.alpha)
@@ -256,13 +251,9 @@ def tensor_coalgebra(c: HomCoalgebra, d: HomCoalgebra) -> HomCoalgebra:
     """Componentwise coalgebra on C (x) D with structure map gamma (x) delta."""
     field = c.field
     space = tensor_space(c.space, d.space)
-    comult = (
-        Pipeline(field, [c.space, d.space])
-        .split_leg(0, c.comult_map, c.space, c.space)
-        .split_leg(2, d.comult_map, d.space, d.space)
-        .permute([0, 2, 1, 3])
-        .finish()
-    )
+    x, y = inputs(c.space, d.space)
+    (x1, x2), (y1, y2) = split(c.comult_map, x), split(d.comult_map, y)
+    comult = compile_map(field, (x, y), [x1, y1, x2, y2])
     counit = [vc * vd for vc in c.counit for vd in d.counit]
     return HomCoalgebra(field, space, comult_tensor_from_map(comult, space),
                         counit, c.gamma @ d.gamma)
@@ -274,14 +265,9 @@ def convolve(f: LinearMap, g: LinearMap, coalg: HomCoalgebra,
     csp, asp = coalg.space, alg.space
     if f.domain != csp or g.domain != csp or f.codomain != asp or g.codomain != asp:
         raise ValueError("convolution factors must map the coalgebra into the algebra")
-    return (
-        Pipeline(alg.field, [csp])
-        .split_leg(0, coalg.comult_map, csp, csp)
-        .map_leg(0, f)
-        .map_leg(1, g)
-        .merge_legs(0, 2, alg.mult_map)
-        .finish()
-    )
+    (c,) = inputs(csp)
+    c1, c2 = split(coalg.comult_map, c)
+    return compile_map(alg.field, (c,), [alg.mult_map(f(c1), g(c2))])
 
 
 def convolution_unit(coalg: HomCoalgebra, alg: HomAlgebra) -> LinearMap:
@@ -315,6 +301,7 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
     and ``target`` are Hom-algebras, Hom-coalgebras or Hom-bialgebras
     carrying the halves the requested laws need."""
     field, sp = source.field, source.space
+    u, v = inputs(sp, sp)
 
     def algebra(x):
         return getattr(x, "algebra", x)
@@ -328,17 +315,15 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
     laws = {
         "multiplicative": lambda: (
             compose(f, algebra(source).mult_map),
-            Pipeline(field, [sp, sp]).map_leg(0, f).map_leg(1, f)
-            .merge_legs(0, 2, algebra(target).mult_map).finish(),
+            compile_map(field, (u, v), [algebra(target).mult_map(f(u), f(v))]),
             (sp, sp)),
         "unital": lambda: (
             compose(f, algebra(source).unit_map), algebra(target).unit_map,
             (SCALAR_SPACE,)),
         "comultiplicative": lambda: (
             compose(coalgebra(target).comult_map, f),
-            Pipeline(field, [sp])
-            .split_leg(0, coalgebra(source).comult_map, sp, sp)
-            .map_leg(0, f).map_leg(1, f).finish(),
+            compile_map(field, (u,), [
+                f(half) for half in split(coalgebra(source).comult_map, u)]),
             (sp,)),
         "counital": lambda: (
             compose(coalgebra(target).counit_map, f),
@@ -359,25 +344,21 @@ def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     field, sp = a.field, a.space
     m, alpha = a.mult_map, a.alpha
 
-    lhs = Pipeline(field, [sp, sp, sp]).map_leg(0, alpha) \
-        .merge_legs(1, 2, m).merge_legs(0, 2, m).finish()
-    rhs = Pipeline(field, [sp, sp, sp]).merge_legs(0, 2, m) \
-        .map_leg(1, alpha).merge_legs(0, 2, m).finish()
-    assoc = equal_on_basis("hom_associativity", lhs, rhs, (sp, sp, sp))
+    x, y, z = inputs(sp, sp, sp)
+    assoc = equal_on_basis(
+        "hom_associativity",
+        compile_map(field, (x, y, z), [m(alpha(x), m(y, z))]),
+        compile_map(field, (x, y, z), [m(m(x, y), alpha(z))]), (sp, sp, sp))
     alpha_mult, alpha_unit = morphism_laws(
         alpha, a, a, multiplicative="alpha_multiplicative",
         unital="alpha_fixes_unit")
 
     right_unit = equal_on_basis(
         "right_unit_law",
-        Pipeline(field, [sp]).adjoin_vector(1, sp, a.unit).merge_legs(0, 2, m).finish(),
-        alpha, (sp,),
-    )
+        compile_map(field, (x,), [m(x, const(sp, a.unit))]), alpha, (sp,))
     left_unit = equal_on_basis(
         "left_unit_law",
-        Pipeline(field, [sp]).adjoin_vector(0, sp, a.unit).merge_legs(0, 2, m).finish(),
-        alpha, (sp,),
-    )
+        compile_map(field, (x,), [m(const(sp, a.unit), x)]), alpha, (sp,))
 
     return CheckReport.combine(
         "hom_algebra", [assoc, alpha_mult, right_unit, left_unit, alpha_unit]
@@ -390,11 +371,13 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
     field, sp = c.field, c.space
     d, gamma, counit = c.comult_map, c.gamma, c.counit_map
 
-    lhs = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
-        .split_leg(1, d, sp, sp).map_leg(2, gamma).finish()
-    rhs = Pipeline(field, [sp]).split_leg(0, d, sp, sp) \
-        .split_leg(0, d, sp, sp).map_leg(0, gamma).finish()
-    coassoc = equal_on_basis("hom_coassociativity", lhs, rhs, (sp,))
+    (x,) = inputs(sp)
+    x1, x2 = split(d, x)
+    (x11, x12), (x21, x22) = split(d, x1), split(d, x2)
+    coassoc = equal_on_basis(
+        "hom_coassociativity",
+        compile_map(field, (x,), [x1, x21, gamma(x22)]),
+        compile_map(field, (x,), [gamma(x11), x12, x2]), (sp,))
     gamma_comult, counit_gamma = morphism_laws(
         gamma, c, c, comultiplicative="gamma_comultiplicative",
         counital="counit_gamma_invariant")
@@ -402,18 +385,12 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
     gamma_inv = inverse(gamma)
     right_counit = equal_on_basis(
         "right_counit_law",
-        strip_scalar_leg(
-            Pipeline(field, [sp]).split_leg(0, d, sp, sp)
-            .map_leg(1, counit).finish(), sp),
-        gamma_inv, (sp,),
-    )
+        strip_scalar_leg(compile_map(field, (x,), [x1, counit(x2)]), sp),
+        gamma_inv, (sp,))
     left_counit = equal_on_basis(
         "left_counit_law",
-        strip_scalar_leg(
-            Pipeline(field, [sp]).split_leg(0, d, sp, sp)
-            .map_leg(0, counit).finish(), sp),
-        gamma_inv, (sp,),
-    )
+        strip_scalar_leg(compile_map(field, (x,), [counit(x1), x2]), sp),
+        gamma_inv, (sp,))
 
     return CheckReport.combine(
         "hom_coalgebra",
@@ -430,17 +407,11 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
     alg_report = check_hom_algebra(alg)
     coa_report = check_hom_coalgebra(coa)
 
-    lhs = compose(d, m)
-    rhs = (
-        Pipeline(field, [sp, sp])
-        .split_leg(0, d, sp, sp)
-        .split_leg(2, d, sp, sp)
-        .permute([0, 2, 1, 3])
-        .merge_legs(0, 2, m)
-        .merge_legs(1, 2, m)
-        .finish()
-    )
-    comult_mult = equal_on_basis("comult_multiplicative", lhs, rhs, (sp, sp))
+    x, y = inputs(sp, sp)
+    (x1, x2), (y1, y2) = split(d, x), split(d, y)
+    comult_mult = equal_on_basis(
+        "comult_multiplicative", compose(d, m),
+        compile_map(field, (x, y), [m(x1, y1), m(x2, y2)]), (sp, sp))
 
     unit_kron = [va * vb for va in alg.unit for vb in alg.unit]
     comult_unit = equal_on_basis(

@@ -36,7 +36,6 @@ from homhopf.exactlin import (
     tensor,
     tensor_space,
     tensor_space_list,
-    transpose,
     vector_as_map,
 )
 from homhopf.exactlin import _gauss_jordan, _lift, _sparse_rows
@@ -470,7 +469,7 @@ def test_kernel_output_over_gf_p_holds_only_residues_mod_p():
     sp = f.domain
     outputs = [
         compose(f, f), tensor(f, f), inverse(f), identity(GF7, sp),
-        power(f, -3), transpose(f),
+        power(f, -3),
         Pipeline(GF7, [sp, sp]).map_leg(0, f).permute([1, 0]).finish(),
     ]
     for out in outputs:
