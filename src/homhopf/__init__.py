@@ -21,7 +21,6 @@ from .exactlin import (
     identity,
     inverse,
     maps_equal,
-    matrix_rank,
     power,
     solve_linear,
     tensor,
@@ -56,7 +55,6 @@ from .convact import (
     convolution_inverse,
     convolution_unit,
     convolve,
-    self_coaction,
     trivial_action,
     trivial_coaction,
     trivial_cocycle,

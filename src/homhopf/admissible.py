@@ -70,8 +70,9 @@ class MappingSystem:
     Maps are named by their domain and codomain (conventions for which of
     the inner arrows is called p or j vary): ``retr_C`` retracts the ambient
     bialgebra onto C, ``sect_C`` includes C, ``proj_H`` projects onto H,
-    ``sect_H`` includes H.  The canonical actions and coactions on the
-    biproduct carrier, when present, ride along for the carrier-level checks.
+    ``sect_H`` includes H.  The canonical actions ``phi_left`` and
+    ``phi_right`` on the biproduct carrier, when present, ride along for the
+    carrier-level checks.
     """
 
     biproduct: BuiltBiproduct
@@ -84,8 +85,6 @@ class MappingSystem:
     sigma_bar: LinearMap
     phi_left: LinearMap | None = None
     phi_right: LinearMap | None = None
-    rho_left: LinearMap | None = None
-    rho_right: LinearMap | None = None
 
     @property
     def field(self):
@@ -234,7 +233,7 @@ def check_weak_bimodule(h: HomBialgebra, carrier_structure: LinearMap,
 def canonical_system(b: BuiltBiproduct) -> MappingSystem:
     """The natural mapping system on a built biproduct: counit-collapse
     retractions, unit sections, sigma-bar from the crossed cocycle, and the
-    displayed canonical actions and coactions on the carrier."""
+    displayed canonical actions on the carrier."""
     spec = b.spec
     field = b.field
     alg, hopf = spec.crossed.algebra, spec.crossed.hopf_bialgebra
@@ -245,13 +244,11 @@ def canonical_system(b: BuiltBiproduct) -> MappingSystem:
     sig = spec.crossed.cocycle.sigma_map
     ma, mh = alg.mult_map, hopf.algebra.mult_map
     dh = hopf.coalgebra.comult_map
-    rho = spec.coaction.coact_map
     akm = power(alpha, k + 1 - m)
 
     a, h, l = inputs(asp, hsp, hsp)
     (h1, h2), (l1, l2) = split(dh, h), split(dh, l)
     l11, l12 = split(dh, l1)
-    am, a0 = split(rho, a, hsp, asp)
     retr_c = strip_scalar_leg(compile_map(
         field, (a, h), [a, hopf.coalgebra.counit_map(h)]), asp)
     sect_c = compile_map(field, (a,), [a, const(hsp, hopf.algebra.unit)])
@@ -267,10 +264,6 @@ def canonical_system(b: BuiltBiproduct) -> MappingSystem:
     phi_right = compile_map(field, (a, h, l), [
         ma(a, sig(power(alpha, k + 1)(h1), akm(l1))),
         mh(alpha(h2), power(alpha, 1 - m)(l2))])
-    rho_left = compile_map(field, (a, h), [
-        mh(power(alpha, -1)(am), power(alpha, -1 - m)(h1)), a0, h2])
-    rho_right = compile_map(field, (a, h), [
-        power(beta, -1)(a), h1, power(alpha, -m)(h2)])
 
     return MappingSystem(
         biproduct=b,
@@ -283,8 +276,6 @@ def canonical_system(b: BuiltBiproduct) -> MappingSystem:
         sigma_bar=sigma_bar,
         phi_left=phi_left,
         phi_right=phi_right,
-        rho_left=rho_left,
-        rho_right=rho_right,
     )
 
 

@@ -333,7 +333,7 @@ def cmd_antipode(args, sf, out):
             continue
         hopf = obj.crossed.hopf
         s_a_name = sf.extras.get(name, {}).get("algebra_antipode")
-        if isinstance(hopf, HomHopf) and s_a_name in sf.maps:
+        if isinstance(hopf, HomHopf) and s_a_name is not None:
             bialgebra = assemble_biproduct(obj)
             try:
                 s = biproduct_antipode(obj, bialgebra, hopf.antipode,

@@ -3,6 +3,7 @@ its twist, group algebras of small cyclic groups, the dual numbers, the
 worked crossed-product example over the twisted Sweedler algebra, and a
 classical biproduct datum.  These power the golden tests and the CLI
 selftest; every golden verdict is reproducible by re-running the named check.
+Each table is written once, as its nonzero {(i, j, k): coefficient} entries.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ class CharTwoError(ValueError):
     """The worked sigma table divides by two, so GF(2) is excluded."""
 
 
-def _cube(field, n, entries):
-    """Rank-3 tensor from {(i, j): [(k, coeff), ...]}."""
-    zero = field.zero
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), terms in entries.items():
-        for k, v in terms:
-            c[i][j][k] = field.coerce(v)
-    return c
+def _cube(field, shape, entries):
+    """A d1 x d2 x d3 structure-constant cube holding the coefficients of
+    {(i, j, k): coefficient} and zero elsewhere; the structure that takes
+    the cube coerces them into the field."""
+    d1, d2, d3 = shape
+    cube = [[[field.zero] * d3 for _ in range(d2)] for _ in range(d1)]
+    for (i, j, k), v in entries.items():
+        cube[i][j][k] = v
+    return cube
 
 
 def classical_sweedler_h4(field=QQ) -> HomHopf:
@@ -70,22 +72,17 @@ def classical_sweedler_h4(field=QQ) -> HomHopf:
     """
     sp = Space(("1", "g", "x", "gx"))
     one, g, x, w = range(4)
-    prod = {(one, one): [(one, 1)], (one, g): [(g, 1)],
-            (one, x): [(x, 1)], (one, w): [(w, 1)],
-            (g, one): [(g, 1)], (x, one): [(x, 1)], (w, one): [(w, 1)],
-            (g, g): [(one, 1)],
-            (g, x): [(w, -1)], (g, w): [(x, -1)],
-            (x, g): [(w, 1)], (w, g): [(x, 1)],
-            (x, x): [], (x, w): [], (w, x): [], (w, w): []}
-    mult = _cube(field, 4, prod)
-    comult = [[[field.zero] * 4 for _ in range(4)] for _ in range(4)]
-    for i, terms in {one: [(one, one, 1)], g: [(g, g, 1)],
-                     x: [(x, g, 1), (one, x, 1)],
-                     w: [(w, one, 1), (g, w, 1)]}.items():
-        for (j, k, v) in terms:
-            comult[i][j][k] = field.coerce(v)
-    counit = [1, 1, 0, 0]
-    unit = [1, 0, 0, 0]
+    mult = _cube(field, (4, 4, 4), {
+        **{(one, b, b): 1 for b in range(4)},
+        **{(b, one, b): 1 for b in range(4)},
+        (g, g, one): 1,                       # g g = 1
+        (g, x, w): -1, (g, w, x): -1,         # g x = -gx, g gx = -x
+        (x, g, w): 1, (w, g, x): 1})          # x g = gx, gx g = x
+    comult = _cube(field, (4, 4, 4), {
+        (one, one, one): 1,                   # 1 (x) 1
+        (g, g, g): 1,                         # g (x) g
+        (x, x, g): 1, (x, one, x): 1,         # x (x) g + 1 (x) x
+        (w, w, one): 1, (w, g, w): 1})        # gx (x) 1 + g (x) gx
     antipode = LinearMap(field, sp, sp, [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -94,8 +91,8 @@ def classical_sweedler_h4(field=QQ) -> HomHopf:
     ])
     ida = identity(field, sp)
     bial = HomBialgebra(
-        HomAlgebra(field, sp, mult, unit, ida),
-        HomCoalgebra(field, sp, comult, counit, ida),
+        HomAlgebra(field, sp, mult, [1, 0, 0, 0], ida),
+        HomCoalgebra(field, sp, comult, [1, 1, 0, 0], ida),
     )
     return HomHopf(bial, antipode)
 
@@ -130,35 +127,24 @@ def cyclic_group_hopf(order: int, field=QQ) -> HomHopf:
     if order < 1:
         raise ValueError("order must be positive")
     sp = Space(tuple("e" if i == 0 else f"c{i}" for i in range(order)))
-    zero, one = field.zero, field.one
-    mult = [[[zero] * order for _ in range(order)] for _ in range(order)]
-    comult = [[[zero] * order for _ in range(order)] for _ in range(order)]
-    for i in range(order):
-        for j in range(order):
-            mult[i][j][(i + j) % order] = one
-        comult[i][i][i] = one
-    unit = [one] + [zero] * (order - 1)
-    counit = [one] * order
+    shape = (order, order, order)
+    mult = _cube(field, shape, {(i, j, (i + j) % order): 1
+                                for i in range(order) for j in range(order)})
+    comult = _cube(field, shape, {(i, i, i): 1 for i in range(order)})
     antipode = LinearMap(field, sp, sp, [
-        [one if i == (-j) % order else zero for j in range(order)]
-        for i in range(order)
-    ])
+        [int(i == (-j) % order) for j in range(order)] for i in range(order)])
     ida = identity(field, sp)
     bial = HomBialgebra(
-        HomAlgebra(field, sp, mult, unit, ida),
-        HomCoalgebra(field, sp, comult, counit, ida),
+        HomAlgebra(field, sp, mult, [1] + [0] * (order - 1), ida),
+        HomCoalgebra(field, sp, comult, [1] * order, ida),
     )
     return HomHopf(bial, antipode)
 
 
 def cyclic_inversion_map(order: int, field=QQ) -> LinearMap:
-    """The group automorphism c -> c^{-1} of the cyclic group algebra."""
-    sp = cyclic_group_hopf(order, field).space
-    zero, one = field.zero, field.one
-    return LinearMap(field, sp, sp, [
-        [one if i == (-j) % order else zero for j in range(order)]
-        for i in range(order)
-    ])
+    """The group automorphism c -> c^{-1} of the cyclic group algebra, which
+    is its antipode."""
+    return cyclic_group_hopf(order, field).antipode
 
 
 def involutive_automorphisms(name: str, field=QQ):
@@ -179,8 +165,7 @@ def involutive_automorphisms(name: str, field=QQ):
 def dual_numbers_algebra(field=QQ) -> HomAlgebra:
     """K[y]/(y^2) with the identity structure map."""
     sp = Space(("1", "y"))
-    mult = _cube(field, 2, {(0, 0): [(0, 1)], (0, 1): [(1, 1)],
-                            (1, 0): [(1, 1)], (1, 1): []})
+    mult = _cube(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     return HomAlgebra(field, sp, mult, [1, 0], identity(field, sp))
 
 
@@ -188,25 +173,24 @@ def dual_numbers_coalgebra(field=QQ) -> HomCoalgebra:
     """The same space with the primitive-style coproduct
     Delta(y) = y (x) 1 + 1 (x) y."""
     sp = Space(("1", "y"))
-    comult = [[[field.zero] * 2 for _ in range(2)] for _ in range(2)]
-    comult[0][0][0] = field.one
-    comult[1][1][0] = field.one
-    comult[1][0][1] = field.one
+    comult = _cube(field, (2, 2, 2), {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1})
     return HomCoalgebra(field, sp, comult, [1, 0], identity(field, sp))
+
+
+def _group_like_action(h: HomHopf, a: HomAlgebra, g: int, c) -> ModuleAction:
+    """The action of H on the dual numbers with h.1 = eps(h)1, 1.y = y,
+    g.y = c y for the group-like basis vector g, and b.y = 0 for every other
+    basis vector b."""
+    return ModuleAction(h.bialgebra, a, _cube(a.field, (h.space.dim, 2, 2), {
+        **{(b, 0, 0): eps for b, eps in enumerate(h.coalgebra.counit)},
+        (0, 1, 1): 1, (g, 1, 1): c}))
 
 
 def example24_action(field=QQ) -> ModuleAction:
     """The worked action of the twisted Sweedler algebra on the dual numbers:
     h.1 = eps(h)1, 1.y = y, g.y = y, x.y = 0, gx.y = 0."""
-    h = sweedler_h4_hom(field)
-    a = dual_numbers_algebra(field)
-    one, g, x, w = range(4)
-    act = [[[field.zero] * 2 for _ in range(2)] for _ in range(4)]
-    for hb, eps in ((one, 1), (g, 1), (x, 0), (w, 0)):
-        act[hb][0][0] = field.coerce(eps)
-    act[one][1][1] = field.one
-    act[g][1][1] = field.one
-    return ModuleAction(h.bialgebra, a, act)
+    return _group_like_action(sweedler_h4_hom(field),
+                              dual_numbers_algebra(field), 1, 1)
 
 
 def example24_sigma(n, field=QQ, values_in="unit",
@@ -227,38 +211,28 @@ def example24_sigma(n, field=QQ, values_in="unit",
     """
     if field.characteristic == 2:
         raise CharTwoError("the sigma table needs 2 to be invertible")
-    h = sweedler_h4_hom(field)
-    a = dual_numbers_algebra(field)
     half_n = field.coerce(n) / field.coerce(2)
     one, g, x, w = range(4)
-    printed = [[field.zero] * 4 for _ in range(4)]
-    for i in (one, g):
-        for j in (one, g):
-            printed[i][j] = field.one
-    for i in (x, w):
-        printed[i][x] = half_n
-        printed[i][w] = -half_n
     slot = 1 if values_in == "y" else 0
-    cube = [[[field.zero] * 2 for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            v = printed[i][j] if orientation == "first_in_rows" else printed[j][i]
-            if v:
-                # group-like block entries always mean multiples of 1_A
-                target = 0 if (i in (one, g) and j in (one, g)) else slot
-                cube[i][j][target] = v
-    return Cocycle(h.bialgebra, a, cube)
+    # group-like block entries always mean multiples of 1_A
+    entries = {(i, j, 0): 1 for i in (one, g) for j in (one, g)}
+    for row in (x, w):
+        for column, v in ((x, half_n), (w, -half_n)):
+            i, j = ((row, column) if orientation == "first_in_rows"
+                    else (column, row))
+            entries[i, j, slot] = v
+    return Cocycle(sweedler_h4_hom(field).bialgebra, dual_numbers_algebra(field),
+                   _cube(field, (4, 4, 2), entries))
 
 
-def example24_spec(n, m: int, k: int, field=QQ, values_in="unit",
-                   orientation="first_in_columns") -> CrossedProductSpec:
+def example24_spec(n, m: int, k: int, field=QQ) -> CrossedProductSpec:
     """The worked crossed-product spec: dual numbers over the twisted
     Sweedler algebra with the table action and the parameter-n cocycle."""
     return CrossedProductSpec(
         algebra=dual_numbers_algebra(field),
         hopf=sweedler_h4_hom(field),
         action=example24_action(field),
-        cocycle=example24_sigma(n, field, values_in, orientation),
+        cocycle=example24_sigma(n, field),
         m=m,
         k=k,
     )
@@ -277,52 +251,34 @@ def example24_trivial_coaction_datum(n, m: int, k: int, field=QQ) -> BiproductSp
     )
 
 
-def classical_radford_datum(field=QQ) -> BiproductSpec:
-    """A fully classical biproduct datum (all structure maps the identity,
-    trivial cocycle): the dual numbers with the primitive coproduct over the
-    order-two group algebra, sign action t.y = -y and diagonal coaction
-    rho(y) = t (x) y.  Its biproduct is the four-dimensional Sweedler algebra."""
-    h = cyclic_group_hopf(2, field)
+def _sign_datum(h: HomHopf, g: int) -> BiproductSpec:
+    """The dual numbers with the primitive coproduct over H, for a group-like
+    basis vector g of H: sign action g.y = -y, diagonal coaction
+    rho(1) = 1_H (x) 1 and rho(y) = g (x) y, trivial cocycle, (m, k) = (0, -1)."""
+    field = h.field
     a = dual_numbers_algebra(field)
     coalg = dual_numbers_coalgebra(field)
-    act = [[[field.zero] * 2 for _ in range(2)] for _ in range(2)]
-    act[0][0][0] = field.one          # e.1 = 1
-    act[0][1][1] = field.one          # e.y = y
-    act[1][0][0] = field.one          # t.1 = 1
-    act[1][1][1] = -field.one         # t.y = -y
-    action = ModuleAction(h.bialgebra, a, act)
-    coact = [[[field.zero] * 2 for _ in range(2)] for _ in range(2)]
-    coact[0][0][0] = field.one        # rho(1) = e (x) 1
-    coact[1][1][1] = field.one        # rho(y) = t (x) y
-    coaction = Coaction(h.bialgebra, coalg, coact)
+    coaction = Coaction(h.bialgebra, coalg, _cube(
+        field, (2, h.space.dim, 2), {(0, 0, 0): 1, (1, g, 1): 1}))
     crossed = CrossedProductSpec(
-        algebra=a, hopf=h, action=action,
+        algebra=a, hopf=h, action=_group_like_action(h, a, g, -1),
         cocycle=trivial_cocycle(h.bialgebra, a), m=0, k=-1)
     return BiproductSpec(crossed=crossed, coalgebra=coalg, coaction=coaction)
 
 
-def sweedler_sign_datum(field=QQ, m: int = 0, k: int = -1) -> BiproductSpec:
-    """A genuinely twisted biproduct datum over the twisted Sweedler algebra:
-    dual numbers with the primitive coproduct, sign action g.y = -y (x and gx
-    act as zero), diagonal coaction rho(y) = g (x) y, trivial cocycle."""
-    h = sweedler_h4_hom(field)
-    a = dual_numbers_algebra(field)
-    coalg = dual_numbers_coalgebra(field)
-    one, g, x, w = range(4)
-    act = [[[field.zero] * 2 for _ in range(2)] for _ in range(4)]
-    for hb, eps in ((one, 1), (g, 1), (x, 0), (w, 0)):
-        act[hb][0][0] = field.coerce(eps)
-    act[one][1][1] = field.one
-    act[g][1][1] = -field.one
-    action = ModuleAction(h.bialgebra, a, act)
-    coact = [[[field.zero] * 2 for _ in range(4)] for _ in range(2)]
-    coact[0][one][0] = field.one      # rho(1) = 1 (x) 1
-    coact[1][g][1] = field.one        # rho(y) = g (x) y
-    coaction = Coaction(h.bialgebra, coalg, coact)
-    crossed = CrossedProductSpec(
-        algebra=a, hopf=h, action=action,
-        cocycle=trivial_cocycle(h.bialgebra, a), m=m, k=k)
-    return BiproductSpec(crossed=crossed, coalgebra=coalg, coaction=coaction)
+def classical_radford_datum(field=QQ) -> BiproductSpec:
+    """A fully classical biproduct datum (all structure maps the identity,
+    trivial cocycle): the sign datum over the order-two group algebra, with
+    t.y = -y and rho(y) = t (x) y.  Its biproduct is the four-dimensional
+    Sweedler algebra."""
+    return _sign_datum(cyclic_group_hopf(2, field), 1)
+
+
+def sweedler_sign_datum(field=QQ) -> BiproductSpec:
+    """A genuinely twisted biproduct datum: the sign datum over the twisted
+    Sweedler algebra, with g.y = -y (x and gx act as zero) and
+    rho(y) = g (x) y."""
+    return _sign_datum(sweedler_h4_hom(field), 1)
 
 
 def scalar_line_hopf(field=QQ) -> HomHopf:
@@ -337,17 +293,17 @@ def scalar_line_hopf(field=QQ) -> HomHopf:
     return HomHopf(bial, ida)
 
 
-def trivial_biproduct_datum(h: HomHopf, m: int = 0, k: int = -1,
-                            field=QQ) -> BiproductSpec:
-    """A one-dimensional A over any H: the biproduct is H itself up to the
-    unit leg, and every compatibility condition holds for any (m, k)."""
-    line = scalar_line_hopf(field)
+def trivial_biproduct_datum(h: HomHopf) -> BiproductSpec:
+    """A one-dimensional A over any H, with (m, k) = (0, -1): the biproduct
+    is H itself up to the unit leg, and every compatibility condition holds
+    (as it does for any (m, k))."""
+    line = scalar_line_hopf(h.field)
     a = line.algebra
     coalg = line.coalgebra
     crossed = CrossedProductSpec(
         algebra=a, hopf=h,
         action=trivial_action(h.bialgebra, a),
-        cocycle=trivial_cocycle(h.bialgebra, a), m=m, k=k)
+        cocycle=trivial_cocycle(h.bialgebra, a), m=0, k=-1)
     return BiproductSpec(
         crossed=crossed, coalgebra=coalg,
         coaction=trivial_coaction(h.bialgebra, coalg))
@@ -375,9 +331,6 @@ class CorpusEntry:
 
     def run(self) -> dict:
         return {name: thunk().verdict for name, thunk in self.checks.items()}
-
-    def run_reports(self) -> dict:
-        return {name: thunk() for name, thunk in self.checks.items()}
 
     def __repr__(self):
         return f"CorpusEntry({self.name!r})"
@@ -576,10 +529,10 @@ def corpus_entries(field=QQ) -> list:
         sign, expect_valid=True,
         antipodes=(sign.crossed.hopf.antipode, dual_numbers_antipode(field))))
 
-    triv_h4 = trivial_biproduct_datum(sweedler_h4_hom(field), field=field)
+    triv_h4 = trivial_biproduct_datum(sweedler_h4_hom(field))
     add("trivial_over_h4", triv_h4,
         _biproduct_checks(triv_h4, expect_valid=True))
-    triv_c2 = trivial_biproduct_datum(cyclic_group_hopf(2, field), field=field)
+    triv_c2 = trivial_biproduct_datum(cyclic_group_hopf(2, field))
     add("trivial_over_c2", triv_c2,
         _biproduct_checks(triv_c2, expect_valid=True))
 

@@ -551,13 +551,6 @@ def solve_linear(field, rows, rhs, unknowns: int | None = None):
     return solution
 
 
-def matrix_rank(field, rows) -> int:
-    """Rank of dense rows or of {column: value} dict rows."""
-    work = _sparse_rows(field, rows)
-    return len(_gauss_jordan(work, 1 + max((k for row in work for k in row),
-                                           default=-1)))
-
-
 def maps_equal(f: LinearMap, g: LinearMap, name: str = "maps_equal") -> CheckReport:
     """Entrywise exact comparison; reports the first differing entry
     (row-major) together with both full columns at that entry."""

@@ -214,7 +214,7 @@ def field_from_tag(tag: str):
     """Resolve a field tag as written in structure files ("Q" or "GF(p)")."""
     if tag == "Q":
         return QQ
-    m = _FIELD_TAG_RE.match(tag)
+    m = isinstance(tag, str) and _FIELD_TAG_RE.match(tag)
     if m:
         return PrimeField(int(m.group(1)))
     raise ValueError(f"unknown field tag {tag!r}")

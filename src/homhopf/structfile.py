@@ -29,7 +29,8 @@ other bundles; vectors are inline scalar lists):
     cocycle        source, target, tensor
     crossed_spec   algebra, hopf, action, cocycle, m, k
     biproduct_spec crossed, coalgebra, coaction
-                   (optional: algebra_antipode, a map name)
+                   (optional: algebra_antipode, the name of a map from
+                   the algebra space to itself)
 
 Canonical serialization is ``json.dumps(..., sort_keys=True, indent=2)``
 plus a trailing newline; parse and serialize are mutually inverse on
@@ -91,7 +92,7 @@ class StructureFile:
         self.tensors = tensors
         self.bundles = bundles
         self.bundle_types = bundle_types
-        self.extras = extras  # per-bundle non-structural fields (e.g. m, k)
+        self.extras = extras  # bundle -> {"algebra_antipode": map name}
 
     def serialize(self) -> str:
         return canonical_text(self.raw)
@@ -134,8 +135,19 @@ def parse(text) -> StructureFile:
     except ValueError as e:
         raise StructError(str(e)) from None
 
+    def section(key):
+        body = doc.get(key, {})
+        _require(isinstance(body, dict), StructShapeError,
+                 f"{key} must be an object")
+        return body
+
+    def lookup(table, kind, name, where):
+        _require(isinstance(name, str) and name in table,
+                 UnknownReferenceError, f"{where}: unknown {kind} {name!r}")
+        return table[name]
+
     spaces = {}
-    for name, body in sorted(doc.get("spaces", {}).items()):
+    for name, body in sorted(section("spaces").items()):
         _require(isinstance(body, dict) and isinstance(body.get("basis"), list),
                  StructShapeError, f"space {name!r} needs a basis list")
         basis = body["basis"]
@@ -147,12 +159,12 @@ def parse(text) -> StructureFile:
             raise StructShapeError(f"space {name!r}: {e}") from None
 
     def get_space(name, where):
-        _require(name in spaces, UnknownReferenceError,
-                 f"{where}: unknown space {name!r}")
-        return spaces[name]
+        return lookup(spaces, "space", name, where)
 
     maps = {}
-    for name, body in sorted(doc.get("maps", {}).items()):
+    for name, body in sorted(section("maps").items()):
+        _require(isinstance(body, dict), StructShapeError,
+                 f"map {name!r} must be an object")
         dom = get_space(body.get("domain"), f"map {name!r}")
         cod = get_space(body.get("codomain"), f"map {name!r}")
         matrix = body.get("matrix")
@@ -166,7 +178,9 @@ def parse(text) -> StructureFile:
         maps[name] = LinearMap(field, dom, cod, rows)
 
     tensors = {}
-    for name, body in sorted(doc.get("tensors", {}).items()):
+    for name, body in sorted(section("tensors").items()):
+        _require(isinstance(body, dict), StructShapeError,
+                 f"tensor {name!r} must be an object")
         shape = body.get("shape")
         _require(isinstance(shape, list) and len(shape) == 3,
                  StructShapeError, f"tensor {name!r}: shape must list 3 spaces")
@@ -186,7 +200,7 @@ def parse(text) -> StructureFile:
             for slab in entries
         )
 
-    bundle_specs = doc.get("bundles", {})
+    bundle_specs = section("bundles")
     for name, body in bundle_specs.items():
         _require(isinstance(body, dict), StructError,
                  f"bundle {name!r} must be an object")
@@ -199,14 +213,10 @@ def parse(text) -> StructureFile:
     resolving: list = []
 
     def get_map(name, where):
-        _require(name in maps, UnknownReferenceError,
-                 f"{where}: unknown map {name!r}")
-        return maps[name]
+        return lookup(maps, "map", name, where)
 
     def get_tensor(name, where):
-        _require(name in tensors, UnknownReferenceError,
-                 f"{where}: unknown tensor {name!r}")
-        return tensors[name]
+        return lookup(tensors, "tensor", name, where)
 
     def get_vector(body, key, space, where):
         vec = body.get(key)
@@ -216,10 +226,10 @@ def parse(text) -> StructureFile:
         return [_parse_scalar(field, v, where) for v in vec]
 
     def resolve(name):
+        _require(isinstance(name, str) and name in bundle_specs,
+                 UnknownReferenceError, f"unknown bundle {name!r}")
         if name in bundles:
             return bundles[name]
-        _require(name in bundle_specs, UnknownReferenceError,
-                 f"unknown bundle {name!r}")
         _require(name not in resolving, StructError,
                  f"bundle reference cycle through {name!r}")
         resolving.append(name)
@@ -232,8 +242,6 @@ def parse(text) -> StructureFile:
             resolving.pop()
         bundles[name] = obj
         bundle_types[name] = kind
-        extras[name] = {k: body[k] for k in ("m", "k", "n", "algebra_antipode")
-                        if k in body}
         return obj
 
     def as_bialgebra(name, where):
@@ -311,10 +319,19 @@ def parse(text) -> StructureFile:
             coalgebra = resolve(body.get("coalgebra"))
             coaction = resolve(body.get("coaction"))
             try:
-                return BiproductSpec(crossed=crossed, coalgebra=coalgebra,
+                spec = BiproductSpec(crossed=crossed, coalgebra=coalgebra,
                                      coaction=coaction)
             except (TypeError, ValueError) as e:
                 raise StructError(f"{where}: {e}") from None
+            if "algebra_antipode" in body:
+                s_a = get_map(body["algebra_antipode"],
+                              f"{where}: algebra_antipode")
+                asp = spec.crossed.algebra.space
+                _require(s_a.domain == asp and s_a.codomain == asp,
+                         StructShapeError, f"{where}: algebra_antipode must "
+                         f"map the algebra space to itself")
+                extras[name] = {"algebra_antipode": body["algebra_antipode"]}
+            return spec
 
         raise StructError(f"{where}: unhandled bundle type {kind!r}")
 

@@ -135,6 +135,18 @@ def test_antipode_solves_when_no_antipode_maps_are_shipped(tmp_path):
     assert main(["antipode", str(path)]) == 0
 
 
+@pytest.mark.parametrize("value", ["no_such_map", "H_antipode",
+                                   ["algebra_antipode"]])
+def test_antipode_command_rejects_a_bad_algebra_antipode(data_dir, tmp_path,
+                                                         capsys, value):
+    doc = json.loads((data_dir / "radford.struct").read_text())
+    doc["bundles"]["biproduct"]["algebra_antipode"] = value
+    path = tmp_path / "bad_algebra_antipode.struct"
+    path.write_text(json.dumps(doc))
+    assert main(["antipode", str(path)]) == 2
+    assert "algebra_antipode" in capsys.readouterr().err
+
+
 def test_boolean_crossed_parameter_is_an_input_error(data_dir, tmp_path,
                                                      capsys):
     doc = json.loads((data_dir / "example24.struct").read_text())

@@ -19,10 +19,10 @@ from homhopf.constructions import (
     smash_product,
 )
 from homhopf.convact import (
+    Coaction,
     convolution_inverse,
     convolution_unit,
     convolve,
-    self_coaction,
     trivial_coaction,
     trivial_cocycle,
 )
@@ -135,7 +135,7 @@ def test_smash_coproduct_needs_a_comodule_coalgebra():
     # coproduct over it is genuinely non-coassociative (already classically:
     # the two splittings of g >< 1 differ in the middle legs)
     h = sweedler_h4_hom()
-    co = self_coaction(h.bialgebra)
+    co = Coaction(h.bialgebra, h.coalgebra, h.coalgebra.comult)
     smash = smash_coproduct(h.coalgebra, h.bialgebra, co, 0)
     report = check_hom_coalgebra(smash)
     assert not report.passed

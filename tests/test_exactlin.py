@@ -28,7 +28,6 @@ from homhopf.exactlin import (
     identity,
     inverse,
     maps_equal,
-    matrix_rank,
     power,
     solve_linear,
     splitting_as_map,
@@ -190,7 +189,7 @@ def test_solve_random_invertible_roundtrip():
         while True:
             rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                      for _ in range(5)] for _ in range(5)]
-            if matrix_rank(QQ, rows) == 5:
+            if len(dense_gauss_jordan([list(r) for r in rows], 5)) == 5:
                 break
         b = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
         x = solve_linear(QQ, rows, b)
@@ -319,10 +318,6 @@ def test_sparse_solver_matches_dense_reference(system):
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     n = len(rows[0])
     assert solve_linear(field, sparse, rhs, unknowns=n) == expected
-    rank = len(dense_gauss_jordan([[field.coerce(v) for v in row]
-                                   for row in rows], n))
-    assert matrix_rank(field, rows) == rank
-    assert matrix_rank(field, sparse) == rank
 
 
 @settings(max_examples=200, deadline=None)

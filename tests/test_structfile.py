@@ -156,3 +156,59 @@ def test_crossed_spec_parameters_must_be_integers_not_booleans(key, value):
     doc["bundles"]["crossed"][key] = value
     with pytest.raises(StructError):
         parse(json.dumps(doc))
+
+
+def radford_with(path, value):
+    """The shipped radford.struct document with ``value`` set at ``path``."""
+    doc = json.loads(shipped_documents()["radford.struct"])
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "spaces-list": (("spaces",), []),
+    "maps-null": (("maps",), None),
+    "tensors-list": (("tensors",), []),
+    "bundles-null": (("bundles",), None),
+    "map-body-list": (("maps", "A_alpha"), []),
+    "tensor-body-list": (("tensors", "A_mult"), []),
+    "map-domain-list": (("maps", "A_alpha", "domain"), ["A_space"]),
+    "tensor-shape-entry-list": (("tensors", "A_mult", "shape", 0),
+                                ["A_space"]),
+    "bundle-reference-list": (("bundles", "crossed", "action"), ["action"]),
+    "field-number": (("field",), 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_are_struct_errors(case, tmp_path, capsys):
+    from homhopf.cli import main
+
+    text = radford_with(*MALFORMED[case])
+    with pytest.raises(StructError):
+        parse(text)
+    path = tmp_path / f"{case}.struct"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value, error", [
+    ("no_such_map", UnknownReferenceError),
+    (["algebra_antipode"], UnknownReferenceError),
+    ("H_antipode", StructShapeError),  # a map on H, not on A
+])
+def test_algebra_antipode_must_name_a_map_on_the_algebra(value, error):
+    with pytest.raises(error):
+        parse(radford_with(("bundles", "biproduct", "algebra_antipode"),
+                           value))
+
+
+def test_extras_hold_only_the_algebra_antipode():
+    sf = parse(shipped_documents()["radford.struct"])
+    assert sf.extras == {"biproduct": {"algebra_antipode": "algebra_antipode"}}
+    assert parse(shipped_documents()["example24.struct"]).extras == {}
