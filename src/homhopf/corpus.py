@@ -284,11 +284,11 @@ def sweedler_sign_datum(field=QQ) -> BiproductSpec:
 def scalar_line_hopf(field=QQ) -> HomHopf:
     """The ground field as a one-dimensional Hopf algebra."""
     sp = Space(("u",))
-    one = field.one
+    unit_cube = _cube(field, (1, 1, 1), {(0, 0, 0): 1})     # u u = u, u -> u (x) u
     ida = identity(field, sp)
     bial = HomBialgebra(
-        HomAlgebra(field, sp, [[[one]]], [one], ida),
-        HomCoalgebra(field, sp, [[[one]]], [one], ida),
+        HomAlgebra(field, sp, unit_cube, [1], ida),
+        HomCoalgebra(field, sp, unit_cube, [1], ida),
     )
     return HomHopf(bial, ida)
 
