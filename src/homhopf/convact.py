@@ -353,10 +353,11 @@ def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
 
     The chain stays hand-written: ``sweedler.compile_map`` applies f after
     its leaf permute, so a term version applies f to p copies of the mate
-    instead of one.  On T_5 over GF(p) (seed 7) with f = S that builds 4,705
-    ``ModInt``s against 2,905 here and takes 1.3-2x as long, and about 1.3x
-    as long on the example-2.4 cocycle systems; with f = id, whose
-    ``map_leg`` is no step, the two are the same.
+    instead of one.  On T_5 over GF(p) (seed 7) with f = S its blocks hold
+    6,725 nonzeros over its steps against 4,925 here, and it takes 1.1-1.6x
+    as long (medians of 31 and 61 calls); it takes about 1.3x as long on
+    the example-2.4 cocycle systems; with f = id, whose ``map_leg`` is no
+    step, the two are the same.
     """
     field = alg.field
     if f.field != field:
@@ -389,9 +390,8 @@ def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
     if isinstance(sol, NoSolution):
         raise NotConvolutionInvertible(
             "no two-sided convolution inverse exists", certificate=sol)
-    columns = [tuple((r, sol[r * q + c]) for r in range(p) if sol[r * q + c])
-               for c in range(q)]
-    return LinearMap._from_columns(field, coalg.space, alg.space, columns)
+    return LinearMap(field, coalg.space, alg.space,
+                     [sol[r * q:(r + 1) * q] for r in range(p)])
 
 
 def pair_coalgebra(h: HomBialgebra) -> HomCoalgebra:

@@ -2,7 +2,8 @@
 
 A linear map between named-basis spaces is stored in one of two forms.  The
 public ``LinearMap(...)`` takes dense rows and coerces every entry into the
-field.  Maps the kernel computes itself hold sorted sparse columns, a
+field (an entry false as given becomes the shared ``field.zero``).  Maps
+the kernel computes itself hold sorted sparse columns, a
 ((row, value), ...) tuple of the nonzeros of each column, and skip the
 coercion; so every kernel operation refuses operands over different fields
 (``FieldMismatch``).  Either form builds the other only when it is first
@@ -15,22 +16,26 @@ the set of rows holding a nonzero there, so its work is proportional to
 the nonzeros it touches; since each row's update reads only that row and
 the pivot row, the result is the same as a row-by-row scan's, row for row.
 
-Inside the kernel an integral rational may be a plain ``int``, so the
-products of integral structure constants never build a ``Fraction``;
-every other scalar is a field element.  ``_low`` lowers every value as it
-comes in: in the packers (``identity``, ``vector_as_map``,
-``functional_as_map``, ``flip_map``, ``bilinear_as_map``,
-``splitting_as_map``), in ``nonzero_columns()`` built from dense rows, in
-the rows and right-hand side of ``solve_linear``, in the identity block of
-``inverse``, and in ``Pipeline``'s start and adjoined vectors.  The sparse
-columns, the ``Pipeline`` columns and the Gauss–Jordan rows may therefore
-hold ``int``s; since ``Fraction(n) == n`` and both hash alike, a map
-compares equal whichever form an integer takes.  Gauss–Jordan never divides two ``int``s (that is a float): an
-``int`` pivot is made a ``Fraction`` first, and an integral quotient is
-lowered again.  Every ``int`` handed out (in ``matrix``, ``column()``,
-the ``solve_linear`` solution, ``NoSolution.reduced_row``) goes back
-through ``field.coerce``, so callers see only ``Fraction`` or ``ModInt``.
-GF(p) scalars are ``ModInt`` throughout.
+Inside the kernel a GF(p) scalar is its residue, a plain ``int`` in
+[0, p), and an integral rational is a plain ``int``; only a proper
+fraction stays a field element.  ``_low`` lowers every value as it comes
+in: in the packers (``identity``, ``vector_as_map``, ``functional_as_map``,
+``flip_map``, ``bilinear_as_map``, ``splitting_as_map``), in
+``nonzero_columns()`` built from dense rows, in the rows and right-hand
+side of ``solve_linear``, in the identity block of ``inverse``, and in
+``Pipeline``'s start and adjoined vectors (``_coerced`` reduces an ``int``
+given there without building a field element).  ``compose``, ``tensor``,
+the ``Pipeline``'s ``_kron``, ``_fold_rewrite`` and ``_apply``, and
+``_gauss_jordan`` (which normalises a pivot by ``pow(pivot, -1, p)``)
+reduce mod ``field.characteristic`` once per value or column they
+produce, before any zero test; characteristic 0 reduces nothing, so Q's
+arithmetic is unchanged.  Since ``Fraction(n) == n`` and both hash alike,
+a map compares equal whichever form an integer takes.  Gauss–Jordan never
+divides two ``int``s over Q (that is a float): an ``int`` pivot is made a
+``Fraction`` first, and an integral quotient is lowered again.  Every
+``int`` handed out (in ``matrix``, ``column()``, the ``solve_linear``
+solution, ``NoSolution.reduced_row``) goes back through ``field.coerce``,
+so callers see only ``Fraction`` or ``ModInt``.
 
 ``Pipeline`` is the back end of the Sweedler-term compiler (``sweedler``):
 it composes per-leg operations on flat basis indices ("split the second
@@ -61,6 +66,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import prod
 
+from .fields import ModInt
 from .report import CheckReport, Witness
 
 
@@ -77,19 +83,39 @@ class FieldMismatch(ValueError):
 
 
 def _low(v):
-    """The kernel's form of a scalar: an integral ``Fraction`` becomes its
-    ``int`` numerator; anything else (a proper fraction, a ``ModInt``) is
-    returned as it is."""
-    if type(v) is Fraction and v.denominator == 1:
+    """The kernel's form of a field element: a ``ModInt`` becomes its
+    residue ``int`` in [0, p), an integral ``Fraction`` its ``int``
+    numerator; a proper fraction is returned as it is."""
+    t = type(v)
+    if t is ModInt:
+        return v.value
+    if t is Fraction and v.denominator == 1:
         return v.numerator
     return v
+
+
+def _coerced(field, v):
+    """``v`` coerced into ``field``, in kernel form; an ``int`` is reduced
+    mod the characteristic without building a field element."""
+    if type(v) is int:
+        p = field.characteristic
+        return v % p if p else v
+    return _low(field.coerce(v))
+
+
+def _residues(items, p: int) -> list:
+    """The (key, value) pairs of ``items`` whose value is nonzero mod the
+    characteristic ``p``, values reduced; p = 0 reduces nothing."""
+    if p:
+        return [(k, r) for k, v in items if (r := v % p)]
+    return [(k, v) for k, v in items if v]
 
 
 def _nonzeros(field, items) -> tuple:
     """The (index, value) pairs of ``items`` whose value is nonzero in
     ``field``, values coerced and in kernel form.  A value that is false as
     given is zero in every field and is not coerced."""
-    pairs = ((k, _low(field.coerce(v))) for k, v in items if v)
+    pairs = ((k, _coerced(field, v)) for k, v in items if v)
     return tuple((k, v) for k, v in pairs if v)
 
 
@@ -163,7 +189,9 @@ class LinearMap:
     codomain) or as sorted sparse columns; see the module docstring."""
 
     def __init__(self, field, domain: Space, codomain: Space, matrix):
-        rows = tuple(tuple(field.coerce(v) for v in row) for row in matrix)
+        zero = field.zero
+        rows = tuple(tuple(field.coerce(v) if v else zero for v in row)
+                     for row in matrix)
         if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
             raise DimensionMismatch(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
@@ -275,7 +303,7 @@ def identity(field, space: Space) -> LinearMap:
 
 def vector_as_map(field, space: Space, coords) -> LinearMap:
     """A vector of ``space`` viewed as a map from the scalar line."""
-    coords = [_low(field.coerce(v)) for v in coords]
+    coords = [_coerced(field, v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -285,7 +313,7 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
     """A linear functional on ``space`` viewed as a map to the scalar line."""
-    coords = [_low(field.coerce(v)) for v in coords]
+    coords = [_coerced(field, v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
     return LinearMap._from_columns(
@@ -349,6 +377,7 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
             f"cannot compose: inner spaces {g.codomain.dim} vs {f.domain.dim} differ"
         )
     _same_field(f.field, g, "compose")
+    p = f.field.characteristic
     fcols = f.nonzero_columns()
     cols = []
     for gcol in g.nonzero_columns():
@@ -357,7 +386,7 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
             for i, w in fcols[k]:
                 a = acc.get(i)
                 acc[i] = w * v if a is None else a + w * v
-        cols.append(tuple((i, a) for i, a in sorted(acc.items()) if a))
+        cols.append(tuple(_residues(sorted(acc.items()), p)))
     return LinearMap._from_columns(f.field, g.domain, f.codomain, cols)
 
 
@@ -365,12 +394,15 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product, left factor major."""
     field = f.field
     _same_field(field, g, "tensor")
+    p = field.characteristic
     gr = g.codomain.dim
     gcols = g.nonzero_columns()
+    # a product of two nonzero residues mod a prime is nonzero
     return LinearMap._from_columns(
         field, tensor_space(f.domain, g.domain),
         tensor_space(f.codomain, g.codomain),
-        [tuple((i1 * gr + i2, v * w) for i1, v in fcol for i2, w in gcol)
+        [tuple((i1 * gr + i2, v * w % p if p else v * w)
+               for i1, v in fcol for i2, w in gcol)
          for fcol in f.nonzero_columns() for gcol in gcols])
 
 
@@ -389,7 +421,7 @@ def inverse(f: LinearMap) -> LinearMap:
     one = _low(field.one)
     for i, row in enumerate(rows):
         row[n + i] = one
-    if len(_gauss_jordan(rows, n)) < n:
+    if len(_gauss_jordan(rows, n, field.characteristic)) < n:
         raise NonInvertibleError("map is singular")
     cols = [[] for _ in range(n)]
     for i, row in enumerate(rows):
@@ -432,9 +464,10 @@ class NoSolution:
         return False
 
 
-def _gauss_jordan(rows, width: int) -> list:
+def _gauss_jordan(rows, width: int, p: int) -> list:
     """Reduce ``rows`` in place to reduced row echelon form on their first
-    ``width`` columns; returns the pivot columns.
+    ``width`` columns over the field of characteristic ``p``; returns the
+    pivot columns.
 
     Rows are {column: value} dicts holding only nonzeros; columns from
     ``width`` on (a right-hand side, an identity block) are carried along but
@@ -470,10 +503,14 @@ def _gauss_jordan(rows, width: int) -> list:
                 if k < width:
                     holding[k] ^= {r, piv}
             rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        if type(p) is int:
-            p = Fraction(p)     # int / int would be a float
-        prow = {k: _low(v / p) for k, v in rows[r].items()}
+        pivot = rows[r][c]
+        if p:
+            inv = pow(pivot, -1, p)
+            prow = {k: v * inv % p for k, v in rows[r].items()}
+        else:
+            if type(pivot) is int:
+                pivot = Fraction(pivot)     # int / int would be a float
+            prow = {k: _low(v / pivot) for k, v in rows[r].items()}
         rows[r] = prow
         for i in list(holding[c]):
             if i == r:
@@ -482,12 +519,15 @@ def _gauss_jordan(rows, width: int) -> list:
             factor = row[c]
             for k, v in prow.items():
                 acc = row.get(k)
-                if acc is None:             # fill-in
-                    row[k] = -(factor * v)
+                if acc is None:             # fill-in, nonzero mod p too
+                    acc = -(factor * v)
+                    row[k] = acc % p if p else acc
                     if k < width:
                         holding[k].add(i)
                     continue
                 acc = acc - factor * v
+                if p:
+                    acc %= p
                 if acc:
                     row[k] = acc
                 else:                       # cancellation
@@ -514,7 +554,7 @@ def _sparse_rows(field, rows, width=None):
             items = enumerate(row)
             if width is not None and len(row) != width:
                 raise DimensionMismatch("ragged matrix")
-        coerced = ((k, _low(field.coerce(v))) for k, v in items)
+        coerced = ((k, _coerced(field, v)) for k, v in items)
         out.append({k: v for k, v in coerced if v})
     return out
 
@@ -536,10 +576,10 @@ def solve_linear(field, rows, rhs, unknowns: int | None = None):
     n = unknowns
     aug = _sparse_rows(field, rows, n)
     for row, b in zip(aug, rhs):
-        b = _low(field.coerce(b))
+        b = _coerced(field, b)
         if b:
             row[n] = b
-    pivots = _gauss_jordan(aug, n)
+    pivots = _gauss_jordan(aug, n, field.characteristic)
     zero = field.zero
     for i in range(len(pivots), m):
         if n in aug[i]:
@@ -659,11 +699,12 @@ class Pipeline:
         return b0, b, first, start
 
     @staticmethod
-    def _kron(blocks, cods) -> dict:
+    def _kron(blocks, cods, p: int) -> dict:
         """The left-major Kronecker product of ``blocks``, whose codomain
         sizes are ``cods``, as {domain index: {row: value}} over its nonzero
-        columns.  A value is None where it is 1 from identity runs alone,
-        so an identity run costs no multiplication."""
+        columns, products reduced mod ``p``.  A value is None where it is 1
+        from identity runs alone, so an identity run costs no
+        multiplication."""
         acc = None              # the empty product
         for (_, cols, size), cod in zip(blocks, cods):
             if cols is None:
@@ -674,7 +715,8 @@ class Pipeline:
                 acc = cols
             else:
                 items = [(kb, tuple(cb.items())) for kb, cb in cols.items()]
-                acc = {k * size + kb: {r * cod + rb: wb if v is None else v * wb
+                acc = {k * size + kb: {r * cod + rb: wb if v is None else
+                                       v * wb % p if p else v * wb
                                        for r, v in col.items() for rb, wb in cb}
                        for k, col in acc.items() for kb, cb in items}
         return {0: {0: None}} if acc is None else acc
@@ -692,7 +734,7 @@ class Pipeline:
                 one = _low(self.field.one)
                 cols = {j: {j: one} for j in range(prod(dims))}
             else:
-                cols = self._kron(blocks, cods)
+                cols = self._kron(blocks, cods, self.field.characteristic)
             size = prod([c if b[1] is None else b[2]
                          for b, c in zip(blocks, cods)])
             blocks[:] = [[len(dims), cols, size]]
@@ -726,24 +768,26 @@ class Pipeline:
         out_block = prod([s.dim for s in new_legs]) * lo
         shifted = cols if lo == 1 else [
             tuple((r * lo, w) for r, w in col) for col in cols]
+        p = self.field.characteristic
         if len(span) == 1:
             _, kept, size = span[0]
             new_columns = self._apply(kept, prod(dims[a:]), lo, out_block,
-                                      [(0, 1, shifted)])
+                                      [(0, 1, shifted)], p)
         else:
             new_columns, size = self._fold_rewrite(
-                span, touched, dims, a, e, shifted, out_block)
+                span, touched, dims, a, e, shifted, out_block, p)
         blocks[b0:b1] = [[n_new, new_columns, size]]
         self.legs[i:i + count] = new_legs
         return self
 
-    def _fold_rewrite(self, span, touched, dims, a, e, shifted, out_block):
+    def _fold_rewrite(self, span, touched, dims, a, e, shifted, out_block,
+                      p):
         """The columns and domain size of the block replacing ``span``, for
         a step on its legs a..e-1 whose columns, rows scaled by the size of
-        the legs after e, are ``shifted``.
+        the legs after e, are ``shifted``, over characteristic ``p``.
 
         The touched block with the most nonzero columns is kept, on legs
-        p..q-1.  The blocks left and right of it are multiplied out over
+        t0..t1-1.  The blocks left and right of it are multiplied out over
         their nonzero columns; for each pair of those columns the step map
         is folded with them into one image for each mid of the kept block,
         which is then rewritten through these images.  A row of the left
@@ -759,10 +803,10 @@ class Pipeline:
         for u in touched:
             if len(span[u][1]) > len(span[t][1]):
                 t = u
-        p, q = bounds[t], bounds[t + 1]
-        lo_t = prod(dims[e:q])
-        lo_r = prod(dims[max(q, e):])
-        m_t, m_r = prod(dims[max(p, a):min(q, e)]), prod(dims[q:e])
+        t0, t1 = bounds[t], bounds[t + 1]
+        lo_t = prod(dims[e:t1])
+        lo_r = prod(dims[max(t1, e):])
+        m_t, m_r = prod(dims[max(t0, a):min(t1, e)]), prod(dims[t1:e])
         size_t, size_r = sizes[t], prod(sizes[t + 1:])
         kept = span[t][1]
         folds = []
@@ -776,16 +820,17 @@ class Pipeline:
                     folds.append((jl * size_t * size_r + jr, size_r,
                                   shifted[at:at + m_t * size_r:size_r]))
         else:
-            m_l = prod(dims[a:p])
-            hi_step = prod(dims[p:a]) * out_block   # one hi of the left
+            m_l = prod(dims[a:t0])
+            hi_step = prod(dims[t0:a]) * out_block   # one hi of the left
             # (offset, value, step column at mid 0) of each nonzero row
             left = [(kl * size_t * size_r,
                      [(rl // m_l * hi_step, vl, rl % m_l * m_t * m_r)
                       for rl, vl in cl.items()])
-                    for kl, cl in self._kron(span[:t], cods[:t]).items()]
+                    for kl, cl in self._kron(span[:t], cods[:t], p).items()]
             right = [(kr, [(rr % lo_r, vr, rr // lo_r)
                            for rr, vr in cr.items()])
-                     for kr, cr in self._kron(span[t + 1:], cods[t + 1:]).items()]
+                     for kr, cr in self._kron(span[t + 1:], cods[t + 1:],
+                                              p).items()]
             mids = {key // lo_t % m_t for col in kept.values() for key in col}
             for start, terms_l in left:
                 for kr, terms_r in right:
@@ -806,16 +851,17 @@ class Pipeline:
                                 w = w if s is None else w * s
                                 got = acc.get(off + r)
                                 acc[off + r] = w if got is None else got + w
-                        images[m] = [(k, w) for k, w in acc.items() if w]
+                        images[m] = _residues(acc.items(), p)
                     folds.append((start + kr, size_r, images))
-        return (self._apply(kept, m_t * lo_t, lo_t, out_block, folds),
+        return (self._apply(kept, m_t * lo_t, lo_t, out_block, folds, p),
                 prod(sizes))
 
     @staticmethod
-    def _apply(kept, kept_block, lo_t, out_block, folds) -> dict:
+    def _apply(kept, kept_block, lo_t, out_block, folds, p: int) -> dict:
         """The new block's columns: each nonzero column of the kept block
-        rewritten through each fold.  A row of the kept block splits as
-        (hi, mid, low) by ``kept_block`` and ``lo_t``."""
+        rewritten through each fold, values reduced mod ``p``.  A row of the
+        kept block splits as (hi, mid, low) by ``kept_block`` and
+        ``lo_t``."""
         new_columns = {}
         for start, stride, images in folds:
             for kk, col in kept.items():
@@ -836,6 +882,8 @@ class Pipeline:
                                 out[nk] = acc
                             else:
                                 del out[nk]
+                if p:
+                    out = {k: r for k, w in out.items() if (r := w % p)}
                 if out:
                     new_columns[start + kk * stride] = out
         return new_columns
@@ -896,7 +944,7 @@ class Pipeline:
         their tensor product and they become consecutive new legs.
         """
         spaces = [space] if isinstance(space, Space) else list(space)
-        coords = [_low(self.field.coerce(v)) for v in coords]
+        coords = [_coerced(self.field, v) for v in coords]
         if len(coords) != prod(s.dim for s in spaces):
             raise DimensionMismatch("adjoin_vector: coordinate count does not match")
         vector = tuple((r, w) for r, w in enumerate(coords) if w)
@@ -905,8 +953,8 @@ class Pipeline:
     def sparse_columns(self) -> list:
         """The compiled map without sorting or densifying: for each domain
         basis vector a {codomain index: value} dict of its nonzeros, values
-        in kernel form (an integral rational is an ``int``).  Fuses every
-        block in place."""
+        in kernel form (a GF(p) scalar is its residue ``int``, an integral
+        rational an ``int``).  Fuses every block in place."""
         cols = self._fuse_all()
         return [cols[k] if k in cols else {}
                 for k in range(self._blocks[0][2])]

@@ -2,12 +2,12 @@
 
 Every scalar the package hands out is either a ``fractions.Fraction`` (over
 Q) or a ``ModInt`` (over GF(p)).  Both support the usual arithmetic
-operators, are falsy exactly when zero, and compare exactly, so all kernel
-code is written against plain operators and stays field-agnostic.  Inside
-the kernel (``exactlin``) an integral rational is held as a plain ``int``,
-which mixes exactly with ``Fraction`` and equals and hashes like it; the
-kernel turns it back into a ``Fraction`` through ``coerce`` before handing
-it out.
+operators, are falsy exactly when zero, and compare exactly.  Inside the
+kernel (``exactlin``) a GF(p) scalar is held as its residue, a plain ``int``
+in [0, p), reduced mod ``characteristic`` by the kernel itself, and an
+integral rational as a plain ``int``, which mixes exactly with ``Fraction``
+and equals and hashes like it; the kernel turns every ``int`` back into a
+field element through ``coerce`` before handing it out.
 """
 
 from __future__ import annotations

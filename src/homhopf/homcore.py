@@ -83,9 +83,13 @@ def comult_tensor_from_map(d: LinearMap, space: Space):
 
 
 def _coerce_cube(field, d1: int, d2: int, d3: int, cube):
-    """Coerce a rank-3 structure-constant tensor of shape d1 x d2 x d3."""
+    """Coerce a rank-3 structure-constant tensor of shape d1 x d2 x d3.  An
+    entry that is false as given is zero in every field: it becomes the
+    shared ``field.zero`` without being coerced."""
+    zero = field.zero
     out = tuple(
-        tuple(tuple(field.coerce(v) for v in plane) for plane in slab)
+        tuple(tuple(field.coerce(v) if v else zero for v in plane)
+              for plane in slab)
         for slab in cube
     )
     if len(out) != d1 or any(len(s) != d2 for s in out) or any(
@@ -96,7 +100,8 @@ def _coerce_cube(field, d1: int, d2: int, d3: int, cube):
 
 
 def _coerce_vector(field, space: Space, vec):
-    out = tuple(field.coerce(v) for v in vec)
+    zero = field.zero
+    out = tuple(field.coerce(v) if v else zero for v in vec)
     if len(out) != space.dim:
         raise ValueError("vector length does not match space dimension")
     return out

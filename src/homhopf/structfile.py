@@ -32,6 +32,9 @@ other bundles; vectors are inline scalar lists):
                    (optional: algebra_antipode, the name of a map from
                    the algebra space to itself)
 
+A bundle body holding any other key is a ``StructError`` naming the key and
+the bundle, so a misspelled optional key is not silently dropped.
+
 Canonical serialization is ``json.dumps(..., sort_keys=True, indent=2)``
 plus a trailing newline; parse and serialize are mutually inverse on
 canonical text.
@@ -73,10 +76,21 @@ class StructShapeError(StructError):
 
 FORMAT_VERSION = 1
 
-_BUNDLE_TYPES = (
-    "hom_algebra", "hom_coalgebra", "hom_bialgebra", "hom_hopf",
-    "module_action", "coaction", "cocycle", "crossed_spec", "biproduct_spec",
-)
+_BIALGEBRA_KEYS = ("space", "mult", "unit", "comult", "counit",
+                   "structure_map")
+# every key a bundle body of each type may hold, besides "type"
+_BUNDLE_KEYS = {
+    "hom_algebra": ("space", "mult", "unit", "structure_map"),
+    "hom_coalgebra": ("space", "comult", "counit", "structure_map"),
+    "hom_bialgebra": _BIALGEBRA_KEYS,
+    "hom_hopf": _BIALGEBRA_KEYS + ("antipode",),
+    "module_action": ("acting", "target", "tensor"),
+    "coaction": ("coacting", "target", "tensor"),
+    "cocycle": ("source", "target", "tensor"),
+    "crossed_spec": ("algebra", "hopf", "action", "cocycle", "m", "k"),
+    "biproduct_spec": ("crossed", "coalgebra", "coaction",
+                       "algebra_antipode"),
+}
 
 
 class StructureFile:
@@ -204,8 +218,12 @@ def parse(text) -> StructureFile:
     for name, body in bundle_specs.items():
         _require(isinstance(body, dict), StructError,
                  f"bundle {name!r} must be an object")
-        _require(body.get("type") in _BUNDLE_TYPES, StructError,
-                 f"bundle {name!r}: unknown type {body.get('type')!r}")
+        kind = body.get("type")
+        _require(isinstance(kind, str) and kind in _BUNDLE_KEYS, StructError,
+                 f"bundle {name!r}: unknown type {kind!r}")
+        for key in body:
+            _require(key == "type" or key in _BUNDLE_KEYS[kind], StructError,
+                     f"bundle {name!r}: unknown key {key!r} for type {kind!r}")
 
     bundles: dict = {}
     bundle_types: dict = {}

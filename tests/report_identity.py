@@ -9,7 +9,9 @@ exceptions, and the run time.  Run it in both checkouts and compare the two
 files with ``cmp``.  It uses the standard library, ``homhopf`` and the
 benchmark's Taft builder; pytest does not collect it.
 
-The family, over Q and GF(7) unless it says otherwise:
+The family, over Q, GF(7) and GF(2147483647) (the largest modulus
+``PrimeField`` accepts, where a missed reduction shows) unless it says
+otherwise:
 
 - every check of every corpus entry;
 - for each Hopf entry, one-site +1 mutants (``corpus.mutate``) at every third
@@ -37,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-FIELDS = ("Q", "GF(7)")
+FIELDS = ("Q", "GF(7)", "GF(2147483647)")
 LADDER_SEEDS = (5, 7)
 HOPF_COMPONENTS = ("mult", "comult")
 CROSSED_COMPONENTS = ("act", "sigma")

@@ -190,7 +190,8 @@ def test_convolution_inverse_solution_space_is_zero_dimensional():
     rows, _ = _convolution_system(identity(QQ, h.space),
                                   h.coalgebra, h.algebra)
     unknowns = h.space.dim * h.space.dim
-    assert len(_gauss_jordan(_sparse_rows(QQ, rows), unknowns)) == unknowns
+    assert len(_gauss_jordan(_sparse_rows(QQ, rows), unknowns,
+                             QQ.characteristic)) == unknowns
 
 
 def test_non_invertible_map_yields_certificate():
@@ -381,6 +382,19 @@ def test_convolution_system_builds_few_modints(monkeypatch):
     assert created[0] <= 400
 
 
+def test_convolution_system_holds_few_nonzeros(held_nonzeros):
+    """The T_3 system's two operators hold 450 nonzeros in their blocks,
+    summed over their steps: the guard above counted ModInts, which a
+    GF(p) scalar held as a plain int no longer builds."""
+    h = taft_hopf(3, 7, 2)
+    f = identity(h.field, h.space)
+    h.coalgebra.comult_map, h.algebra.mult_map  # built outside the count
+    (rows, _), held = held_nonzeros(
+        lambda: _convolution_system(f, h.coalgebra, h.algebra))
+    assert len(rows) == 2 * 81
+    assert held == 450
+
+
 def count_modints(monkeypatch, build):
     """The result of ``build()`` and the number of ModInts it constructs."""
     created = [0]
@@ -415,6 +429,23 @@ def test_convolving_with_the_identity_is_no_extra_step(monkeypatch):
     assert n_with <= n_without
 
 
+def test_convolving_with_the_identity_holds_no_extra_nonzeros(held_nonzeros):
+    """On T_3, s * id and the chain without the identity step each hold 39
+    nonzeros in their blocks, summed over their steps."""
+    h = taft_hopf(3, 7, 2)
+    sp, coalg, alg = h.space, h.coalgebra, h.algebra
+    s = convolution_inverse(identity(h.field, sp), coalg, alg)
+    ident = identity(h.field, sp)
+    with_step, n_with = held_nonzeros(
+        lambda: convolve(s, ident, coalg, alg))
+    without, n_without = held_nonzeros(
+        lambda: Pipeline(h.field, [sp])
+        .split_leg(0, coalg.comult_map, sp, sp).map_leg(0, s)
+        .merge_legs(0, 2, alg.mult_map).finish())
+    assert with_step == without
+    assert n_with == n_without == 39
+
+
 def yau_twisted_taft_algebra():
     """The Yau twist of T_3's algebra along the automorphism x -> 3x over
     GF(7): product phi o m and structure map phi, which is not the
@@ -444,6 +475,22 @@ def test_hom_associativity_work_follows_the_nonzeros(monkeypatch, twisted,
         .map_leg(1, alpha).merge_legs(0, 2, m).finish()))
     assert lhs == rhs
     assert created <= bound
+
+
+@pytest.mark.parametrize("twisted, held_then", [(False, 648), (True, 729)])
+def test_hom_associativity_holds_the_nonzeros_it_follows(held_nonzeros,
+                                                         twisted, held_then):
+    """The same two sides on T_3 and on its Yau twist hold 648 and 729
+    nonzeros in their blocks, summed over their steps."""
+    a = yau_twisted_taft_algebra() if twisted else taft_hopf(3, 7, 2).algebra
+    sp, m, alpha = a.space, a.mult_map, a.alpha
+    (lhs, rhs), held = held_nonzeros(lambda: (
+        Pipeline(a.field, [sp, sp, sp]).map_leg(0, alpha)
+        .merge_legs(1, 2, m).merge_legs(0, 2, m).finish(),
+        Pipeline(a.field, [sp, sp, sp]).merge_legs(0, 2, m)
+        .map_leg(1, alpha).merge_legs(0, 2, m).finish()))
+    assert lhs == rhs
+    assert held == held_then
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -212,3 +212,30 @@ def test_extras_hold_only_the_algebra_antipode():
     sf = parse(shipped_documents()["radford.struct"])
     assert sf.extras == {"biproduct": {"algebra_antipode": "algebra_antipode"}}
     assert parse(shipped_documents()["example24.struct"]).extras == {}
+
+
+def test_a_misspelled_bundle_key_is_a_struct_error(tmp_path, capsys):
+    from homhopf.cli import main
+
+    doc = json.loads(shipped_documents()["radford.struct"])
+    body = doc["bundles"]["biproduct"]
+    body["algebra_antipod"] = body.pop("algebra_antipode")
+    text = json.dumps(doc)
+    with pytest.raises(StructError, match="'biproduct'.*'algebra_antipod'"):
+        parse(text)
+    path = tmp_path / "misspelled.struct"
+    path.write_text(text)
+    assert main(["antipode", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'biproduct'" in err and "'algebra_antipod'" in err
+
+
+@pytest.mark.parametrize("name", sorted(shipped_documents()))
+def test_every_bundle_type_rejects_a_key_it_does_not_know(name):
+    doc = json.loads(shipped_documents()[name])
+    for bundle in doc["bundles"]:
+        bad = json.loads(json.dumps(doc))
+        bad["bundles"][bundle]["note"] = "1"
+        with pytest.raises(StructError, match=f"'{bundle}'.*'note'"):
+            parse(json.dumps(bad))
