@@ -25,17 +25,18 @@ in: in the packers (``identity``, ``vector_as_map``, ``functional_as_map``,
 side of ``solve_linear``, in the identity block of ``inverse``, and in
 ``Pipeline``'s start and adjoined vectors (``_coerced`` reduces an ``int``
 given there without building a field element).  ``compose``, ``tensor``,
-the ``Pipeline``'s ``_kron``, ``_fold_rewrite`` and ``_apply``, and
-``_gauss_jordan`` (which normalises a pivot by ``pow(pivot, -1, p)``)
-reduce mod ``field.characteristic`` once per value or column they
-produce, before any zero test; characteristic 0 reduces nothing, so Q's
-arithmetic is unchanged.  Since ``Fraction(n) == n`` and both hash alike,
-a map compares equal whichever form an integer takes.  Gauss–Jordan never
-divides two ``int``s over Q (that is a float): an ``int`` pivot is made a
-``Fraction`` first, and an integral quotient is lowered again.  Every
-``int`` handed out (in ``matrix``, ``column()``, the ``solve_linear``
-solution, ``NoSolution.reduced_row``) goes back through ``field.coerce``,
-so callers see only ``Fraction`` or ``ModInt``.
+the ``Pipeline``'s ``_kron`` and ``_fold_rewrite``, and ``_gauss_jordan``
+(which normalises a pivot by ``pow(pivot, -1, p)``) reduce mod
+``field.characteristic`` once per value or column they produce, before any
+zero test, and the ``Pipeline``'s ``_apply`` once per product it adds;
+characteristic 0 reduces nothing, so Q's arithmetic is unchanged.  Since
+``Fraction(n) == n`` and both hash alike, a map compares equal whichever
+form an integer takes.  Gauss–Jordan never divides two ``int``s over Q
+(that is a float): an ``int`` pivot is made a ``Fraction`` first, and an
+integral quotient is lowered again.  Every ``int`` handed out (in
+``matrix``, ``column()``, the ``solve_linear`` solution,
+``NoSolution.reduced_row``) goes back through ``field.coerce``, so callers
+see only ``Fraction`` or ``ModInt``.
 
 ``Pipeline`` is the back end of the Sweedler-term compiler (``sweedler``):
 it composes per-leg operations on flat basis indices ("split the second
@@ -652,9 +653,13 @@ class Pipeline:
     their Kronecker product (``_fold_rewrite``).  So α ⊗ m under m costs
     one pass over m's nonzero columns for each column of α, and no step
     visits an empty column.  A ``map_leg`` by the identity map is no step.
+    A rewrite decodes each nonzero of the kept block once per step, however
+    many folds the step has, and builds each output column in one
+    accumulator, reduced as it is summed (``_apply``).
 
     ``permute``, ``sparse_columns()`` and ``finish`` fuse every block into
-    one first, over nonzero columns only.  ``columns`` is
+    one first, over nonzero columns only; ``finish`` sorts only the columns
+    holding more than one nonzero.  ``columns`` is
     ``sparse_columns()``: one dict per domain basis vector, an empty dict
     for a zero column.  Reading it fuses in place, so a caller that reads
     it after every step (a tracer counting nonzeros) makes the pipeline
@@ -859,31 +864,37 @@ class Pipeline:
     @staticmethod
     def _apply(kept, kept_block, lo_t, out_block, folds, p: int) -> dict:
         """The new block's columns: each nonzero column of the kept block
-        rewritten through each fold, values reduced mod ``p``.  A row of the
-        kept block splits as (hi, mid, low) by ``kept_block`` and
-        ``lo_t``."""
+        rewritten through each fold, values reduced mod ``p``.
+
+        A row of the kept block splits as (hi, mid, low) by ``kept_block``
+        and ``lo_t``.  Each kept column is decoded once per call into a list
+        of (hi * out_block + low, mid, value), and every fold runs over that
+        list; only one column's list is held at a time.  Each output column
+        has one accumulator: a product is reduced as it is added, and a key
+        whose sum cancels to zero is deleted, so the column holds only
+        nonzero values when the fold is done."""
         new_columns = {}
-        for start, stride, images in folds:
-            for kk, col in kept.items():
+        for kk, col in kept.items():
+            terms = []
+            for key, v in col.items():
+                hi, rest = divmod(key, kept_block)
+                mid, low = divmod(rest, lo_t)
+                terms.append((hi * out_block + low, mid, v))
+            for start, stride, images in folds:
                 out: dict = {}
-                get = out.get
-                for key, v in col.items():
-                    hi, rest = divmod(key, kept_block)
-                    mid, low = divmod(rest, lo_t)
-                    base = hi * out_block + low
+                for base, mid, v in terms:
                     for r, w in images[mid]:
                         nk = base + r
-                        acc = get(nk)
-                        if acc is None:
-                            out[nk] = w * v
-                        else:
-                            acc = acc + w * v
+                        if nk in out:
+                            acc = out[nk] + w * v
+                            if p:
+                                acc %= p
                             if acc:
                                 out[nk] = acc
                             else:
                                 del out[nk]
-                if p:
-                    out = {k: r for k, w in out.items() if (r := w % p)}
+                        else:
+                            out[nk] = w * v % p if p else w * v
                 if out:
                     new_columns[start + kk * stride] = out
         return new_columns
@@ -965,7 +976,8 @@ class Pipeline:
         cols = self._fuse_all()
         out = [()] * self._blocks[0][2]
         for k, col in cols.items():
-            out[k] = tuple(sorted(col.items()))
+            out[k] = tuple(sorted(col.items()) if len(col) > 1
+                           else col.items())
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),
             tensor_space_list(self.legs), out)

@@ -1,0 +1,103 @@
+"""Kernel work counters: run one seeded ``ladder_gfp`` pass under cProfile and
+print how often the ``Pipeline`` rewrite loop pays its per-nonzero costs.
+
+    PYTHONPATH=src python tests/kernel_work.py [SEED]
+
+The pass is the benchmark's ladder pass over ``bench/taft.make_ladder(SEED)``
+(default 5): for each Taft rung T_3, T_4, T_5, build it, solve its antipode,
+check the Hom-bialgebra and antipode axioms, Yau-twist it, and check its
+unit-row mutant.  Printed, one per line, with the count:
+
+- ``apply_divmods``: ``divmod`` calls made by ``Pipeline._apply`` (decoding
+  a kept nonzero costs two);
+- ``apply_reduction_dicts``: dict comprehensions ``Pipeline._apply`` runs
+  (a second dict per output column, built to reduce it mod p);
+- ``finish_sorts``: ``sorted`` calls made by ``Pipeline.finish``;
+- ``apply_calls``, ``finish_calls``: calls of those two methods;
+- ``modints_created``: ``ModInt`` constructions over the whole pass.
+
+The counts do not change from run to run, so two checkouts compare exactly:
+run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
+its own call only where the interpreter does not inline it (Python < 3.12).
+It uses the standard library, ``homhopf`` and the benchmark's Taft builder;
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+DEFAULT_SEED = 5
+BUILTIN_DIVMOD = ("~", 0, "<built-in method builtins.divmod>")
+BUILTIN_SORTED = ("~", 0, "<built-in method builtins.sorted>")
+
+
+def ladder_pass(seed: int):
+    """The seven steps of the benchmark's ladder pass on every rung."""
+    import taft
+    from homhopf import (HomHopf, check_antipode, check_hom_bialgebra,
+                         convolution_inverse, identity, yau_twist)
+
+    for rung in taft.make_ladder(seed):
+        h = taft.hopf_from_rung(rung)
+        solved = convolution_inverse(identity(h.field, h.space),
+                                     h.coalgebra, h.algebra)
+        hs = HomHopf(h.bialgebra, solved)
+        check_hom_bialgebra(hs.bialgebra)
+        check_antipode(hs)
+        yau_twist(hs, taft.twist_map(rung))
+        check_hom_bialgebra(taft.mutated_hopf(rung).bialgebra)
+
+
+def counts(seed: int) -> dict:
+    from homhopf.exactlin import Pipeline
+    from homhopf.fields import ModInt
+
+    profile = cProfile.Profile()
+    profile.runcall(ladder_pass, seed)
+    stats = pstats.Stats(profile).stats
+
+    def key(function):
+        code = function.__code__
+        return code.co_filename, code.co_firstlineno, code.co_name
+
+    def calls(callee, caller=None) -> int:
+        """Calls of ``callee`` (a profile key, or a code name such as
+        ``<dictcomp>``), all of them or those made by ``caller``."""
+        total = 0
+        for func, (_, ncalls, _, _, callers) in stats.items():
+            if callee not in (func, func[2]):
+                continue
+            total += ncalls if caller is None else callers.get(
+                caller, (0, 0))[1]
+        return total
+
+    apply, finish = key(Pipeline._apply), key(Pipeline.finish)
+    return {
+        "apply_divmods": calls(BUILTIN_DIVMOD, apply),
+        "apply_reduction_dicts": calls("<dictcomp>", apply),
+        "finish_sorts": calls(BUILTIN_SORTED, finish),
+        "apply_calls": calls(apply),
+        "finish_calls": calls(finish),
+        "modints_created": calls(key(ModInt.__init__)),
+    }
+
+
+def main(argv) -> int:
+    if len(argv) > 1:
+        print("usage: python tests/kernel_work.py [SEED]", file=sys.stderr)
+        return 2
+    seed = int(argv[0]) if argv else DEFAULT_SEED
+    print(f"ladder seed {seed}")
+    for name, value in counts(seed).items():
+        print(f"{name} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -965,6 +965,41 @@ def test_pipeline_reading_columns_mid_chain_keeps_the_map(read, data):
     assert pipe.finish() == model.map
 
 
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+def test_pipeline_fold_deletes_a_sum_that_cancels(field, monkeypatch):
+    """A merge over an identity run beside a touched block rewrites the
+    block through one fold per index of the run.  In the first fold the
+    two contributions to output row 0 of column 0 are 3 * 2 and 2 * -3,
+    whose residues sum to 2p over GF(p); the sum must be reduced to zero
+    and its key deleted, leaving row 1 alone."""
+    folds = []
+    real_apply = Pipeline._apply
+
+    def counted(kept, kept_block, lo_t, out_block, step_folds, p):
+        folds.append(len(step_folds))
+        return real_apply(kept, kept_block, lo_t, out_block, step_folds, p)
+
+    monkeypatch.setattr(Pipeline, "_apply", staticmethod(counted))
+    a, b, c = fresh_space(2), fresh_space(2), fresh_space(2)
+    g = LinearMap(field, b, b, [[3, 0], [2, 1]])
+    f = LinearMap(field, tensor_space(a, b), c, [[2, -3, 1, 1],
+                                                 [1, 0, 0, 1]])
+    steps = [("map_leg", (1, g)), ("merge_legs", (0, 2, f))]
+    pipe, model = Pipeline(field, [a, b]), KroneckerModel(field, [a, b])
+    for name, args in steps:
+        getattr(pipe, name)(*args)
+        getattr(model, name)(*args)
+    assert folds == [2]
+    columns = pipe.sparse_columns()
+    p = field.characteristic
+    assert columns[0] == {1: 3}
+    assert all(v and type(v) in (int, Fraction) and (not p or 0 < v < p)
+               for col in columns for v in col.values())
+    assert columns == [dict(col) for col in model.map.nonzero_columns()]
+    assert pipe.finish() == model.map
+
+
 def test_pipeline_columns_is_a_read_only_view_of_sparse_columns():
     sp = Space(("x", "y"))
     swap = LinearMap(QQ, sp, sp, [[0, 1], [1, 0]])
