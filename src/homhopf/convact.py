@@ -30,7 +30,6 @@ from .exactlin import (
     FieldMismatch,
     LinearMap,
     NoSolution,
-    Pipeline,
     bilinear_as_map,
     compose,
     equal_on_basis,
@@ -340,24 +339,14 @@ def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
     Unknowns are the entries of g (row-major), i.e. the coordinates of g as
     a vector of A (x) C; equations stack the coordinates of f*g - e and
     g*f - e over every basis vector of C.  Each of g -> f*g and g -> g*f is
-    compiled as one operator on g's own domain A (x) C from a mate of
-    Delta_C (``_comult_mates``), which splits g's C leg into the leg f acts
-    on and the output leg c:
+    compiled as one term on g's own legs a, c, which splits c by a mate
+    of Delta_C, left or right (``_comult_mates``), into the leg f acts on
+    and the output leg:
 
-      * f*g: split c2 by c2 -> sum Delta_c^{c1 c2} c1 (x) c, apply f to c1,
-        move that A leg in front of g's and multiply the two A legs;
-      * g*f: split c1 by c1 -> sum Delta_c^{c1 c2} c2 (x) c, apply f to c2
-        and multiply (g's leg, f's leg) as they stand.
+      * f*g: ``[m(f(c1), a), x]`` with ``c1, x = split(left, c)``;
+      * g*f: ``[m(a, f(c2)), y]`` with ``c2, y = split(right, c)``.
 
     Rows are returned as {unknown: value} dicts of their nonzeros.
-
-    The chain stays hand-written: ``sweedler.compile_map`` applies f after
-    its leaf permute, so a term version applies f to p copies of the mate
-    instead of one.  On T_5 over GF(p) (seed 7) with f = S its blocks hold
-    6,725 nonzeros over its steps against 4,925 here, and it takes 1.1-1.6x
-    as long (medians of 31 and 61 calls); it takes about 1.3x as long on
-    the example-2.4 cocycle systems; with f = id, whose ``map_leg`` is no
-    step, the two are the same.
     """
     field = alg.field
     if f.field != field:
@@ -365,16 +354,16 @@ def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
     csp, asp = coalg.space, alg.space
     q, p = csp.dim, asp.dim
     left, right = _comult_mates(coalg)
-    e = convolution_unit(coalg, alg)
+    m = alg.mult_map
+    a, c = inputs(asp, csp)
+    (c1, x), (c2, y) = split(left, c), split(right, c)
     rows = [{} for _ in range(2 * p * q)]
-    f_g = Pipeline(field, [asp, csp]).split_leg(1, left, csp, csp) \
-        .map_leg(1, f).permute([1, 0, 2]).merge_legs(0, 2, alg.mult_map)
-    g_f = Pipeline(field, [asp, csp]).split_leg(1, right, csp, csp) \
-        .map_leg(1, f).merge_legs(0, 2, alg.mult_map)
-    for offset, pipeline in ((0, f_g), (p * q, g_f)):
-        for u, col in enumerate(pipeline.sparse_columns()):
-            for eq, v in col.items():
+    for offset, outs in ((0, [m(f(c1), a), x]), (p * q, [m(a, f(c2)), y])):
+        operator = compile_map(field, (a, c), outs)
+        for u, col in enumerate(operator.nonzero_columns()):
+            for eq, v in col:
                 rows[offset + eq][u] = v
+    e = convolution_unit(coalg, alg)
     rhs = [v for row in e.matrix for v in row] * 2
     return rows, rhs
 

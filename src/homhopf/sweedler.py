@@ -16,8 +16,11 @@ schedule:
 
   1. split the inputs, and every half that is split again, in the order
      the outputs first read their legs, each in place;
-  2. permute these leaves once into the order the outputs read them;
-  3. evaluate the outputs bottom-up, left to right: a map on adjacent legs
+  2. if the leaves need a permute, apply each one-argument map on a leaf
+     where the leaf stands (the permute fuses every block, so a map after
+     it would rewrite the fused block), then permute the leaves once into
+     the order the outputs read them;
+  3. evaluate the rest bottom-up, left to right: a map on adjacent legs
      is one ``map_leg`` or ``merge_legs``, a constant is adjoined where it
      is read, and a computed value is split in place.  Only where such a
      split leaves a map's arguments apart does a ``permute`` bring them
@@ -156,10 +159,18 @@ def compile_map(field, ins, outs) -> LinearMap:
         at = legs.index(node.args[0])
         pipe.split_leg(at, node.map, *node.data)
         legs[at:at + 1] = r.halves[node]
-    if legs != r.leaves:
-        pipe.permute([legs.index(t) for t in r.leaves])
-        legs = list(r.leaves)
-    for t in r.program:
+    program = r.program
+    if legs != r.leaves:                # maps on leaves go before the permute
+        order, leaves = [legs.index(t) for t in r.leaves], set(r.leaves)
+        for t in program:
+            if t.kind == "map" and len(t.args) == 1 and t.args[0] in leaves:
+                at = legs.index(t.args[0])
+                pipe.map_leg(at, t.map)
+                legs[at] = t
+        program = [t for t in program if t not in legs]  # not yet applied
+        pipe.permute(order)
+        legs = [legs[i] for i in order]
+    for t in program:
         kind = t.kind
         if kind == "map" and len(t.args) == 1:
             at = legs.index(t.args[0])

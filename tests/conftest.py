@@ -30,29 +30,13 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
-def held_nonzeros(monkeypatch):
+def held_nonzeros():
     """``held_nonzeros(build)`` returns ``build()`` and the nonzeros the
     blocks of every ``Pipeline`` hold after each of its steps, summed: a
     count of kernel work that does not depend on how a scalar is stored.
-    A ``map_leg`` by the identity map is no step and adds nothing."""
-    from homhopf.exactlin import Pipeline
+    A ``map_leg`` by the identity map is no step and adds nothing.  It is
+    ``kernel_work.held_nonzeros``, which also counts a whole ladder pass
+    and selftest."""
+    from kernel_work import held_nonzeros
 
-    total = [0]
-
-    def counted(real):
-        def step(self, *args):
-            out = real(self, *args)
-            total[0] += sum(len(col) for _, cols, _ in self._blocks
-                            if cols is not None for col in cols.values())
-            return out
-        return step
-
-    def measure(build):
-        total[0] = 0
-        with monkeypatch.context() as patch:
-            for name in ("_rewrite", "permute"):
-                patch.setattr(Pipeline, name, counted(getattr(Pipeline, name)))
-            result = build()
-        return result, total[0]
-
-    return measure
+    return held_nonzeros

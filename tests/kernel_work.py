@@ -1,5 +1,7 @@
 """Kernel work counters: run one seeded ``ladder_gfp`` pass under cProfile and
-print how often the ``Pipeline`` rewrite loop pays its per-nonzero costs.
+print how often the ``Pipeline`` rewrite loop pays its per-nonzero costs,
+then the nonzeros the ``Pipeline`` blocks hold over one ladder pass and over
+one ``corpus.selftest()``.
 
     PYTHONPATH=src python tests/kernel_work.py [SEED]
 
@@ -14,7 +16,11 @@ unit-row mutant.  Printed, one per line, with the count:
   (a second dict per output column, built to reduce it mod p);
 - ``finish_sorts``: ``sorted`` calls made by ``Pipeline.finish``;
 - ``apply_calls``, ``finish_calls``: calls of those two methods;
-- ``modints_created``: ``ModInt`` constructions over the whole pass.
+- ``modints_created``: ``ModInt`` constructions over the whole pass;
+- ``ladder_held_nonzeros``, ``selftest_held_nonzeros``: the nonzeros every
+  ``Pipeline``'s blocks hold after each of its steps, summed, over one
+  ladder pass and over one ``corpus.selftest()``, counted by
+  ``held_nonzeros`` below, which the tests' fixture of that name returns.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -30,8 +36,7 @@ import pstats
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 DEFAULT_SEED = 5
 BUILTIN_DIVMOD = ("~", 0, "<built-in method builtins.divmod>")
 BUILTIN_SORTED = ("~", 0, "<built-in method builtins.sorted>")
@@ -39,6 +44,8 @@ BUILTIN_SORTED = ("~", 0, "<built-in method builtins.sorted>")
 
 def ladder_pass(seed: int):
     """The seven steps of the benchmark's ladder pass on every rung."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
     import taft
     from homhopf import (HomHopf, check_antipode, check_hom_bialgebra,
                          convolution_inverse, identity, yau_twist)
@@ -54,7 +61,37 @@ def ladder_pass(seed: int):
         check_hom_bialgebra(taft.mutated_hopf(rung).bialgebra)
 
 
+def held_nonzeros(build):
+    """``build()`` and the nonzeros the blocks of every ``Pipeline`` hold
+    after each of its steps, summed: a count of kernel work that does not
+    depend on how a scalar is stored.  A ``map_leg`` by the identity map is
+    no step and adds nothing."""
+    from homhopf.exactlin import Pipeline
+
+    total = 0
+    real = {name: getattr(Pipeline, name) for name in ("_rewrite", "permute")}
+
+    def counted(step):
+        def counted_step(self, *args):
+            nonlocal total
+            out = step(self, *args)
+            total += sum(len(col) for _, cols, _ in self._blocks
+                         if cols is not None for col in cols.values())
+            return out
+        return counted_step
+
+    try:
+        for name, step in real.items():
+            setattr(Pipeline, name, counted(step))
+        result = build()
+    finally:
+        for name, step in real.items():
+            setattr(Pipeline, name, step)
+    return result, total
+
+
 def counts(seed: int) -> dict:
+    from homhopf.corpus import selftest
     from homhopf.exactlin import Pipeline
     from homhopf.fields import ModInt
 
@@ -85,6 +122,8 @@ def counts(seed: int) -> dict:
         "apply_calls": calls(apply),
         "finish_calls": calls(finish),
         "modints_created": calls(key(ModInt.__init__)),
+        "ladder_held_nonzeros": held_nonzeros(lambda: ladder_pass(seed))[1],
+        "selftest_held_nonzeros": held_nonzeros(selftest)[1],
     }
 
 

@@ -52,6 +52,7 @@ from homhopf.homcore import (
     check_hom_bialgebra,
     mult_tensor_from_map,
 )
+from test_sweedler import record_steps
 
 
 def test_example_action_is_weak_module_algebra():
@@ -312,8 +313,15 @@ def taft_hopf(n, p, zeta):
     return HomHopf(bial, ida)
 
 
-HOPF_ENTRIES = [e.name for e in corpus_entries()
-                if isinstance(e.payload, HomHopf)] + ["taft3_gf7"]
+# Listed, not read from the corpus at import, so that a kernel fault which
+# breaks the corpus fails the tests below instead of their collection.
+HOPF_ENTRIES = ["h4_classical", "h4_twisted", "c2_group", "c4_group",
+                "c4_inversion_twist", "taft3_gf7"]
+
+
+def test_hopf_entries_are_the_corpus_hopf_entries():
+    assert HOPF_ENTRIES == [e.name for e in corpus_entries()
+                            if isinstance(e.payload, HomHopf)] + ["taft3_gf7"]
 
 
 def hopf_entry(name):
@@ -393,6 +401,21 @@ def test_convolution_system_holds_few_nonzeros(held_nonzeros):
         lambda: _convolution_system(f, h.coalgebra, h.algebra))
     assert len(rows) == 2 * 81
     assert held == 450
+
+
+def test_convolution_system_applies_f_before_the_leaf_permute(monkeypatch):
+    """On T_3 with f = S, f*g applies f to the mate's half before moving
+    it in front of g's A leg, so f acts on one copy of the mate; applied
+    after the permute it would act on p = 9 copies.  g*f needs no
+    permute."""
+    h = taft_hopf(3, 7, 2)
+    s = convolution_inverse(identity(h.field, h.space), h.coalgebra, h.algebra)
+    chains = record_steps(monkeypatch)
+    _convolution_system(s, h.coalgebra, h.algebra)
+    assert chains == [
+        [("split_leg", 1), ("map_leg", 1), ("permute", [1, 0, 2]),
+         ("merge_legs", 0, 2)],
+        [("split_leg", 1), ("map_leg", 1), ("merge_legs", 0, 2)]]
 
 
 def count_modints(monkeypatch, build):
