@@ -113,9 +113,9 @@ def check_cocycle_inverse_identities(spec: CrossedProductSpec) -> CheckReport:
       alpha^m(h l) -> beta^2(a)
         = [sigma(a^{k+2}h11, a^{k+2}l11) (alpha^m(h12 l12) -> a)]
           sigma^{-1}(a^{k+2}h2, a^{k+2}l2).
+
+    Raises ValueError if the cocycle carries no inverse (``cocycle_inverse``).
     """
-    if spec.cocycle.inverse is None:
-        raise ValueError("cocycle inverse required; run cocycle_inverse first")
     field, m, k = spec.field, spec.m, spec.k
     alg, hopf = spec.algebra, spec.hopf_bialgebra
     asp, hsp = alg.space, hopf.space

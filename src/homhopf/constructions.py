@@ -28,6 +28,7 @@ from .exactlin import (
     SCALAR_SPACE,
     compose,
     equal_on_basis,
+    functional_as_map,
     identity,
     maps_equal,
     power,
@@ -40,12 +41,11 @@ from .homcore import (
     HomCoalgebra,
     HomHopf,
     check_hom_bialgebra,
-    comult_tensor_from_map,
     convolution_unit,
     convolve,
     inverse_laws,
     morphism_laws,
-    mult_tensor_from_map,
+    outer,
 )
 from .report import CheckReport
 from .sweedler import compile_map, const, inputs, split
@@ -143,10 +143,8 @@ def crossed_product(spec: CrossedProductSpec) -> HomAlgebra:
         ma(a, ma(act(power(alpha, m)(h11), power(beta, -2)(b)),
                  sig(power(alpha, k + 1)(h12), power(alpha, k)(g1)))),
         alpha(mh(h2, g2))])
-    space = tensor_space(asp, hsp)
-    unit = [va * vh for va in alg.unit for vh in hopf.algebra.unit]
-    return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
-                      beta @ alpha)
+    return HomAlgebra(field, tensor_space(asp, hsp), mult,
+                      outer(alg.unit, hopf.algebra.unit), beta @ alpha)
 
 
 def smash_product(a: HomAlgebra, h: HomBialgebra, action: ModuleAction,
@@ -161,10 +159,8 @@ def smash_product(a: HomAlgebra, h: HomBialgebra, action: ModuleAction,
         a.mult_map(x, action.act_map(power(h.alpha, m)(y1),
                                      power(a.alpha, -1)(b))),
         h.algebra.mult_map(h.alpha(y2), g)])
-    space = tensor_space(asp, hsp)
-    unit = [va * vh for va in a.unit for vh in h.algebra.unit]
-    return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
-                      a.alpha @ h.alpha)
+    return HomAlgebra(field, tensor_space(asp, hsp), mult,
+                      outer(a.unit, h.algebra.unit), a.alpha @ h.alpha)
 
 
 def check_cocycle_conditions(spec: CrossedProductSpec) -> CheckReport:
@@ -233,10 +229,8 @@ def smash_coproduct(coalg: HomCoalgebra, h: HomBialgebra, co: Coaction,
     comult = compile_map(field, (x, y), [
         x1, h.algebra.mult_map(power(alpha, m)(x2h), power(alpha, -1)(y1)),
         beta(x20), y2])
-    space = tensor_space(asp, hsp)
-    counit = [va * vh for va in coalg.counit for vh in h.coalgebra.counit]
-    return HomCoalgebra(field, space, comult_tensor_from_map(comult, space),
-                        counit, beta @ alpha)
+    return HomCoalgebra(field, tensor_space(asp, hsp), comult,
+                        outer(coalg.counit, h.coalgebra.counit), beta @ alpha)
 
 
 def check_twisted_comodule_cocycle(spec: BiproductSpec) -> CheckReport:
@@ -279,27 +273,27 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     ma, mh = alg.mult_map, hopf.algebra.mult_map
     da, dh = spec.coalgebra.comult_map, hopf.coalgebra.comult_map
     eps_a = spec.coalgebra.counit_map
+    counit_a, counit_h = spec.coalgebra.counit, hopf.coalgebra.counit
 
     # 1. the counit of A is a Hom-algebra map
-    eps_kron = [x * y for x in spec.coalgebra.counit for y in spec.coalgebra.counit]
     c1 = CheckReport.combine("counit_algebra_map", [
         equal_on_basis(
             "counit_multiplicative", compose(eps_a, ma),
-            LinearMap(field, tensor_space(asp, asp), SCALAR_SPACE, [eps_kron]),
+            functional_as_map(field, tensor_space(asp, asp),
+                              outer(counit_a, counit_a)),
             (asp, asp)),
         equal_on_basis(
             "counit_on_unit", compose(eps_a, alg.unit_map),
-            LinearMap(field, SCALAR_SPACE, SCALAR_SPACE, [[field.one]]),
-            (SCALAR_SPACE,)),
+            identity(field, SCALAR_SPACE), (SCALAR_SPACE,)),
         equal_on_basis(
             "counit_structure_invariant", compose(eps_a, beta), eps_a, (asp,)),
     ])
 
     # 2. eps_A(h.a) = eps_H(h) eps_A(a)
-    eps_mixed = [x * y for x in hopf.coalgebra.counit for y in spec.coalgebra.counit]
     c2 = equal_on_basis(
         "action_counit_compat", compose(eps_a, act),
-        LinearMap(field, tensor_space(hsp, asp), SCALAR_SPACE, [eps_mixed]),
+        functional_as_map(field, tensor_space(hsp, asp),
+                          outer(counit_h, counit_a)),
         (hsp, asp))
 
     # 3. sigma is a Hom-coalgebra map from the pair coalgebra on H (x) H —
@@ -307,7 +301,6 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     h, g, a, b = inputs(hsp, hsp, asp, asp)
     pair = pair_coalgebra(hopf)
     (u,) = inputs(pair.space)
-    eps_pair = [x * y for x in hopf.coalgebra.counit for y in hopf.coalgebra.counit]
     c3 = CheckReport.combine("cocycle_coalgebra_map", [
         equal_on_basis(
             "cocycle_comult_compat", compose(da, sig),
@@ -315,7 +308,8 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
             (hsp, hsp)),
         equal_on_basis(
             "cocycle_counit_compat", compose(eps_a, sig),
-            LinearMap(field, tensor_space(hsp, hsp), SCALAR_SPACE, [eps_pair]),
+            functional_as_map(field, tensor_space(hsp, hsp),
+                              outer(counit_h, counit_h)),
             (hsp, hsp)),
         equal_on_basis(
             "cocycle_structure_compat",
@@ -324,10 +318,9 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     ])
 
     # 4. Delta_A(1) = 1 (x) 1
-    unit_kron = [x * y for x in alg.unit for y in alg.unit]
     c4 = equal_on_basis(
         "comult_preserves_unit", compose(da, alg.unit_map),
-        vector_as_map(field, tensor_space(asp, asp), unit_kron),
+        vector_as_map(field, tensor_space(asp, asp), outer(alg.unit, alg.unit)),
         (SCALAR_SPACE,))
 
     # 5. the coaction is multiplicative and unital
@@ -340,7 +333,7 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
         equal_on_basis(
             "coaction_on_unit", compose(rho, alg.unit_map),
             vector_as_map(field, tensor_space(hsp, asp),
-                          [x * y for x in hopf.algebra.unit for y in alg.unit]),
+                          outer(hopf.algebra.unit, alg.unit)),
             (SCALAR_SPACE,)),
     ])
 
@@ -456,7 +449,7 @@ def check_sigma_antipode(h: HomBialgebra, sigma: Cocycle,
 
     target = compose(
         vector_as_map(field, tensor_space(asp, hsp),
-                      [x * y for x in sigma.target.unit for y in h.algebra.unit]),
+                      outer(sigma.target.unit, h.algebra.unit)),
         h.coalgebra.counit_map,
     )
     (z,) = inputs(hsp)

@@ -24,27 +24,23 @@ convolution-inverse solve lives here.
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
 
 from .exactlin import (
     FieldMismatch,
     LinearMap,
     NoSolution,
-    bilinear_as_map,
     compose,
     equal_on_basis,
     inverse,
     solve_linear,
-    splitting_as_map,
     strip_scalar_leg,
-    tensor_from_bilinear,
     tensor_space,
 )
 from .homcore import (
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
-    _coerce_cube,
+    StructureConstants,
     convolution_unit,
     convolve,  # kept importable as convact.convolve
     inverse_laws,
@@ -63,28 +59,19 @@ class NotConvolutionInvertible(ValueError):
 
 @dataclasses.dataclass(repr=False)
 class ModuleAction:
-    """An action of (H, alpha) on (A, beta): act[i][j][k] is the coefficient
-    of a_k in h_i . a_j.  Shapes only; the module laws are checkable."""
+    """An action of (H, alpha) on (A, beta), held as the map ``act_map``:
+    H (x) A -> A and read as the cube ``act``, whose act[i][j][k] is the
+    coefficient of a_k in h_i . a_j (``StructureConstants``).  Shapes only;
+    the module laws are checkable."""
 
     acting: HomBialgebra
     target: HomAlgebra
-    act: tuple
-
-    def __post_init__(self):
-        self.act = _coerce_cube(
-            self.target.field, self.acting.space.dim, self.target.space.dim,
-            self.target.space.dim, self.act)
+    act: tuple = StructureConstants(
+        lambda r: (r.acting.space, r.target.space, r.target.space))
 
     @property
     def field(self):
         return self.target.field
-
-    @cached_property
-    def act_map(self) -> LinearMap:
-        return bilinear_as_map(
-            self.field, self.acting.space, self.target.space, self.target.space,
-            self.act,
-        )
 
     def __repr__(self):
         return f"ModuleAction({self.acting.space.dim} on {self.target.space.dim})"
@@ -92,68 +79,52 @@ class ModuleAction:
 
 @dataclasses.dataclass(repr=False)
 class Coaction:
-    """A left coaction rho of (H, alpha) on a Hom-coalgebra (A, beta):
-    coact[i][j][k] is the coefficient of h_j (x) a_k in rho(a_i)."""
+    """A left coaction rho of (H, alpha) on a Hom-coalgebra (A, beta), held
+    as the map ``coact_map``: A -> H (x) A and read as the cube ``coact``,
+    whose coact[i][j][k] is the coefficient of h_j (x) a_k in rho(a_i)
+    (``StructureConstants``)."""
 
     coacting: HomBialgebra
     target: HomCoalgebra
-    coact: tuple
-
-    def __post_init__(self):
-        self.coact = _coerce_cube(
-            self.target.field, self.target.space.dim, self.coacting.space.dim,
-            self.target.space.dim, self.coact)
+    coact: tuple = StructureConstants(
+        lambda r: (r.target.space, r.coacting.space, r.target.space),
+        splitting=True)
 
     @property
     def field(self):
         return self.target.field
-
-    @cached_property
-    def coact_map(self) -> LinearMap:
-        return splitting_as_map(
-            self.field, self.target.space, self.coacting.space, self.target.space,
-            self.coact,
-        )
 
     def __repr__(self):
         return f"Coaction({self.coacting.space.dim} on {self.target.space.dim})"
 
 
+def _pair_into_target(cocycle):
+    return cocycle.source.space, cocycle.source.space, cocycle.target.space
+
+
 @dataclasses.dataclass(repr=False)
 class Cocycle:
-    """A bilinear map sigma: H (x) H -> A; sigma[i][j][k] is the coefficient
-    of a_k in sigma(h_i, h_j).  ``inverse`` holds the convolution inverse
-    once computed; equality ignores it."""
+    """A bilinear map sigma: H (x) H -> A, held as the map ``sigma_map`` and
+    read as the cube ``sigma``, whose sigma[i][j][k] is the coefficient of
+    a_k in sigma(h_i, h_j) (``StructureConstants``).  ``inverse`` holds the
+    convolution inverse once computed, a cube or a map like ``sigma`` and
+    read as a cube, its map by ``inverse_map()``; equality ignores it."""
 
     source: HomBialgebra
     target: HomAlgebra
-    sigma: tuple
-    inverse: tuple | None = dataclasses.field(default=None, compare=False)
-
-    def __post_init__(self):
-        n, p = self.source.space.dim, self.target.space.dim
-        self.sigma = _coerce_cube(self.target.field, n, n, p, self.sigma)
-        if self.inverse is not None:
-            self.inverse = _coerce_cube(self.target.field, n, n, p, self.inverse)
+    sigma: tuple = StructureConstants(_pair_into_target)
+    inverse: tuple | None = dataclasses.field(
+        default=StructureConstants(_pair_into_target, optional=True),
+        compare=False)
 
     @property
     def field(self):
         return self.target.field
 
-    @cached_property
-    def sigma_map(self) -> LinearMap:
-        return bilinear_as_map(
-            self.field, self.source.space, self.source.space, self.target.space,
-            self.sigma,
-        )
-
     def inverse_map(self) -> LinearMap:
-        if self.inverse is None:
+        if self._inverse_map is None:
             raise ValueError("cocycle inverse not computed; call cocycle_inverse")
-        return bilinear_as_map(
-            self.field, self.source.space, self.source.space, self.target.space,
-            self.inverse,
-        )
+        return self._inverse_map
 
     def __repr__(self):
         return f"Cocycle({self.source.space.dim}^2 -> {self.target.space.dim})"
@@ -394,9 +365,7 @@ def cocycle_inverse(sigma: Cocycle) -> Cocycle:
     H (x) H; raises NotConvolutionInvertible if there is none."""
     coalg = pair_coalgebra(sigma.source)
     inv = convolution_inverse(sigma.sigma_map, coalg, sigma.target)
-    hsp, asp = sigma.source.space, sigma.target.space
-    cube = tensor_from_bilinear(inv, hsp, hsp, asp)
-    return Cocycle(sigma.source, sigma.target, sigma.sigma, inverse=cube)
+    return Cocycle(sigma.source, sigma.target, sigma.sigma_map, inverse=inv)
 
 
 def check_cocycle_inverse(sigma: Cocycle) -> CheckReport:

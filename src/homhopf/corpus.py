@@ -466,8 +466,8 @@ def _twist_agreement_check(field) -> CheckReport:
     direct = classical_sweedler_h4(field)
     sign = sweedler_sign_map(field)
     rebuilt = yau_twist(direct, sign)
-    same = (rebuilt.algebra.mult == twisted.algebra.mult
-            and rebuilt.coalgebra.comult == twisted.coalgebra.comult
+    same = (rebuilt.algebra.mult_map == twisted.algebra.mult_map
+            and rebuilt.coalgebra.comult_map == twisted.coalgebra.comult_map
             and rebuilt.algebra.unit == twisted.algebra.unit
             and rebuilt.coalgebra.counit == twisted.coalgebra.counit)
     return CheckReport.combine("twist_reproduces_tables", [
@@ -627,7 +627,8 @@ def mutate(entry: CorpusEntry, site, delta) -> CorpusEntry:
             coa = HomCoalgebra(field, payload.coalgebra.space,
                                _bump(payload.coalgebra.comult, cell, d),
                                payload.coalgebra.counit, payload.coalgebra.gamma)
-            co = Coaction(payload.coaction.coacting, coa, payload.coaction.coact)
+            co = Coaction(payload.coaction.coacting, coa,
+                          payload.coaction.coact_map)
             new = replace(payload, coalgebra=coa, coaction=co)
         else:
             new = replace(payload, crossed=mutate_crossed_spec(

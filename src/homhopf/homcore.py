@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactlin import (
+    DimensionMismatch,
+    FieldMismatch,
     LinearMap,
     NonInvertibleError,
     SCALAR_SPACE,
@@ -72,30 +74,83 @@ class TwistFailsAxiomsError(ValueError):
         self.report = report
 
 
-def mult_tensor_from_map(m: LinearMap, space: Space):
-    """Recover the structure constants c[i][j][k] of a product map."""
-    return tensor_from_bilinear(m, space, space, space)
+class StructureConstants:
+    """The data descriptor behind a record's structure constants: the field
+    ``mult`` of ``HomAlgebra``, ``comult`` of ``HomCoalgebra``, ``act`` of
+    ``ModuleAction``, ``coact`` of ``Coaction``, and ``sigma`` and
+    ``inverse`` of ``Cocycle``.
+
+    ``spaces(record)`` names three spaces (s1, s2, s3) of the record.  The
+    record holds its constants as one packed ``LinearMap``, s1 (x) s2 -> s3
+    (bilinear) or s1 -> s2 (x) s3 (``splitting``), under ``<name>_map``.
+    Setting the field takes a map, checked against those spaces and the
+    record's field, or a cube c[i][j][k] of shape dim s1 x dim s2 x dim s3,
+    checked for shape and packed once.  Reading the field gives the cube of
+    coerced entries, unpacked from the map on first read and cached.  An
+    ``optional`` field may be None, its default, and keeps its map under
+    ``_<name>_map`` for the record's own accessor to read."""
+
+    def __init__(self, spaces, splitting: bool = False, optional: bool = False):
+        self.spaces, self.splitting, self.optional = spaces, splitting, optional
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.slot = f"_{name}_map" if self.optional else f"{name}_map"
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)  # a dataclass field, no default
+        held = vars(record)
+        if self.name not in held:  # the cube, cached under the field's name
+            packed = held[self.slot]
+            unpack = (tensor_from_splitting if self.splitting
+                      else tensor_from_bilinear)
+            held[self.name] = None if packed is None else unpack(
+                packed, *self.spaces(record))
+        return held[self.name]
+
+    def __set__(self, record, value):
+        field = record.field
+        s1, s2, s3 = self.spaces(record)
+        if self.optional and (value is None or value is self):
+            packed = None  # ``field(default=<this descriptor>)`` passes itself
+        elif isinstance(value, LinearMap):
+            domain, codomain = ((s1, tensor_space(s2, s3)) if self.splitting
+                                else (tensor_space(s1, s2), s3))
+            if value.field != field:
+                raise FieldMismatch(
+                    f"{self.name}: map over {value.field!r} used with {field!r}")
+            if value.domain != domain or value.codomain != codomain:
+                raise DimensionMismatch(
+                    f"{self.name}: map is not on the record's spaces")
+            packed = LinearMap._from_columns(field, domain, codomain,
+                                             value.nonzero_columns())
+        else:
+            d1, d2, d3 = s1.dim, s2.dim, s3.dim
+            if len(value) != d1 or any(len(s) != d2 for s in value) or any(
+                len(p) != d3 for s in value for p in s
+            ):
+                raise ValueError(f"rank-3 tensor shape does not match {d1}x{d2}x{d3}")
+            pack = splitting_as_map if self.splitting else bilinear_as_map
+            packed = pack(field, s1, s2, s3, value)
+        vars(record).pop(self.name, None)
+        vars(record)[self.slot] = packed
 
 
-def comult_tensor_from_map(d: LinearMap, space: Space):
-    """Recover the structure constants d[i][j][k] of a coproduct map."""
-    return tensor_from_splitting(d, space, space, space)
+def _carrier(record):
+    return (record.space,) * 3
 
 
-def _coerce_cube(field, d1: int, d2: int, d3: int, cube):
-    """Coerce a rank-3 structure-constant tensor of shape d1 x d2 x d3.  An
-    entry that is false as given is zero in every field: it becomes the
-    shared ``field.zero`` without being coerced."""
-    zero = field.zero
-    out = tuple(
-        tuple(tuple(field.coerce(v) if v else zero for v in plane)
-              for plane in slab)
-        for slab in cube
-    )
-    if len(out) != d1 or any(len(s) != d2 for s in out) or any(
-        len(p) != d3 for s in out for p in s
-    ):
-        raise ValueError(f"rank-3 tensor shape does not match {d1}x{d2}x{d3}")
+def outer(u, v) -> list:
+    """The coordinates of u (x) v, multiplied over the nonzero coordinates
+    only; every other coordinate is the int 0."""
+    d = len(v)
+    right = [(j, b) for j, b in enumerate(v) if b]
+    out = [0] * (len(u) * d)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in right:
+                out[i * d + j] = a * b
     return out
 
 
@@ -115,24 +170,20 @@ def _check_structure_map(space: Space, m: LinearMap, what: str):
 
 @dataclass(repr=False)
 class HomAlgebra:
-    """(A, m, 1, alpha): multiplication cube c[i][j][k], unit coordinates,
-    and an invertible structure map."""
+    """(A, m, 1, alpha): the multiplication, held as the map ``mult_map``:
+    A (x) A -> A and read as the cube ``mult``, whose c[i][j][k] is the
+    coefficient of e_k in e_i e_j (``StructureConstants``); unit
+    coordinates; and an invertible structure map."""
 
     field: object
     space: Space
-    mult: tuple
+    mult: tuple = StructureConstants(_carrier)
     unit: tuple
     alpha: LinearMap
 
     def __post_init__(self):
-        d = self.space.dim
-        self.mult = _coerce_cube(self.field, d, d, d, self.mult)
         self.unit = _coerce_vector(self.field, self.space, self.unit)
         _check_structure_map(self.space, self.alpha, "structure map alpha")
-
-    @cached_property
-    def mult_map(self) -> LinearMap:
-        return bilinear_as_map(self.field, self.space, self.space, self.space, self.mult)
 
     @cached_property
     def unit_map(self) -> LinearMap:
@@ -144,24 +195,21 @@ class HomAlgebra:
 
 @dataclass(repr=False)
 class HomCoalgebra:
-    """(C, Delta, eps, gamma): comultiplication cube d[i][j][k], counit
-    coordinates, and an invertible structure map."""
+    """(C, Delta, eps, gamma): the comultiplication, held as the map
+    ``comult_map``: C -> C (x) C and read as the cube ``comult``, whose
+    d[i][j][k] is the coefficient of e_j (x) e_k in Delta(e_i)
+    (``StructureConstants``); counit coordinates; and an invertible
+    structure map."""
 
     field: object
     space: Space
-    comult: tuple
+    comult: tuple = StructureConstants(_carrier, splitting=True)
     counit: tuple
     gamma: LinearMap
 
     def __post_init__(self):
-        d = self.space.dim
-        self.comult = _coerce_cube(self.field, d, d, d, self.comult)
         self.counit = _coerce_vector(self.field, self.space, self.counit)
         _check_structure_map(self.space, self.gamma, "structure map gamma")
-
-    @cached_property
-    def comult_map(self) -> LinearMap:
-        return splitting_as_map(self.field, self.space, self.space, self.space, self.comult)
 
     @cached_property
     def counit_map(self) -> LinearMap:
@@ -247,8 +295,7 @@ def tensor_algebra(a: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     x, y, u, v = inputs(a.space, b.space, a.space, b.space)
     mult = compile_map(field, (x, y, u, v),
                        [a.mult_map(x, u), b.mult_map(y, v)])
-    unit = [va * vb for va in a.unit for vb in b.unit]
-    return HomAlgebra(field, space, mult_tensor_from_map(mult, space), unit,
+    return HomAlgebra(field, space, mult, outer(a.unit, b.unit),
                       a.alpha @ b.alpha)
 
 
@@ -259,9 +306,8 @@ def tensor_coalgebra(c: HomCoalgebra, d: HomCoalgebra) -> HomCoalgebra:
     x, y = inputs(c.space, d.space)
     (x1, x2), (y1, y2) = split(c.comult_map, x), split(d.comult_map, y)
     comult = compile_map(field, (x, y), [x1, y1, x2, y2])
-    counit = [vc * vd for vc in c.counit for vd in d.counit]
-    return HomCoalgebra(field, space, comult_tensor_from_map(comult, space),
-                        counit, c.gamma @ d.gamma)
+    return HomCoalgebra(field, space, comult, outer(c.counit, d.counit),
+                        c.gamma @ d.gamma)
 
 
 def convolve(f: LinearMap, g: LinearMap, coalg: HomCoalgebra,
@@ -403,18 +449,6 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
     )
 
 
-def _square(coords) -> list:
-    """The coordinates of v (x) v for v with coordinates ``coords``,
-    multiplied over the nonzero coordinates only."""
-    d = len(coords)
-    nonzero = [(i, v) for i, v in enumerate(coords) if v]
-    out = [0] * (d * d)
-    for i, a in nonzero:
-        for j, b in nonzero:
-            out[i * d + j] = a * b
-    return out
-
-
 def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
     """Both halves plus: Delta and eps are morphisms of Hom-algebras."""
     field, sp = b.field, b.space
@@ -433,14 +467,15 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
     comult_unit = equal_on_basis(
         "comult_preserves_unit",
         compose(d, alg.unit_map),
-        vector_as_map(field, tensor_space(sp, sp), _square(alg.unit)),
+        vector_as_map(field, tensor_space(sp, sp), outer(alg.unit, alg.unit)),
         (SCALAR_SPACE,),
     )
 
     counit_mult = equal_on_basis(
         "counit_multiplicative",
         compose(coa.counit_map, m),
-        functional_as_map(field, tensor_space(sp, sp), _square(coa.counit)),
+        functional_as_map(field, tensor_space(sp, sp),
+                          outer(coa.counit, coa.counit)),
         (sp, sp),
     )
     counit_unit = equal_on_basis(
@@ -503,10 +538,8 @@ def yau_twist(h: HomHopf, phi: LinearMap) -> HomHopf:
     new_mult = compose(phi, h.algebra.mult_map)
     new_comult = compose(phi_inv @ phi_inv, h.coalgebra.comult_map)
 
-    algebra = HomAlgebra(field, sp, mult_tensor_from_map(new_mult, sp),
-                         h.algebra.unit, phi)
-    coalgebra = HomCoalgebra(field, sp, comult_tensor_from_map(new_comult, sp),
-                             h.coalgebra.counit, phi)
+    algebra = HomAlgebra(field, sp, new_mult, h.algebra.unit, phi)
+    coalgebra = HomCoalgebra(field, sp, new_comult, h.coalgebra.counit, phi)
     twisted = HomHopf(HomBialgebra(algebra, coalgebra), h.antipode)
 
     verify = CheckReport.combine("twist_verification", [

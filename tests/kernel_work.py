@@ -17,6 +17,11 @@ unit-row mutant.  Printed, one per line, with the count:
 - ``finish_sorts``: ``sorted`` calls made by ``Pipeline.finish``;
 - ``apply_calls``, ``finish_calls``: calls of those two methods;
 - ``modints_created``: ``ModInt`` constructions over the whole pass;
+- ``field_coerces``: ``coerce`` calls of the fields (``PrimeField`` and
+  ``RationalField``) over the whole pass;
+- ``modint_truth_tests``: ``ModInt.__bool__`` calls over the whole pass,
+  the zero tests made on field elements (a dense cube of them costs one
+  per entry);
 - ``ladder_held_nonzeros``, ``selftest_held_nonzeros``: the nonzeros every
   ``Pipeline``'s blocks hold after each of its steps, summed, over one
   ladder pass and over one ``corpus.selftest()``, counted by
@@ -93,7 +98,7 @@ def held_nonzeros(build):
 def counts(seed: int) -> dict:
     from homhopf.corpus import selftest
     from homhopf.exactlin import Pipeline
-    from homhopf.fields import ModInt
+    from homhopf.fields import ModInt, PrimeField, RationalField
 
     profile = cProfile.Profile()
     profile.runcall(ladder_pass, seed)
@@ -122,6 +127,9 @@ def counts(seed: int) -> dict:
         "apply_calls": calls(apply),
         "finish_calls": calls(finish),
         "modints_created": calls(key(ModInt.__init__)),
+        "field_coerces": calls(key(PrimeField.coerce))
+        + calls(key(RationalField.coerce)),
+        "modint_truth_tests": calls(key(ModInt.__bool__)),
         "ladder_held_nonzeros": held_nonzeros(lambda: ladder_pass(seed))[1],
         "selftest_held_nonzeros": held_nonzeros(selftest)[1],
     }

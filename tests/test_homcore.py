@@ -1,19 +1,32 @@
 """Structure types, axiom checkers, corrupted-structure witnesses, twists."""
 
+import ast
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import homhopf
+from homhopf.constructions import (
+    crossed_product,
+    smash_coproduct,
+    smash_product,
+)
+from homhopf.convact import cocycle_inverse
 from homhopf.corpus import (
     classical_sweedler_h4,
     cyclic_group_hopf,
     cyclic_inversion_map,
     scalar_line_hopf,
     sweedler_h4_hom,
+    sweedler_sign_datum,
     sweedler_sign_map,
 )
 from homhopf import homcore
 from homhopf.exactlin import (
+    DimensionMismatch,
     FieldMismatch,
     LinearMap,
     NonInvertibleError,
@@ -325,3 +338,127 @@ def test_each_morphism_law_fails_alone_under_its_own_name(kind, override):
     assert len(bad[0].witness.basis) == (2 if kind == "multiplicative" else 1)
     if kind == "unital":
         assert bad[0].witness.basis == ("k",)
+
+
+RECORD_FIELDS = [QQ, PrimeField(7), PrimeField(2147483647)]
+
+
+def packed(record, name):
+    """The map a record holds a structure constant as."""
+    return (record.inverse_map() if name == "inverse"
+            else getattr(record, f"{name}_map"))
+
+
+def construction_on(construction, field):
+    """A thunk that runs ``construction`` on inputs built now from the sign
+    biproduct datum over ``field`` (the Yau twist: of the classical Sweedler
+    algebra along its sign map) and returns (record, constant name) for
+    each structure constant of the records it builds."""
+    spec = sweedler_sign_datum(field)
+    crossed = spec.crossed
+    a, h = crossed.algebra, crossed.hopf_bialgebra
+    classical, sign = classical_sweedler_h4(field), sweedler_sign_map(field)
+
+    def twist():
+        twisted = yau_twist(classical, sign)
+        return [(twisted.algebra, "mult"), (twisted.coalgebra, "comult")]
+
+    def inverse():
+        inv = cocycle_inverse(crossed.cocycle)
+        return [(inv, "sigma"), (inv, "inverse")]
+
+    return {
+        "crossed_product": lambda: [(crossed_product(crossed), "mult")],
+        "smash_product": lambda: [
+            (smash_product(a, h, crossed.action, crossed.m), "mult")],
+        "smash_coproduct": lambda: [(smash_coproduct(
+            spec.coalgebra, h, spec.coaction, crossed.m), "comult")],
+        "tensor_algebra": lambda: [(tensor_algebra(a, h.algebra), "mult")],
+        "tensor_coalgebra": lambda: [
+            (tensor_coalgebra(spec.coalgebra, h.coalgebra), "comult")],
+        "yau_twist": twist,
+        "cocycle_inverse": inverse,
+    }[construction]
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS, ids=["Q", "GF7", "GF2147483647"])
+@pytest.mark.parametrize("construction", [
+    "crossed_product", "smash_product", "smash_coproduct", "tensor_algebra",
+    "tensor_coalgebra", "yau_twist", "cocycle_inverse"])
+def test_a_constructed_record_derives_its_cube_only_when_read(
+        monkeypatch, construction, field):
+    """A construction hands its compiled map to the record, which unpacks
+    no cube until the constant is read, then one per field however often it
+    is read; a record rebuilt from that cube holds the same map."""
+    build = construction_on(construction, field)
+    unpacks = []
+    for name in ("tensor_from_bilinear", "tensor_from_splitting"):
+        def counted(*args, real=getattr(homcore, name)):
+            unpacks.append(args)
+            return real(*args)
+        monkeypatch.setattr(homcore, name, counted)
+    fields = build()
+    assert unpacks == []
+    cubes = []
+    for count, (record, name) in enumerate(fields, start=1):
+        cubes.append(getattr(record, name))
+        assert getattr(record, name) is cubes[-1]
+        assert len(unpacks) == count
+    for (record, name), cube in zip(fields, cubes):
+        assert packed(replace(record, **{name: cube}), name) == packed(
+            record, name)
+
+
+RECORDS = {
+    "HomAlgebra.mult": (lambda d: d.crossed.algebra, "mult"),
+    "HomCoalgebra.comult": (lambda d: d.coalgebra, "comult"),
+    "ModuleAction.act": (lambda d: d.crossed.action, "act"),
+    "Coaction.coact": (lambda d: d.coaction, "coact"),
+    "Cocycle.sigma": (lambda d: d.crossed.cocycle, "sigma"),
+    "Cocycle.inverse": (lambda d: cocycle_inverse(d.crossed.cocycle),
+                        "inverse"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_a_record_refuses_a_ragged_cube(kind):
+    record, name = RECORDS[kind]
+    record = record(sweedler_sign_datum())
+    cube = [[list(plane) for plane in slab] for slab in getattr(record, name)]
+    shape = "x".join(str(n) for n in (
+        len(cube), len(cube[0]), len(cube[0][0])))
+    ragged = [cube[:-1], [cube[0][:-1], *cube[1:]],
+              [[cube[0][0][:-1], *cube[0][1:]], *cube[1:]]]
+    for bad in ragged:
+        with pytest.raises(ValueError, match=re.escape(
+                f"rank-3 tensor shape does not match {shape}")):
+            replace(record, **{name: bad})
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_a_record_refuses_a_map_on_other_spaces_or_over_another_field(kind):
+    record, name = RECORDS[kind]
+    over_q = record(sweedler_sign_datum())
+    over_gf7 = record(sweedler_sign_datum(PrimeField(7)))
+    own = packed(over_q, name)
+    assert packed(replace(over_q, **{name: own}), name) == own
+    with pytest.raises(DimensionMismatch, match="record's spaces"):
+        replace(over_q, **{name: identity(QQ, own.domain)})
+    with pytest.raises(FieldMismatch):
+        replace(over_q, **{name: packed(over_gf7, name)})
+
+
+CUBE_PACKERS = {"bilinear_as_map", "splitting_as_map", "tensor_from_bilinear",
+                "tensor_from_splitting"}
+
+
+def test_only_exactlin_and_homcore_name_the_cube_packers():
+    """``exactlin`` defines the four cube packers and unpackers and
+    ``homcore``'s ``StructureConstants`` calls them; every other module
+    hands a record a map or a cube."""
+    naming = {path.stem for path in Path(homhopf.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if CUBE_PACKERS & {getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None)}}
+    assert naming == {"exactlin", "homcore"}
