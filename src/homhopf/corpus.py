@@ -227,12 +227,15 @@ def example24_sigma(n, field=QQ, values_in="unit",
 
 def example24_spec(n, m: int, k: int, field=QQ) -> CrossedProductSpec:
     """The worked crossed-product spec: dual numbers over the twisted
-    Sweedler algebra with the table action and the parameter-n cocycle."""
+    Sweedler algebra with the table action and the parameter-n cocycle.
+    Algebra, action and cocycle share one A, so validating the spec reads
+    no cube."""
+    action, sigma = example24_action(field), example24_sigma(n, field)
     return CrossedProductSpec(
-        algebra=dual_numbers_algebra(field),
+        algebra=action.target,
         hopf=sweedler_h4_hom(field),
-        action=example24_action(field),
-        cocycle=example24_sigma(n, field),
+        action=action,
+        cocycle=Cocycle(sigma.source, action.target, sigma.sigma_map),
         m=m,
         k=k,
     )

@@ -1,15 +1,19 @@
 """Exact multilinear algebra over based finite-dimensional spaces.
 
-A linear map between named-basis spaces is stored in one of two forms.  The
+A linear map between named-basis spaces is held in one of three forms.  The
 public ``LinearMap(...)`` takes dense rows and coerces every entry into the
 field (an entry false as given becomes the shared ``field.zero``).  Maps
-the kernel computes itself hold sorted sparse columns, a
-((row, value), ...) tuple of the nonzeros of each column, and skip the
-coercion; so every kernel operation refuses operands over different fields
-(``FieldMismatch``).  Either form builds the other only when it is first
-asked for (``matrix`` for the rows, ``nonzero_columns()`` for the columns);
-equality, hashing and basis sweeps read the columns, so kernel output is
-never densified unless a caller wants the full matrix.  Linear systems are
+the kernel computes itself skip the coercion, so every kernel operation
+refuses operands over different fields (``FieldMismatch``).  They hold
+sorted sparse columns, a ((row, value), ...) tuple of the nonzeros of each
+column, or, from ``Pipeline.finish``, the pipeline's own
+{domain index: {row: value}} dict of its nonzero columns, unsorted.  Each
+other form is built only when it is first asked for (``matrix`` for the
+rows, ``nonzero_columns()`` for the sorted columns, which then replace the
+dict columns); equality and hashing read the sorted columns, and
+``equal_on_basis`` reads dict columns, so kernel output is never densified
+unless a caller wants the full matrix, and a compiled identity is compared
+without being sorted.  Linear systems are
 solved by one sparse exact Gauss–Jordan elimination on rows stored as
 {column: value} dicts.  It keeps a column index, for each pivotable column
 the set of rows holding a nonzero there, so its work is proportional to
@@ -54,7 +58,10 @@ product", 2000) but folds the others into the step map and rewrites the
 nonzero columns of one, so its work follows the nonzeros, as in
 Gustavson's sparse product (ACM TOMS 4(3), 1978), not the domain size.
 ``permute``, ``sparse_columns()``, ``finish`` and a read of ``columns``
-fuse every block first, over nonzero columns only.
+multiply the blocks out into one, over nonzero columns only; ``permute``
+places each block's rows at their new strides first, so it remaps only
+the blocks' own nonzeros, and ``finish`` hands the dict columns over as
+they are.
 
 Basis ordering convention, used everywhere: e_i (x) e_j maps to index
 i * dim(second factor) + j (row-major, left factor major).
@@ -204,8 +211,13 @@ class LinearMap:
     def _from_columns(cls, field, domain: Space, codomain: Space, columns):
         """Kernel output, whose entries are already kernel scalars: for
         each domain basis vector the ((row, value), ...) nonzeros of its
-        image, rows ascending.  Only the column count is checked."""
+        image, rows ascending, or a {domain index: {row: value}} dict of
+        the nonzero columns alone, held as it is.  Only the column count of
+        a sequence is checked."""
         self = cls.__new__(cls)
+        if isinstance(columns, dict):
+            self._init(field, domain, codomain, None, None, columns)
+            return self
         self._init(field, domain, codomain, None, tuple(columns))
         if len(self._cols) != domain.dim:
             raise DimensionMismatch(
@@ -213,12 +225,13 @@ class LinearMap:
                 f"{domain.dim}")
         return self
 
-    def _init(self, field, domain, codomain, rows, cols):
+    def _init(self, field, domain, codomain, rows, cols, dicts=None):
         self.field = field
         self.domain = domain
         self.codomain = codomain
         self._rows = rows
         self._cols = cols
+        self._dicts = dicts
         self._inv = None
 
     @property
@@ -228,7 +241,7 @@ class LinearMap:
             field = self.field
             rows = [[field.zero] * self.domain.dim
                     for _ in range(self.codomain.dim)]
-            for j, col in enumerate(self._cols):
+            for j, col in enumerate(self.nonzero_columns()):
                 for i, v in col:
                     rows[i][j] = _lift(field, v)
             self._rows = tuple(map(tuple, rows))
@@ -236,18 +249,38 @@ class LinearMap:
 
     def nonzero_columns(self):
         """Per-column nonzero entries as ((row, value), ...), rows
-        ascending; built from the rows on first use."""
+        ascending; built on first use from the held dict columns, which
+        are then dropped, or from the rows.  Only a column holding more
+        than one nonzero is sorted."""
         if self._cols is None:
-            rows = self._rows
-            self._cols = tuple(
-                tuple((i, _low(row[j])) for i, row in enumerate(rows) if row[j])
-                for j in range(self.domain.dim))
+            if self._dicts is not None:
+                cols = [()] * self.domain.dim
+                for j, col in self._dicts.items():
+                    cols[j] = tuple(sorted(col.items()) if len(col) > 1
+                                    else col.items())
+                self._cols, self._dicts = tuple(cols), None
+            else:
+                rows = self._rows
+                self._cols = tuple(
+                    tuple((i, _low(row[j])) for i, row in enumerate(rows)
+                          if row[j])
+                    for j in range(self.domain.dim))
         return self._cols
+
+    def _column_dicts(self) -> dict:
+        """The nonzero columns as {domain index: {row: value}}: the held
+        dict columns as they are, or the sorted ones read with ``dict``."""
+        if self._dicts is not None:
+            return self._dicts
+        return {j: dict(col) for j, col in enumerate(self.nonzero_columns())
+                if col}
 
     def column(self, j: int) -> tuple:
         field = self.field
         out = [field.zero] * self.codomain.dim
-        for i, v in self.nonzero_columns()[j]:
+        held = self._dicts
+        for i, v in (self.nonzero_columns()[j] if held is None
+                     else held.get(j, {}).items()):
             out[i] = _lift(field, v)
         return tuple(out)
 
@@ -615,14 +648,20 @@ def maps_equal(f: LinearMap, g: LinearMap, name: str = "maps_equal") -> CheckRep
 def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckReport:
     """Compare two maps out of a common tensor domain, sweeping basis tuples
     in row-major (lexicographic) order; the witness decodes the first failing
-    tuple into factor basis names and carries both evaluated sides."""
+    tuple into factor basis names and carries both evaluated sides.
+
+    The sides are compared as {domain index: {row: value}} dict columns:
+    a finished ``Pipeline``'s as held, any other's read from its sorted
+    columns.  Only the lowest differing column is lifted into the
+    witness."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         raise DimensionMismatch(f"{name}: compared maps live on different spaces")
     if prod(s.dim for s in factors) != lhs.domain.dim:
         raise DimensionMismatch(f"{name}: witness factors do not span the domain")
-    lcols, rcols = lhs.nonzero_columns(), rhs.nonzero_columns()
+    lcols, rcols = lhs._column_dicts(), rhs._column_dicts()
     if lcols != rcols:
-        j = next(j for j, (a, b) in enumerate(zip(lcols, rcols)) if a != b)
+        j = min(j for a, b in ((lcols, rcols), (rcols, lcols))
+                for j, col in a.items() if b.get(j) != col)
         witness = Witness(basis=basis_tuple_names(j, factors),
                           lhs=lhs.column(j), rhs=rhs.column(j))
         return CheckReport(name=name, passed=False, witness=witness)
@@ -657,9 +696,14 @@ class Pipeline:
     many folds the step has, and builds each output column in one
     accumulator, reduced as it is summed (``_apply``).
 
-    ``permute``, ``sparse_columns()`` and ``finish`` fuse every block into
-    one first, over nonzero columns only; ``finish`` sorts only the columns
-    holding more than one nonzero.  ``columns`` is
+    ``_kron`` is the one routine that multiplies blocks out, over their
+    nonzero columns: it places each block's rows at given strides, which
+    visits only that block's nonzeros, then adds the placed rows of each
+    product.  ``sparse_columns()`` and ``finish`` fuse every block with it
+    (the left-major placement), ``permute`` fuses and reorders the legs in
+    the same pass (the placement at the permuted strides), and
+    ``_fold_rewrite`` forms its side products with it.  ``finish`` hands
+    the fused dict columns to the ``LinearMap`` unsorted.  ``columns`` is
     ``sparse_columns()``: one dict per domain basis vector, an empty dict
     for a zero column.  Reading it fuses in place, so a caller that reads
     it after every step (a tracer counting nonzeros) makes the pipeline
@@ -704,46 +748,87 @@ class Pipeline:
         return b0, b, first, start
 
     @staticmethod
-    def _kron(blocks, cods, p: int) -> dict:
-        """The left-major Kronecker product of ``blocks``, whose codomain
-        sizes are ``cods``, as {domain index: {row: value}} over its nonzero
-        columns, products reduced mod ``p``.  A value is None where it is 1
-        from identity runs alone, so an identity run costs no
-        multiplication."""
-        acc = None              # the empty product
-        for (_, cols, size), cod in zip(blocks, cods):
+    def _placed_rows(rows, moves) -> list:
+        """Each row of ``rows`` at its place in a product: split into the
+        digits of the runs of legs in ``moves``, (stride in the block, size,
+        new stride) each, and each digit set at its new stride."""
+        if len(moves) == 1:
+            s = moves[0][2]
+            return [r * s for r in rows]
+        return [sum(r // o % d * s for o, d, s in moves) for r in rows]
+
+    @staticmethod
+    def _kron(blocks, dims, p: int, strides=None) -> dict:
+        """The Kronecker product of ``blocks``, whose current legs have
+        sizes ``dims``, as {domain index: {row: value}} over its nonzero
+        columns, products reduced mod ``p``.  Leg u of the product's
+        codomain has stride ``strides[u]``: left-major by default, which
+        fuses the blocks, or those of the legs permuted.  Each block's rows
+        are placed at those strides first, which visits only its own
+        nonzeros, and a row of the product is the sum of its factors'
+        placed rows.  A value is None where it is 1 from identity runs
+        alone, so an identity run costs no multiplication."""
+        if strides is None:
+            strides = [prod(dims[u + 1:]) for u in range(len(dims))]
+        acc, at = None, 0       # the empty product
+        for n, cols, size in blocks:
+            moves, old = [], prod(dims[at:at + n])
+            for u in range(at, at + n):
+                old //= dims[u]
+                if moves and moves[-1][2] == strides[u] * dims[u]:
+                    moves[-1] = (old, moves[-1][1] * dims[u], strides[u])
+                else:           # leg u does not follow the run before it
+                    moves.append((old, dims[u], strides[u]))
+            cod = prod(dims[at:at + n])
+            at += n
+            moved = moves != [(1, cod, 1)]
             if cols is None:
-                acc = {j: {j: None} for j in range(cod)} if acc is None else {
-                    k * cod + j: {r * cod + j: v for r, v in col.items()}
-                    for k, col in acc.items() for j in range(cod)}
-            elif acc is None:
+                rows = range(cod)
+                if moved:
+                    rows = Pipeline._placed_rows(rows, moves)
+                acc = {j: {r: None} for j, r in enumerate(rows)} \
+                    if acc is None else {
+                        k * cod + j: {r + rb: v for r, v in col.items()}
+                        for k, col in acc.items() for j, rb in enumerate(rows)}
+                continue
+            if moved:
+                cols = {kb: dict(zip(Pipeline._placed_rows(cb, moves),
+                                     cb.values()))
+                        for kb, cb in cols.items()}
+            if acc is None:
                 acc = cols
-            else:
-                items = [(kb, tuple(cb.items())) for kb, cb in cols.items()]
-                acc = {k * size + kb: {r * cod + rb: wb if v is None else
-                                       v * wb % p if p else v * wb
-                                       for r, v in col.items() for rb, wb in cb}
-                       for k, col in acc.items() for kb, cb in items}
+                continue
+            items = [(kb, tuple(cb.items())) for kb, cb in cols.items()]
+            acc = {k * size + kb: {r + rb: wb if v is None else
+                                   v * wb % p if p else v * wb
+                                   for r, v in col.items() for rb, wb in cb}
+                   for k, col in acc.items() for kb, cb in items}
         return {0: {0: None}} if acc is None else acc
 
-    def _fuse_all(self) -> dict:
-        """Fuse every block into one and return its columns."""
+    def _fuse_all(self, order=None) -> dict:
+        """Fuse every block into one and return its columns; with
+        ``order``, permute the legs as well, new leg t being old leg
+        order[t]."""
         blocks = self._blocks
-        if len(blocks) > 1 or blocks[0][1] is None:
-            dims = [s.dim for s in self.legs]
-            cods, at = [], 0
-            for n, _, _ in blocks:
-                cods.append(prod(dims[at:at + n]))
-                at += n
-            if all(b[1] is None for b in blocks):
-                one = _low(self.field.one)
-                cols = {j: {j: one} for j in range(prod(dims))}
-            else:
-                cols = self._kron(blocks, cods, self.field.characteristic)
-            size = prod([c if b[1] is None else b[2]
-                         for b, c in zip(blocks, cods)])
-            blocks[:] = [[len(dims), cols, size]]
-        return blocks[0][1]
+        if order is None:
+            if len(blocks) == 1 and blocks[0][1] is not None:
+                return blocks[0][1]
+            order = range(len(self.legs))
+        dims = [s.dim for s in self.legs]
+        strides = [0] * len(dims)
+        for t, u in enumerate(order):
+            strides[u] = prod(dims[w] for w in order[t + 1:])
+        cols = self._kron(blocks, dims, self.field.characteristic, strides)
+        size, at = 1, 0
+        for n, touched, block_size in blocks:
+            size *= prod(dims[at:at + n]) if touched is None else block_size
+            at += n
+        if all(b[1] is None for b in blocks):
+            one = _low(self.field.one)
+            cols = {k: {r: one for r in col} for k, col in cols.items()}
+        blocks[:] = [[len(dims), cols, size]]
+        self.legs = [self.legs[u] for u in order]
+        return cols
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
         """Replace legs i..i+count-1 (count may be 0) by ``new_legs`` through
@@ -831,10 +916,10 @@ class Pipeline:
             left = [(kl * size_t * size_r,
                      [(rl // m_l * hi_step, vl, rl % m_l * m_t * m_r)
                       for rl, vl in cl.items()])
-                    for kl, cl in self._kron(span[:t], cods[:t], p).items()]
+                    for kl, cl in self._kron(span[:t], dims[:t0], p).items()]
             right = [(kr, [(rr % lo_r, vr, rr // lo_r)
                            for rr, vr in cr.items()])
-                     for kr, cr in self._kron(span[t + 1:], cods[t + 1:],
+                     for kr, cr in self._kron(span[t + 1:], dims[t1:],
                                               p).items()]
             mids = {key // lo_t % m_t for col in kept.values() for key in col}
             for start, terms_l in left:
@@ -929,23 +1014,7 @@ class Pipeline:
         """Reorder legs so that new leg t is old leg order[t]."""
         if sorted(order) != list(range(len(self.legs))):
             raise ValueError(f"bad permutation {order}")
-        dims = [s.dim for s in self.legs]
-        new_dims = [dims[u] for u in order]
-        # (old stride, dim, new stride) of every leg whose stride changes
-        strides = [(prod(dims[u + 1:]), dims[u], prod(new_dims[t + 1:]))
-                   for t, u in enumerate(order)]
-        moves = [m for m in strides if m[0] != m[2]]
-        cols = self._fuse_all()
-        for k, col in cols.items():
-            out = {}
-            for key, v in col.items():
-                nk = key
-                for old, d, new in moves:
-                    digit = key // old % d
-                    nk += digit * new - digit * old
-                out[nk] = v
-            cols[k] = out
-        self.legs = [self.legs[u] for u in order]
+        self._fuse_all(order)
         return self
 
     def adjoin_vector(self, i: int, space, coords):
@@ -973,14 +1042,12 @@ class Pipeline:
     columns = property(sparse_columns)
 
     def finish(self) -> LinearMap:
-        cols = self._fuse_all()
-        out = [()] * self._blocks[0][2]
-        for k, col in cols.items():
-            out[k] = tuple(sorted(col.items()) if len(col) > 1
-                           else col.items())
+        """The compiled map, holding the fused dict columns as they are; no
+        step changes a block's columns in place, so the pipeline may go on
+        without touching the map."""
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),
-            tensor_space_list(self.legs), out)
+            tensor_space_list(self.legs), self._fuse_all())
 
 
 # The terms build on the Pipeline above; imported last so that either

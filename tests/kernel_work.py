@@ -14,8 +14,16 @@ unit-row mutant.  Printed, one per line, with the count:
   a kept nonzero costs two);
 - ``apply_reduction_dicts``: dict comprehensions ``Pipeline._apply`` runs
   (a second dict per output column, built to reduce it mod p);
-- ``finish_sorts``: ``sorted`` calls made by ``Pipeline.finish``;
-- ``apply_calls``, ``finish_calls``: calls of those two methods;
+- ``apply_calls``, ``finish_calls``: calls of ``Pipeline._apply`` and
+  ``Pipeline.finish``;
+- ``permute_placements``: rows ``Pipeline.permute`` writes at a new place,
+  counted by ``placements_and_sorts`` below: the rows of each block it
+  places before multiplying the blocks out, or, in a kernel that fuses
+  first and then remaps, every fused nonzero;
+- ``columns_sorted``: dict columns turned into sorted tuple columns,
+  wherever that happens: when ``LinearMap.nonzero_columns()`` is first
+  read on a map holding dict columns, or, in a kernel that sorts in
+  ``Pipeline.finish``, the nonzero columns of each finished map;
 - ``modints_created``: ``ModInt`` constructions over the whole pass;
 - ``field_coerces``: ``coerce`` calls of the fields (``PrimeField`` and
   ``RationalField``) over the whole pass;
@@ -44,7 +52,6 @@ from pathlib import Path
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 DEFAULT_SEED = 5
 BUILTIN_DIVMOD = ("~", 0, "<built-in method builtins.divmod>")
-BUILTIN_SORTED = ("~", 0, "<built-in method builtins.sorted>")
 
 
 def ladder_pass(seed: int):
@@ -95,6 +102,59 @@ def held_nonzeros(build):
     return result, total
 
 
+def placements_and_sorts(build):
+    """``build()``, the rows ``Pipeline.permute`` places and the dict
+    columns sorted into tuples while it runs; see the module docstring."""
+    from homhopf.exactlin import LinearMap, Pipeline
+
+    placed, in_permute, sorted_columns = [0], [False], [0]
+    real = {"permute": Pipeline.permute, "finish": Pipeline.finish,
+            "nonzero_columns": LinearMap.nonzero_columns}
+    real_rows = Pipeline.__dict__.get("_placed_rows")
+
+    def permute(self, order):
+        in_permute[0] = True
+        try:
+            out = real["permute"](self, order)
+        finally:
+            in_permute[0] = False
+        if real_rows is None:       # every fused nonzero is remapped
+            placed[0] += sum(len(col) for col in self._blocks[0][1].values())
+        return out
+
+    def placed_rows(rows, moves):
+        out = real_rows.__func__(rows, moves)
+        if in_permute[0]:
+            placed[0] += len(out)
+        return out
+
+    def finish(self):
+        out = real["finish"](self)
+        if out._cols is not None:   # sorted here rather than on first read
+            sorted_columns[0] += sum(1 for col in out._cols if col)
+        return out
+
+    def nonzero_columns(self):
+        held = getattr(self, "_dicts", None)
+        if self._cols is None and held is not None:
+            sorted_columns[0] += len(held)
+        return real["nonzero_columns"](self)
+
+    try:
+        Pipeline.permute, Pipeline.finish = permute, finish
+        LinearMap.nonzero_columns = nonzero_columns
+        if real_rows is not None:
+            Pipeline._placed_rows = staticmethod(placed_rows)
+        result = build()
+    finally:
+        for name in ("permute", "finish"):
+            setattr(Pipeline, name, real[name])
+        LinearMap.nonzero_columns = real["nonzero_columns"]
+        if real_rows is not None:
+            Pipeline._placed_rows = real_rows
+    return result, placed[0], sorted_columns[0]
+
+
 def counts(seed: int) -> dict:
     from homhopf.corpus import selftest
     from homhopf.exactlin import Pipeline
@@ -120,12 +180,15 @@ def counts(seed: int) -> dict:
         return total
 
     apply, finish = key(Pipeline._apply), key(Pipeline.finish)
+    _, placed, sorted_columns = placements_and_sorts(
+        lambda: ladder_pass(seed))
     return {
         "apply_divmods": calls(BUILTIN_DIVMOD, apply),
         "apply_reduction_dicts": calls("<dictcomp>", apply),
-        "finish_sorts": calls(BUILTIN_SORTED, finish),
         "apply_calls": calls(apply),
         "finish_calls": calls(finish),
+        "permute_placements": placed,
+        "columns_sorted": sorted_columns,
         "modints_created": calls(key(ModInt.__init__)),
         "field_coerces": calls(key(PrimeField.coerce))
         + calls(key(RationalField.coerce)),

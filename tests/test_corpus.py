@@ -229,6 +229,22 @@ def test_selftest_builds_each_crossed_product_once(count_calls):
     assert calls[0] == 7
 
 
+def test_selftest_unpacks_no_structure_constants(count_calls):
+    """Records hold their constants as packed maps, spec validation
+    compares the records a spec shares by identity before their fields, and
+    every corpus spec shares its records, so a selftest unpacks no cube.
+    The dataclass ``==`` alone unpacks every cube of both records it
+    compares: 21 in one selftest."""
+    import homhopf.corpus as corpus
+
+    corpus._sweedler_h4_hom.cache_clear()
+    unpacks = [count_calls("homcore", name) for name in (
+        "tensor_from_bilinear", "tensor_from_splitting")]
+    ok, _ = selftest()
+    assert ok
+    assert [calls[0] for calls in unpacks] == [0, 0]
+
+
 def test_memoised_objects_do_not_leak_into_mutants():
     entry = entry_by_name("sweedler_sign_biproduct")
     for thunk in entry.checks.values():

@@ -712,11 +712,39 @@ def random_legs(data, least=1):
 FIELDS = st.sampled_from([QQ, GF7, GF_BIG])
 
 
+def unfused_blocks(data, field):
+    """Legs, one of them perhaps ``SCALAR_SPACE``, and steps that leave the
+    pipeline in several blocks: maps on a drawn set of legs, with identity
+    runs between them, and perhaps a vector adjoined among them."""
+    legs = random_legs(data, least=2)
+    if data.draw(st.booleans()):
+        legs.insert(data.draw(st.integers(0, len(legs))), SCALAR_SPACE)
+    steps, current = [], list(legs)
+    for i in sorted(data.draw(st.sets(st.integers(0, len(legs) - 1),
+                                      min_size=1))):
+        f = data.draw(random_map(field, legs[i], fresh_space(data.draw(DIMS))))
+        steps.append(("map_leg", (i, f)))
+        current[i] = f.codomain
+    if data.draw(st.booleans()):
+        space = fresh_space(data.draw(DIMS))
+        coords = data.draw(st.lists(SMALL_SCALARS, min_size=space.dim,
+                                    max_size=space.dim))
+        steps.append(("adjoin_vector", (data.draw(
+            st.integers(0, len(current))), space, coords)))
+    return legs, steps
+
+
 @pytest.mark.parametrize("kind", STEP_KINDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pipeline_step_matches_kronecker_construction(kind, data):
-    check_steps(data, data.draw(FIELDS), random_legs(data), [kind])
+    """One step of each kind on a fresh pipeline; a permute also on one
+    left in several blocks, which it places block by block."""
+    field = data.draw(FIELDS)
+    legs, steps = random_legs(data), []
+    if kind == "permute" and data.draw(st.booleans()):
+        legs, steps = unfused_blocks(data, field)
+    check_steps(data, field, legs, steps + [kind])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1317,6 +1345,71 @@ def test_equal_on_basis_refuses_factors_that_do_not_span_the_domain():
     with pytest.raises(DimensionMismatch):
         equal_on_basis("unit", unit, unit, (line,))
     assert equal_on_basis("unit", unit, unit, (SCALAR_SPACE,)).passed
+
+
+# equal_on_basis reads each side in the form it is held: dense rows (the
+# public constructor), sorted columns (compose, tensor, ...) or the dict
+# columns of a finished Pipeline.  The map goes out of a (x) b, of 5 * 8
+# columns, and its nonzero entries are {(row, column): value}; each plant
+# sets the entries listed.  Column 3 is zero in the base map, and a set of
+# the nonzero columns holding 3 and 33 does not iterate 3 first.
+HELD_FORM_BASE = {(0, 0): 1, (2, 0): 4, (0, 21): 2, (1, 21): 3, (1, 33): 1,
+                  (0, 39): -1, (2, 39): 5}
+HELD_FORM_PLANTS = {
+    "equal": {},
+    "first_column": {(2, 0): 5},
+    "last_column": {(0, 39): 1},
+    "nonzero_on_one_side_only": {(1, 3): 6, (1, 33): 2},
+}
+
+
+def held_forms(field, entries):
+    """The map with these entries in each of its three held forms; the
+    pipeline's map has not built its sorted columns."""
+    a, b = (Space(tuple(f"{x}{i}" for i in range(n))) for x, n in
+            (("a", 5), ("b", 8)))
+    cod = Space(("c0", "c1", "c2"))
+    rows = [[entries.get((i, j), 0) for j in range(40)] for i in range(3)]
+
+    def dense():
+        return LinearMap(field, tensor_space(a, b), cod, rows)
+
+    columns = compose(identity(field, cod), dense())
+    finished = Pipeline(field, [a, b]).merge_legs(0, 2, dense()).finish()
+    assert columns._rows is None
+    assert finished._cols is None and finished._dicts is not None
+    return (a, b), {"rows": dense(), "columns": columns, "pipeline": finished}
+
+
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+@pytest.mark.parametrize("plant", sorted(HELD_FORM_PLANTS))
+def test_equal_on_basis_gives_one_report_across_held_forms(field, plant):
+    """Every pairing of held forms, either way round, gives the report of
+    the dense column sweep: the same verdict and, byte for byte, the same
+    witness at the lowest differing column."""
+    other = {**HELD_FORM_BASE, **HELD_FORM_PLANTS[plant]}
+    for base_side, other_side in ((HELD_FORM_BASE, other),
+                                  (other, HELD_FORM_BASE)):
+        factors, reference = held_forms(field, base_side)
+        expected = reference_equal_on_basis(
+            "eq", reference["rows"], held_forms(field, other_side)[1]["rows"],
+            factors)
+        assert expected.passed is (plant == "equal")
+        for lhs_form, rhs_form in itertools.product(reference, repeat=2):
+            lhs = held_forms(field, base_side)[1][lhs_form]
+            rhs = held_forms(field, other_side)[1][rhs_form]
+            report = equal_on_basis("eq", lhs, rhs, factors)
+            assert report == expected, (lhs_form, rhs_form)
+            assert repr(report.as_dict()) == repr(expected.as_dict())
+            # the witness lifts one column; nothing sorted the dict columns
+            for form, side in ((lhs_form, lhs), (rhs_form, rhs)):
+                assert (side._cols is None) is (form == "pipeline")
+    # read once, the dict columns become the sorted ones and are dropped
+    finished = held_forms(field, other)[1]["pipeline"]
+    assert finished.nonzero_columns() == held_forms(
+        field, other)[1]["rows"].nonzero_columns()
+    assert finished._dicts is None
 
 
 @settings(max_examples=100, deadline=None)
