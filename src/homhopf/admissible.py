@@ -39,7 +39,7 @@ from .exactlin import (
 )
 from .homcore import HomAlgebra, HomBialgebra, convolve, morphism_laws
 from .report import CheckReport
-from .sweedler import compile_map, const, inputs, split
+from .sweedler import compile_map, const, holds, inputs, split
 
 
 class NotAdmissibleError(ValueError):
@@ -131,21 +131,16 @@ def check_cocycle_inverse_identities(spec: CrossedProductSpec) -> CheckReport:
     (h1, h2), (l1, l2), (g1, g2) = split(dh, h), split(dh, l), split(dh, g)
     (h11, h12), (l11, l12) = split(dh, h1), split(dh, l1)
     s = sig(ak2(h11), ak2(l11))        # the first factor of both right sides
-    action_on_cocycle = equal_on_basis(
-        "action_on_cocycle_values",
-        compile_map(field, (h, l, g), [act(alpha(h), sig(ak1(l), ak1(g)))]),
-        compile_map(field, (h, l, g), [
-            ma(ma(s, sig(ak1(mh(h12, l12)), ak1(g1))),
-               sig_inv(ak2(h2), ak1(mh(l2, g2))))]),
-        (hsp, hsp, hsp))
-    action_of_products = equal_on_basis(
-        "action_of_products_via_cocycle",
-        compile_map(field, (h, l, a), [
-            act(power(alpha, m)(mh(h, l)), power(beta, 2)(a))]),
-        compile_map(field, (h, l, a), [
-            ma(ma(s, act(power(alpha, m)(mh(h12, l12)), a)),
-               sig_inv(ak2(h2), ak2(l2)))]),
-        (hsp, hsp, asp))
+    action_on_cocycle = holds(
+        field, "action_on_cocycle_values", (h, l, g),
+        [act(alpha(h), sig(ak1(l), ak1(g)))],
+        [ma(ma(s, sig(ak1(mh(h12, l12)), ak1(g1))),
+            sig_inv(ak2(h2), ak1(mh(l2, g2))))])
+    action_of_products = holds(
+        field, "action_of_products_via_cocycle", (h, l, a),
+        [act(power(alpha, m)(mh(h, l)), power(beta, 2)(a))],
+        [ma(ma(s, act(power(alpha, m)(mh(h12, l12)), a)),
+            sig_inv(ak2(h2), ak2(l2)))])
 
     return CheckReport.combine(
         "cocycle_inverse_identities", [action_on_cocycle, action_of_products])
@@ -174,29 +169,21 @@ def check_twisted_module(h: HomBialgebra, carrier: HomAlgebra,
     if side == "left":
         g, l, x = inputs(hsp, hsp, xsp)
         (g1, g2), (l1, l2) = split(dh, g), split(dh, l)
-        law = equal_on_basis(
-            "left_twisted_module_law",
-            compile_map(field, (g, l, x), [phi(alpha(g), phi(l, x))]),
-            compile_map(field, (g, l, x), [
-                mx(beta(sigma_bar(g1, l1)), phi(mh(g2, l2), x))]),
-            (hsp, hsp, xsp))
-        unit = equal_on_basis(
-            "left_twisted_module_unit",
-            compile_map(field, (x,), [phi(const(hsp, one), x)]), beta, (xsp,))
+        law = holds(field, "left_twisted_module_law", (g, l, x),
+                    [phi(alpha(g), phi(l, x))],
+                    [mx(beta(sigma_bar(g1, l1)), phi(mh(g2, l2), x))])
+        unit = holds(field, "left_twisted_module_unit", (x,),
+                     [phi(const(hsp, one), x)], beta)
         return CheckReport.combine("left_twisted_module", [law, unit])
 
     if side == "right":
         x, l, g = inputs(xsp, hsp, hsp)
         (l1, l2), (g1, g2) = split(dh, l), split(dh, g)
-        law = equal_on_basis(
-            "right_twisted_module_law",
-            compile_map(field, (x, l, g), [phi(phi(x, l), alpha(g))]),
-            compile_map(field, (x, l, g), [
-                mx(beta(x), phi(sigma_bar(l1, g1), mh(l2, g2)))]),
-            (xsp, hsp, hsp))
-        unit = equal_on_basis(
-            "right_twisted_module_unit",
-            compile_map(field, (x,), [phi(x, const(hsp, one))]), beta, (xsp,))
+        law = holds(field, "right_twisted_module_law", (x, l, g),
+                    [phi(phi(x, l), alpha(g))],
+                    [mx(beta(x), phi(sigma_bar(l1, g1), mh(l2, g2)))])
+        unit = holds(field, "right_twisted_module_unit", (x,),
+                     [phi(x, const(hsp, one))], beta)
         return CheckReport.combine("right_twisted_module", [law, unit])
 
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -213,19 +200,13 @@ def check_weak_bimodule(h: HomBialgebra, carrier_structure: LinearMap,
 
     g, x, l = inputs(hsp, xsp, hsp)
     one = h.algebra.unit
-    left_unit = equal_on_basis(
-        "left_action_unit",
-        compile_map(field, (x,), [left(const(hsp, one), x)]),
-        carrier_structure, (xsp,))
-    right_unit = equal_on_basis(
-        "right_action_unit",
-        compile_map(field, (x,), [right(x, const(hsp, one))]),
-        carrier_structure, (xsp,))
-    compat = equal_on_basis(
-        "bimodule_middle_compat",
-        compile_map(field, (g, x, l), [left(alpha(g), right(x, l))]),
-        compile_map(field, (g, x, l), [right(left(g, x), alpha(l))]),
-        (hsp, xsp, hsp))
+    left_unit = holds(field, "left_action_unit", (x,),
+                      [left(const(hsp, one), x)], carrier_structure)
+    right_unit = holds(field, "right_action_unit", (x,),
+                       [right(x, const(hsp, one))], carrier_structure)
+    compat = holds(field, "bimodule_middle_compat", (g, x, l),
+                   [left(alpha(g), right(x, l))],
+                   [right(left(g, x), alpha(l))])
     return CheckReport.combine(
         "weak_bimodule", [left_unit, right_unit, compat])
 
@@ -469,9 +450,6 @@ def admissible_isomorphism(sys: MappingSystem, enforce: bool = True):
 
     bsp = b.space
     xh, x0 = split(sys.biproduct.spec.coaction.coact_map, p(a1), hsp, csp)
-    eq_exchange_lhs = compile_map(field, (a,), [
-        h.algebra.mult_map(power(alpha, sys.m + 1)(xh), pi(a2)), beta(x0)])
-    eq_exchange_rhs = compile_map(field, (a,), [compose(alpha, pi)(a1), p(a2)])
 
     report = CheckReport.combine("biproduct_isomorphism", [
         equal_on_basis("roundtrip_on_ambient", compose(f, g),
@@ -484,8 +462,10 @@ def admissible_isomorphism(sys: MappingSystem, enforce: bool = True):
                        unital="forward_unital"),
         *morphism_laws(g, amb, b, comultiplicative="backward_comultiplicative",
                        counital="backward_counital"),
-        equal_on_basis("projection_coaction_exchange",
-                       eq_exchange_lhs, eq_exchange_rhs, (asp,)),
+        holds(field, "projection_coaction_exchange", (a,),
+              [h.algebra.mult_map(power(alpha, sys.m + 1)(xh), pi(a2)),
+               beta(x0)],
+              [compose(alpha, pi)(a1), p(a2)]),
     ])
     if not report.passed:
         raise IsoCheckFailError(f, g, report)

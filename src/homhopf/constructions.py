@@ -13,7 +13,8 @@ and the one-parameter smash coproduct on A (x) H comultiplies by
 
 Every Sweedler-style formula here is written once as a term over its input
 legs and compiled by ``sweedler.compile_map`` into splits, permutations,
-structure-map powers and merges, never as a hand-expanded index loop.
+structure-map powers and merges, never as a hand-expanded index loop; a
+condition is one ``sweedler.holds`` call over those legs.
 Constructions return the structure either way; the companion check_*
 functions decide validity and name the first failing basis tuple.
 """
@@ -48,7 +49,7 @@ from .homcore import (
     outer,
 )
 from .report import CheckReport
-from .sweedler import compile_map, const, inputs, split
+from .sweedler import compile_map, const, holds, inputs, split
 
 
 class ConditionsFailError(ValueError):
@@ -186,35 +187,25 @@ def check_cocycle_conditions(spec: CrossedProductSpec) -> CheckReport:
     h, l, g, a = inputs(hsp, hsp, hsp, asp)
     one = hopf.algebra.unit
     eps_unit = compose(alg.unit_map, hopf.coalgebra.counit_map)
-    normal_right = equal_on_basis(
-        "cocycle_normal_on_right_unit",
-        compile_map(field, (h,), [sig(h, const(hsp, one))]), eps_unit, (hsp,))
-    normal_left = equal_on_basis(
-        "cocycle_normal_on_left_unit",
-        compile_map(field, (h,), [sig(const(hsp, one), h)]), eps_unit, (hsp,))
-    structure = equal_on_basis(
-        "cocycle_structure_compat",
-        compile_map(field, (h, l), [sig(alpha(h), alpha(l))]),
-        compose(beta, sig), (hsp, hsp))
+    normal_right = holds(field, "cocycle_normal_on_right_unit", (h,),
+                         [sig(h, const(hsp, one))], eps_unit)
+    normal_left = holds(field, "cocycle_normal_on_left_unit", (h,),
+                        [sig(const(hsp, one), h)], eps_unit)
+    structure = holds(field, "cocycle_structure_compat", (h, l),
+                      [sig(alpha(h), alpha(l))], compose(beta, sig))
     normality = CheckReport.combine(
         "cocycle_normality", [normal_right, normal_left, structure])
 
     (h1, h2), (l1, l2), (g1, g2) = split(dh, h), split(dh, l), split(dh, g)
-    symmetry = equal_on_basis(
-        "cocycle_action_symmetry",
-        compile_map(field, (h, l, a), [
-            ma(act(power(alpha, m)(mh(h1, l1)), a), sig(ak2(h2), ak2(l2)))]),
-        compile_map(field, (h, l, a), [
-            ma(sig(ak2(h1), ak2(l1)), act(power(alpha, m)(mh(h2, l2)), a))]),
-        (hsp, hsp, asp))
-    twisted_cocycle = equal_on_basis(
-        "cocycle_twisted_two_cocycle",
-        compile_map(field, (h, l, g), [
-            ma(act(power(alpha, m + 1)(h1), sig(ak1(l1), ak1(g1))),
-               sig(ak2(h2), ak1(mh(l2, g2))))]),
-        compile_map(field, (h, l, g), [
-            ma(sig(ak2(h1), ak2(l1)), sig(ak1(mh(h2, l2)), ak1(g)))]),
-        (hsp, hsp, hsp))
+    symmetry = holds(
+        field, "cocycle_action_symmetry", (h, l, a),
+        [ma(act(power(alpha, m)(mh(h1, l1)), a), sig(ak2(h2), ak2(l2)))],
+        [ma(sig(ak2(h1), ak2(l1)), act(power(alpha, m)(mh(h2, l2)), a))])
+    twisted_cocycle = holds(
+        field, "cocycle_twisted_two_cocycle", (h, l, g),
+        [ma(act(power(alpha, m + 1)(h1), sig(ak1(l1), ak1(g1))),
+            sig(ak2(h2), ak1(mh(l2, g2))))],
+        [ma(sig(ak2(h1), ak2(l1)), sig(ak1(mh(h2, l2)), ak1(g)))])
 
     return CheckReport.combine(
         "crossed_cocycle_conditions", [normality, symmetry, twisted_cocycle])
@@ -256,14 +247,11 @@ def check_twisted_comodule_cocycle(spec: BiproductSpec) -> CheckReport:
     h, a20 = split(rho, a2, hsp, asp)
     h1, h2 = split(dh, h)
     g1, g2 = split(dh, g)
-    lhs = compile_map(field, (a, g), [
-        beta(a1), mh(power(alpha, m + 1)(h), g), a20])
-    rhs = compile_map(field, (a, g), [
-        ma(a1, sig(power(alpha, k + m + 2)(h1), power(alpha, k + 1)(g1))),
-        mh(power(alpha, m + 2)(h2), alpha(g2)), a20])
-    return CheckReport.combine("twisted_comodule_cocycle", [
-        equal_on_basis("twisted_comodule_cocycle_identity", lhs, rhs, (asp, hsp))
-    ])
+    return CheckReport.combine("twisted_comodule_cocycle", [holds(
+        field, "twisted_comodule_cocycle_identity", (a, g),
+        [beta(a1), mh(power(alpha, m + 1)(h), g), a20],
+        [ma(a1, sig(power(alpha, k + m + 2)(h1), power(alpha, k + 1)(g1))),
+         mh(power(alpha, m + 2)(h2), alpha(g2)), a20])])
 
 
 def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
@@ -317,10 +305,8 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
             functional_as_map(field, tensor_space(hsp, hsp),
                               outer(counit_h, counit_h)),
             (hsp, hsp)),
-        equal_on_basis(
-            "cocycle_structure_compat",
-            compile_map(field, (h, g), [sig(alpha(h), alpha(g))]),
-            compose(beta, sig), (hsp, hsp)),
+        holds(field, "cocycle_structure_compat", (h, g),
+              [sig(alpha(h), alpha(g))], compose(beta, sig)),
     ])
 
     # 4. Delta_A(1) = 1 (x) 1
@@ -332,10 +318,8 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     # 5. the coaction is multiplicative and unital
     (am, a0), (bm, b0) = split(rho, a, hsp, asp), split(rho, b, hsp, asp)
     c5 = CheckReport.combine("coaction_algebra_map", [
-        equal_on_basis(
-            "coaction_multiplicative", compose(rho, ma),
-            compile_map(field, (a, b), [mh(am, bm), ma(a0, b0)]),
-            (asp, asp)),
+        holds(field, "coaction_multiplicative", (a, b),
+              compose(rho, ma), [mh(am, bm), ma(a0, b0)]),
         equal_on_basis(
             "coaction_on_unit", compose(rho, alg.unit_map),
             vector_as_map(field, tensor_space(hsp, asp),
@@ -347,12 +331,10 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     (h1, h2), (g1, g2) = split(dh, h), split(dh, g)
     ak1, ak2 = power(alpha, k + 1), power(alpha, k + 2)
     sm, s0 = split(rho, sig(ak2(h1), ak2(g1)), hsp, asp)
-    c6 = equal_on_basis(
-        "cocycle_coaction_compat",
-        compile_map(field, (h, g), [
-            mh(power(alpha, m - 1)(sm), power(alpha, -1)(mh(h2, g2))), s0]),
-        compile_map(field, (h, g), [mh(h1, g1), sig(ak1(h2), ak1(g2))]),
-        (hsp, hsp))
+    c6 = holds(
+        field, "cocycle_coaction_compat", (h, g),
+        [mh(power(alpha, m - 1)(sm), power(alpha, -1)(mh(h2, g2))), s0],
+        [mh(h1, g1), sig(ak1(h2), ak1(g2))])
 
     # 7. Delta_A is multiplicative up to the action, cocycle and coaction
     a1, a2 = split(da, a)
@@ -360,35 +342,27 @@ def check_biproduct_conditions(spec: BiproductSpec) -> CheckReport:
     a2m1, a2m2 = split(dh, a2m)
     b1, b2 = split(da, b)
     b2m, b20 = split(rho, b2, hsp, asp)
-    c7 = equal_on_basis(
-        "comult_twisted_multiplicative",
-        compile_map(field, (a, b), split(da, ma(a, b))),
-        compile_map(field, (a, b), [
-            ma(a1, ma(act(power(alpha, 2 * m)(a2m1), power(beta, -2)(b1)),
-                      sig(power(alpha, k + m + 1)(a2m2),
-                          power(alpha, k + m)(b2m)))),
-            beta(ma(a20, b20))]),
-        (asp, asp))
+    c7 = holds(
+        field, "comult_twisted_multiplicative", (a, b), split(da, ma(a, b)),
+        [ma(a1, ma(act(power(alpha, 2 * m)(a2m1), power(beta, -2)(b1)),
+                   sig(power(alpha, k + m + 1)(a2m2),
+                       power(alpha, k + m)(b2m)))),
+         beta(ma(a20, b20))])
 
     # 8. Delta_A of an action value
     h11, h12 = split(dh, h1)
-    c8 = equal_on_basis(
-        "comult_action_compat",
-        compile_map(field, (h, b), split(da, act(power(alpha, m)(h), b))),
-        compile_map(field, (h, b), [
-            ma(act(power(alpha, m)(h11), power(beta, -1)(b1)),
-               sig(ak1(h12), power(alpha, k + m + 1)(b2m))),
-            act(power(alpha, m)(h2), beta(b20))]),
-        (hsp, asp))
+    c8 = holds(
+        field, "comult_action_compat", (h, b),
+        split(da, act(power(alpha, m)(h), b)),
+        [ma(act(power(alpha, m)(h11), power(beta, -1)(b1)),
+            sig(ak1(h12), power(alpha, k + m + 1)(b2m))),
+         act(power(alpha, m)(h2), beta(b20))])
 
     # 9. the action and coaction braid past each other
     tm, t0 = split(rho, act(power(alpha, m + 1)(h1), b), hsp, asp)
-    c9 = equal_on_basis(
-        "action_coaction_compat",
-        compile_map(field, (h, b), [mh(power(alpha, m - 1)(tm), h2), t0]),
-        compile_map(field, (h, b), [
-            mh(h1, power(alpha, m)(bm)), act(power(alpha, m)(h2), b0)]),
-        (hsp, asp))
+    c9 = holds(field, "action_coaction_compat", (h, b),
+               [mh(power(alpha, m - 1)(tm), h2), t0],
+               [mh(h1, power(alpha, m)(bm)), act(power(alpha, m)(h2), b0)])
 
     return CheckReport.combine(
         "biproduct_conditions", [c1, c2, c3, c4, c5, c6, c7, c8, c9])
@@ -461,14 +435,14 @@ def check_sigma_antipode(h: HomBialgebra, sigma: Cocycle,
     (z,) = inputs(hsp)
     z1, z2 = split(dh, z)
 
-    def one_side(u, v) -> LinearMap:
+    def one_side(u, v):
         (u1, u2), (v1, v2) = split(dh, u), split(dh, v)
-        return compile_map(field, (z,), [sig(u1, v1), mh(u2, v2)])
+        return [sig(u1, v1), mh(u2, v2)]
 
     return CheckReport.combine("sigma_antipode", [
         *morphism_laws(s, h, h, structure_compat="sigma_antipode_alpha_commute"),
-        equal_on_basis("sigma_antipode_right", one_side(z1, s(z2)), target, (hsp,)),
-        equal_on_basis("sigma_antipode_left", one_side(s(z1), z2), target, (hsp,)),
+        holds(field, "sigma_antipode_right", (z,), one_side(z1, s(z2)), target),
+        holds(field, "sigma_antipode_left", (z,), one_side(s(z1), z2), target),
     ])
 
 

@@ -46,7 +46,7 @@ from .homcore import (
     inverse_laws,
 )
 from .report import CheckReport
-from .sweedler import compile_map, const, inputs, split
+from .sweedler import compile_map, const, holds, inputs, split
 
 
 class NotConvolutionInvertible(ValueError):
@@ -175,16 +175,12 @@ def check_weak_module_algebra(action: ModuleAction) -> CheckReport:
 
     h, a, b = inputs(hsp, asp, asp)
     h1, h2 = split(d, h)
-    multiplicative = equal_on_basis(
-        "action_distributes_over_product",
-        compile_map(field, (h, a, b), [act(h, m(a, b))]),
-        compile_map(field, (h, a, b), [m(act(h1, a), act(h2, b))]),
-        (hsp, asp, asp))
-
-    unit_lhs = compile_map(field, (h,), [act(h, const(asp, action.target.unit))])
-    unit_rhs = compose(action.target.unit_map,
-                       action.acting.coalgebra.counit_map)
-    unital = equal_on_basis("action_on_unit", unit_lhs, unit_rhs, (hsp,))
+    multiplicative = holds(field, "action_distributes_over_product", (h, a, b),
+                           [act(h, m(a, b))], [m(act(h1, a), act(h2, b))])
+    unital = holds(field, "action_on_unit", (h,),
+                   [act(h, const(asp, action.target.unit))],
+                   compose(action.target.unit_map,
+                           action.acting.coalgebra.counit_map))
 
     return CheckReport.combine("weak_module_algebra", [multiplicative, unital])
 
@@ -200,18 +196,12 @@ def check_hom_module(action: ModuleAction) -> CheckReport:
     mh = action.acting.algebra.mult_map
 
     h, g, a = inputs(hsp, hsp, asp)
-    assoc = equal_on_basis(
-        "module_associativity",
-        compile_map(field, (h, g, a), [act(alpha(h), act(g, a))]),
-        compile_map(field, (h, g, a), [act(mh(h, g), beta(a))]),
-        (hsp, hsp, asp))
-    compat = equal_on_basis(
-        "module_structure_compat", compose(beta, act),
-        compile_map(field, (h, a), [act(alpha(h), beta(a))]), (hsp, asp))
-    unital = equal_on_basis(
-        "module_unit_law",
-        compile_map(field, (a,), [act(const(hsp, action.acting.algebra.unit), a)]),
-        beta, (asp,))
+    assoc = holds(field, "module_associativity", (h, g, a),
+                  [act(alpha(h), act(g, a))], [act(mh(h, g), beta(a))])
+    compat = holds(field, "module_structure_compat", (h, a),
+                   compose(beta, act), [act(alpha(h), beta(a))])
+    unital = holds(field, "module_unit_law", (a,),
+                   [act(const(hsp, action.acting.algebra.unit), a)], beta)
 
     return CheckReport.combine("hom_module", [assoc, compat, unital])
 
@@ -232,10 +222,8 @@ def check_hom_comodule(co: Coaction) -> CheckReport:
     h, a0 = split(rho, a, hsp, asp)
     h1, h2 = split(co.coacting.coalgebra.comult_map, h)
     a0h, a00 = split(rho, a0, hsp, asp)
-    coassoc = equal_on_basis(
-        "comodule_coassociativity",
-        compile_map(field, (a,), [h1, h2, beta_inv(a0)]),
-        compile_map(field, (a,), [inverse(alpha)(h), a0h, a00]), (asp,))
+    coassoc = holds(field, "comodule_coassociativity", (a,),
+                    [h1, h2, beta_inv(a0)], [inverse(alpha)(h), a0h, a00])
 
     counit_lhs = strip_scalar_leg(compile_map(
         field, (a,), [co.coacting.coalgebra.counit_map(h), a0]), asp)
@@ -268,10 +256,8 @@ def check_comodule_coalgebra(co: Coaction) -> CheckReport:
     h, a0 = split(rho, a, hsp, asp)
     a1, a2 = split(da, a)
     (h1, a10), (h2, a20) = split(rho, a1, hsp, asp), split(rho, a2, hsp, asp)
-    comult_compat = equal_on_basis(
-        "coaction_comult_compat",
-        compile_map(field, (a,), [h, *split(da, a0)]),
-        compile_map(field, (a,), [mh(h1, h2), a10, a20]), (asp,))
+    comult_compat = holds(field, "coaction_comult_compat", (a,),
+                          [h, *split(da, a0)], [mh(h1, h2), a10, a20])
 
     counit_rhs = compose(co.coacting.algebra.unit_map, co.target.counit_map)
     counit_lhs = strip_scalar_leg(compile_map(

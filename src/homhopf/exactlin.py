@@ -653,7 +653,9 @@ def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckR
     The sides are compared as {domain index: {row: value}} dict columns:
     a finished ``Pipeline``'s as held, any other's read from its sorted
     columns.  Only the lowest differing column is lifted into the
-    witness."""
+    witness.  ``sweedler.holds`` is the caller for an identity with a
+    formula side: it compiles the side and takes ``factors`` from the
+    formula's input legs."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         raise DimensionMismatch(f"{name}: compared maps live on different spaces")
     if prod(s.dim for s in factors) != lhs.domain.dim:

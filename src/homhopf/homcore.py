@@ -55,7 +55,7 @@ from .exactlin import (
     vector_as_map,
 )
 from .report import CheckReport
-from .sweedler import compile_map, const, inputs, split
+from .sweedler import compile_map, const, holds, inputs, split
 
 
 class NotAutomorphism(ValueError):
@@ -347,12 +347,14 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
         counital          eps(f(x)) = eps(x)
         structure_compat  f(alpha(x)) = alpha'(f(x))
 
-    Witnesses name a basis tuple of (source, source) for multiplicative, of
-    the ground field k for unital, and of source for the rest.  ``source``
-    and ``target`` are Hom-algebras, Hom-coalgebras or Hom-bialgebras
-    carrying the halves the requested laws need."""
+    Each law is stated over its input legs, which name its witnesses: a
+    basis tuple of (source, source) for multiplicative, of the ground field
+    k for unital, and of source for the rest.  ``source`` and ``target`` are
+    Hom-algebras, Hom-coalgebras or Hom-bialgebras carrying the halves the
+    requested laws need."""
     field, sp = source.field, source.space
     u, v = inputs(sp, sp)
+    (k,) = inputs(SCALAR_SPACE)
 
     def algebra(x):
         return getattr(x, "algebra", x)
@@ -365,28 +367,25 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
 
     laws = {
         "multiplicative": lambda: (
-            compose(f, algebra(source).mult_map),
-            compile_map(field, (u, v), [algebra(target).mult_map(f(u), f(v))]),
-            (sp, sp)),
+            (u, v), compose(f, algebra(source).mult_map),
+            [algebra(target).mult_map(f(u), f(v))]),
         "unital": lambda: (
-            compose(f, algebra(source).unit_map), algebra(target).unit_map,
-            (SCALAR_SPACE,)),
+            (k,), compose(f, algebra(source).unit_map),
+            algebra(target).unit_map),
         "comultiplicative": lambda: (
-            compose(coalgebra(target).comult_map, f),
-            compile_map(field, (u,), [
-                f(half) for half in split(coalgebra(source).comult_map, u)]),
-            (sp,)),
+            (u,), compose(coalgebra(target).comult_map, f),
+            [f(half) for half in split(coalgebra(source).comult_map, u)]),
         "counital": lambda: (
-            compose(coalgebra(target).counit_map, f),
-            coalgebra(source).counit_map, (sp,)),
+            (u,), compose(coalgebra(target).counit_map, f),
+            coalgebra(source).counit_map),
         "structure_compat": lambda: (
-            compose(f, structure_map(source)),
-            compose(structure_map(target), f), (sp,)),
+            (u,), compose(f, structure_map(source)),
+            compose(structure_map(target), f)),
     }
     unknown = sorted(set(names) - set(laws))
     if unknown:
         raise ValueError(f"unknown morphism law kinds: {unknown}")
-    return [equal_on_basis(name, *laws[kind]()) for kind, name in names.items()]
+    return [holds(field, name, *laws[kind]()) for kind, name in names.items()]
 
 
 def check_hom_algebra(a: HomAlgebra) -> CheckReport:
@@ -396,20 +395,16 @@ def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     m, alpha = a.mult_map, a.alpha
 
     x, y, z = inputs(sp, sp, sp)
-    assoc = equal_on_basis(
-        "hom_associativity",
-        compile_map(field, (x, y, z), [m(alpha(x), m(y, z))]),
-        compile_map(field, (x, y, z), [m(m(x, y), alpha(z))]), (sp, sp, sp))
+    assoc = holds(field, "hom_associativity", (x, y, z),
+                  [m(alpha(x), m(y, z))], [m(m(x, y), alpha(z))])
     alpha_mult, alpha_unit = morphism_laws(
         alpha, a, a, multiplicative="alpha_multiplicative",
         unital="alpha_fixes_unit")
 
-    right_unit = equal_on_basis(
-        "right_unit_law",
-        compile_map(field, (x,), [m(x, const(sp, a.unit))]), alpha, (sp,))
-    left_unit = equal_on_basis(
-        "left_unit_law",
-        compile_map(field, (x,), [m(const(sp, a.unit), x)]), alpha, (sp,))
+    right_unit = holds(field, "right_unit_law", (x,),
+                       [m(x, const(sp, a.unit))], alpha)
+    left_unit = holds(field, "left_unit_law", (x,),
+                      [m(const(sp, a.unit), x)], alpha)
 
     return CheckReport.combine(
         "hom_algebra", [assoc, alpha_mult, right_unit, left_unit, alpha_unit]
@@ -425,10 +420,8 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
     (x,) = inputs(sp)
     x1, x2 = split(d, x)
     (x11, x12), (x21, x22) = split(d, x1), split(d, x2)
-    coassoc = equal_on_basis(
-        "hom_coassociativity",
-        compile_map(field, (x,), [x1, x21, gamma(x22)]),
-        compile_map(field, (x,), [gamma(x11), x12, x2]), (sp,))
+    coassoc = holds(field, "hom_coassociativity", (x,),
+                    [x1, x21, gamma(x22)], [gamma(x11), x12, x2])
     gamma_comult, counit_gamma = morphism_laws(
         gamma, c, c, comultiplicative="gamma_comultiplicative",
         counital="counit_gamma_invariant")
@@ -460,9 +453,8 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
 
     x, y = inputs(sp, sp)
     (x1, x2), (y1, y2) = split(d, x), split(d, y)
-    comult_mult = equal_on_basis(
-        "comult_multiplicative", compose(d, m),
-        compile_map(field, (x, y), [m(x1, y1), m(x2, y2)]), (sp, sp))
+    comult_mult = holds(field, "comult_multiplicative", (x, y),
+                        compose(d, m), [m(x1, y1), m(x2, y2)])
 
     comult_unit = equal_on_basis(
         "comult_preserves_unit",

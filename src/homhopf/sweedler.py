@@ -30,11 +30,26 @@ Every leg is read exactly once.  A term that reads a leg twice, leaves an
 input or a split half unread, or gives a map arguments off its domain
 raises ``ValueError`` (``DimensionMismatch`` for the domain) before any
 step.  The notation is Sweedler's (*Hopf Algebras*, 1969).
+
+``holds(field, name, inputs, lhs, rhs)`` states an identity: each side is
+a list of output terms, compiled as above (the lhs first), or a
+``LinearMap`` out of the tensor of ``inputs``, used as it is.  It returns
+``equal_on_basis`` of the two maps, and a failing basis tuple is named
+over the input legs: the witness factors are the inputs' spaces, never
+typed a second time.
 """
 
 from __future__ import annotations
 
-from .exactlin import DimensionMismatch, LinearMap, Pipeline, Space
+from .exactlin import (
+    DimensionMismatch,
+    LinearMap,
+    Pipeline,
+    Space,
+    equal_on_basis,
+    tensor_space_list,
+)
+from .report import CheckReport
 
 
 class Term:
@@ -190,6 +205,23 @@ def compile_map(field, ins, outs) -> LinearMap:
             legs[at:at + 1] = r.halves[t]
     _place(pipe, legs, outs)
     return pipe.finish()
+
+
+def holds(field, name, ins, lhs, rhs) -> CheckReport:
+    """Whether the sides ``lhs`` and ``rhs`` agree on every basis tuple of
+    the input legs ``ins``; a map side off their tensor raises
+    ``DimensionMismatch`` before either side is compiled."""
+    factors = tuple([t.space for t in ins])
+    domain = tensor_space_list(factors)
+    if isinstance(lhs, LinearMap) and lhs.domain != domain \
+            or isinstance(rhs, LinearMap) and rhs.domain != domain:
+        raise DimensionMismatch(
+            f"{name}: compared maps live on different spaces")
+    if not isinstance(lhs, LinearMap):
+        lhs = compile_map(field, ins, lhs)
+    if not isinstance(rhs, LinearMap):
+        rhs = compile_map(field, ins, rhs)
+    return equal_on_basis(name, lhs, rhs, factors)
 
 
 def _place(pipe, legs, args) -> int:

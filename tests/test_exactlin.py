@@ -40,6 +40,7 @@ from homhopf.exactlin import (
 from homhopf.exactlin import _gauss_jordan, _lift, _sparse_rows
 from homhopf.fields import QQ, ModInt, PrimeField
 from homhopf.report import CheckReport, Witness
+from homhopf.sweedler import compile_map, holds, inputs
 
 
 def rational_map(rows, domain=None, codomain=None):
@@ -1387,7 +1388,10 @@ def held_forms(field, entries):
 def test_equal_on_basis_gives_one_report_across_held_forms(field, plant):
     """Every pairing of held forms, either way round, gives the report of
     the dense column sweep: the same verdict and, byte for byte, the same
-    witness at the lowest differing column."""
+    witness at the lowest differing column.  So does ``holds`` with one
+    side or both a formula, the map applied to input legs in a and b: the
+    report of ``equal_on_basis`` on the compiled sides, whose witness names
+    a basis tuple of those legs."""
     other = {**HELD_FORM_BASE, **HELD_FORM_PLANTS[plant]}
     for base_side, other_side in ((HELD_FORM_BASE, other),
                                   (other, HELD_FORM_BASE)):
@@ -1405,6 +1409,25 @@ def test_equal_on_basis_gives_one_report_across_held_forms(field, plant):
             # the witness lifts one column; nothing sorted the dict columns
             for form, side in ((lhs_form, lhs), (rhs_form, rhs)):
                 assert (side._cols is None) is (form == "pipeline")
+        x, y = inputs(*factors)
+
+        def side(entries, form):
+            held = held_forms(field, entries)[1]
+            return [held["rows"](x, y)] if form == "terms" else held[form]
+
+        for lhs_form, rhs_form in [("terms", "terms"), *(
+                pair for form in reference
+                for pair in (("terms", form), (form, "terms")))]:
+            lhs, rhs = side(base_side, lhs_form), side(other_side, rhs_form)
+            report = holds(field, "eq", (x, y), lhs, rhs)
+            by_hand = equal_on_basis("eq", *(
+                s if isinstance(s, LinearMap) else compile_map(field, (x, y), s)
+                for s in (lhs, rhs)), factors)
+            assert repr(report.as_dict()) == repr(by_hand.as_dict()) \
+                == repr(expected.as_dict()), (lhs_form, rhs_form)
+            if not report.passed:
+                a_name, b_name = report.witness.basis
+                assert a_name in x.space.names and b_name in y.space.names
     # read once, the dict columns become the sorted ones and are dropped
     finished = held_forms(field, other)[1]["pipeline"]
     assert finished.nonzero_columns() == held_forms(

@@ -22,7 +22,7 @@ from homhopf.exactlin import (
 )
 from homhopf.fields import QQ, PrimeField
 from homhopf.homcore import check_antipode, check_hom_bialgebra
-from homhopf.sweedler import compile_map, const, inputs, split
+from homhopf.sweedler import compile_map, const, holds, inputs, split
 
 GF7 = PrimeField(7)
 SPACES = {1: Space(("p",)), 2: Space(("q0", "q1")),
@@ -216,6 +216,26 @@ def test_a_map_off_its_domain_is_a_dimension_mismatch():
             build()
 
 
+def test_holds_refuses_a_map_side_off_its_inputs_before_any_step(monkeypatch):
+    """A map side of ``holds`` goes out of the tensor of the input legs, as
+    a compiled side does.  One out of a single leg, or out of a space of
+    the right size with other basis names, is refused on either side
+    before the other side is compiled."""
+    h = sweedler_h4_hom()
+    chains = record_steps(monkeypatch)
+    x, y = inputs(h.space, h.space)
+    m = h.algebra.mult_map
+    renamed = LinearMap(h.field, Space(tuple(f"e{i}" for i in range(16))),
+                        h.space, m.matrix)
+    for side in (h.alpha, renamed):
+        for lhs, rhs in (([m(x, y)], side), (side, [m(x, y)])):
+            with pytest.raises(DimensionMismatch):
+                holds(h.field, "off_the_inputs", (x, y), lhs, rhs)
+    assert chains == []
+    assert holds(h.field, "on_the_inputs", (x, y), [m(x, y)], m).passed
+    assert len(chains) == 1
+
+
 # ---------------------------------------------------------------------------
 # The hot checks of the GF(p) ladder keep the steps they were hand-written
 # with: Hom-associativity, Hom-coassociativity, Delta multiplicative and the
@@ -281,3 +301,22 @@ def test_only_the_term_compiler_names_the_pipeline():
                                 getattr(node, "attr", None),
                                 getattr(node, "name", None))}
     assert naming == {"exactlin", "sweedler", "__init__"}
+
+
+def test_every_formula_side_is_compared_by_holds():
+    """No ``equal_on_basis`` call outside ``sweedler`` takes a
+    ``compile_map(...)`` side: a formula is compared by ``holds``, which
+    names the witness over the formula's own input legs.  The one exception
+    is ``cocycle_comult_compat``: its witness names an (h, g) pair, finer
+    than its one input leg u in H (x) H."""
+    def called(node):
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+
+    by_hand = {(path.stem, getattr(node.args[0], "value", None))
+               for path in Path(homhopf.__file__).parent.glob("*.py")
+               if path.stem != "sweedler"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if called(node) == "equal_on_basis"
+               and any(called(a) == "compile_map" for a in node.args)}
+    assert by_hand == {("constructions", "cocycle_comult_compat")}
