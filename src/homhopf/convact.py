@@ -272,22 +272,21 @@ def check_comodule_coalgebra(co: Coaction) -> CheckReport:
 
 
 def _comult_mates(coalg: HomCoalgebra):
-    """The two mates of Delta_C, re-indexed from its sparse columns:
+    """The two mates of Delta_C, re-indexed from its nonzero columns:
     c2 -> sum Delta_c^{c1 c2} c1 (x) c and c1 -> sum Delta_c^{c1 c2} c2 (x) c,
     both maps C -> C (x) C."""
     csp = coalg.space
     q = csp.dim
-    left = [[] for _ in range(q)]
-    right = [[] for _ in range(q)]
-    for c, col in enumerate(coalg.comult_map.nonzero_columns()):
-        for k, v in col:
+    left: dict = {}
+    right: dict = {}
+    for c, col in coalg.comult_map.nonzero_columns().items():
+        for k, v in col.items():
             c1, c2 = divmod(k, q)
-            left[c2].append((c1 * q + c, v))
-            right[c1].append((c2 * q + c, v))
+            left.setdefault(c2, {})[c1 * q + c] = v
+            right.setdefault(c1, {})[c2 * q + c] = v
     cc = tensor_space(csp, csp)
-    return tuple(LinearMap._from_columns(
-        coalg.field, csp, cc, [tuple(sorted(col)) for col in mate])
-        for mate in (left, right))
+    return tuple(LinearMap._from_columns(coalg.field, csp, cc, mate)
+                 for mate in (left, right))
 
 
 def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
@@ -317,8 +316,8 @@ def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
     rows = [{} for _ in range(2 * p * q)]
     for offset, outs in ((0, [m(f(c1), a), x]), (p * q, [m(a, f(c2)), y])):
         operator = compile_map(field, (a, c), outs)
-        for u, col in enumerate(operator.nonzero_columns()):
-            for eq, v in col:
+        for u, col in operator.nonzero_columns().items():
+            for eq, v in col.items():
                 rows[offset + eq][u] = v
     e = convolution_unit(coalg, alg)
     rhs = [v for row in e.matrix for v in row] * 2

@@ -1,31 +1,29 @@
 """Exact multilinear algebra over based finite-dimensional spaces.
 
-A linear map between named-basis spaces is held in one of three forms.  The
-public ``LinearMap(...)`` takes dense rows and coerces every entry into the
-field (an entry false as given becomes the shared ``field.zero``).  Maps
-the kernel computes itself skip the coercion, so every kernel operation
-refuses operands over different fields (``FieldMismatch``).  They hold
-sorted sparse columns, a ((row, value), ...) tuple of the nonzeros of each
-column, or, from ``Pipeline.finish``, the pipeline's own
-{domain index: {row: value}} dict of its nonzero columns, unsorted.  Each
-other form is built only when it is first asked for (``matrix`` for the
-rows, ``nonzero_columns()`` for the sorted columns, which then replace the
-dict columns); equality and hashing read the sorted columns, and
-``equal_on_basis`` reads dict columns, so kernel output is never densified
-unless a caller wants the full matrix, and a compiled identity is compared
-without being sorted.  Linear systems are
-solved by one sparse exact Gauss–Jordan elimination on rows stored as
-{column: value} dicts.  It keeps a column index, for each pivotable column
-the set of rows holding a nonzero there, so its work is proportional to
-the nonzeros it touches; since each row's update reads only that row and
-the pivot row, the result is the same as a row-by-row scan's, row for row.
+A linear map between named-basis spaces holds one form: ``_cols``, a
+{domain index: {row: value}} dict of its nonzero columns, values in kernel
+form, no column empty and no value zero.  Once a map holds the dict,
+nothing changes it in place, so maps and ``Pipeline`` blocks may share it.
+The public ``LinearMap(...)`` takes dense rows and coerces every nonzero
+entry into the field (``_coerced``); maps the kernel computes itself skip
+the coercion, so every kernel operation refuses operands over different
+fields (``FieldMismatch``).  Dense rows are built only when ``matrix`` is
+first read, so kernel output is never densified unless a caller wants the
+full matrix; equality and ``equal_on_basis`` compare the dicts.
+
+Linear systems are solved by one sparse exact Gauss–Jordan elimination on
+rows stored as {column: value} dicts.  It keeps a column index, for each
+pivotable column the set of rows holding a nonzero there, so its work is
+proportional to the nonzeros it touches; since each row's update reads
+only that row and the pivot row, the result is the same as a row-by-row
+scan's, row for row.
 
 Inside the kernel a GF(p) scalar is its residue, a plain ``int`` in
 [0, p), and an integral rational is a plain ``int``; only a proper
 fraction stays a field element.  ``_low`` lowers every value as it comes
-in: in the packers (``identity``, ``vector_as_map``, ``functional_as_map``,
-``flip_map``, ``bilinear_as_map``, ``splitting_as_map``), in
-``nonzero_columns()`` built from dense rows, in the rows and right-hand
+in: in the public constructor and the packers (``identity``,
+``vector_as_map``, ``functional_as_map``, ``flip_map``,
+``bilinear_as_map``, ``splitting_as_map``), in the rows and right-hand
 side of ``solve_linear``, in the identity block of ``inverse``, and in
 ``Pipeline``'s start and adjoined vectors (``_coerced`` reduces an ``int``
 given there without building a field element).  ``compose``, ``tensor``,
@@ -57,11 +55,10 @@ forms their Kronecker product (Van Loan, "The ubiquitous Kronecker
 product", 2000) but folds the others into the step map and rewrites the
 nonzero columns of one, so its work follows the nonzeros, as in
 Gustavson's sparse product (ACM TOMS 4(3), 1978), not the domain size.
-``permute``, ``sparse_columns()``, ``finish`` and a read of ``columns``
-multiply the blocks out into one, over nonzero columns only; ``permute``
-places each block's rows at their new strides first, so it remaps only
-the blocks' own nonzeros, and ``finish`` hands the dict columns over as
-they are.
+``permute``, ``finish`` and a read of ``columns`` multiply the blocks
+out into one, over nonzero columns only; ``permute`` places each block's
+rows at their new strides first, so it remaps only the blocks' own
+nonzeros, and ``finish`` hands the fused dict over as it is.
 
 Basis ordering convention, used everywhere: e_i (x) e_j maps to index
 i * dim(second factor) + j (row-major, left factor major).
@@ -111,20 +108,20 @@ def _coerced(field, v):
     return _low(field.coerce(v))
 
 
-def _residues(items, p: int) -> list:
-    """The (key, value) pairs of ``items`` whose value is nonzero mod the
-    characteristic ``p``, values reduced; p = 0 reduces nothing."""
+def _residues(items, p: int) -> dict:
+    """The {key: value} of the pairs of ``items`` whose value is nonzero mod
+    the characteristic ``p``, values reduced; p = 0 reduces nothing."""
     if p:
-        return [(k, r) for k, v in items if (r := v % p)]
-    return [(k, v) for k, v in items if v]
+        return {k: r for k, v in items if (r := v % p)}
+    return {k: v for k, v in items if v}
 
 
-def _nonzeros(field, items) -> tuple:
-    """The (index, value) pairs of ``items`` whose value is nonzero in
-    ``field``, values coerced and in kernel form.  A value that is false as
-    given is zero in every field and is not coerced."""
+def _nonzeros(field, items) -> dict:
+    """The {index: value} of the pairs of ``items`` whose value is nonzero
+    in ``field``, values coerced and in kernel form.  A value that is false
+    as given is zero in every field and is not coerced."""
     pairs = ((k, _coerced(field, v)) for k, v in items if v)
-    return tuple((k, v) for k, v in pairs if v)
+    return {k: v for k, v in pairs if v}
 
 
 def _lift(field, v):
@@ -193,45 +190,37 @@ def basis_tuple_names(flat: int, factors) -> tuple[str, ...]:
 
 
 class LinearMap:
-    """A map between based spaces, held as dense rows (rows index the
-    codomain) or as sorted sparse columns; see the module docstring."""
+    """A map between based spaces, held as the {domain index: {row: value}}
+    dict of its nonzero columns (rows index the codomain); see the module
+    docstring."""
 
     def __init__(self, field, domain: Space, codomain: Space, matrix):
-        zero = field.zero
-        rows = tuple(tuple(field.coerce(v) if v else zero for v in row)
-                     for row in matrix)
+        rows = [tuple(row) for row in matrix]
         if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
             raise DimensionMismatch(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
                 f"does not match {codomain.dim}x{domain.dim}"
             )
-        self._init(field, domain, codomain, rows, None)
+        self._init(field, domain, codomain, {
+            j: col for j in range(domain.dim)
+            if (col := _nonzeros(field, ((i, row[j])
+                                         for i, row in enumerate(rows))))})
 
     @classmethod
     def _from_columns(cls, field, domain: Space, codomain: Space, columns):
-        """Kernel output, whose entries are already kernel scalars: for
-        each domain basis vector the ((row, value), ...) nonzeros of its
-        image, rows ascending, or a {domain index: {row: value}} dict of
-        the nonzero columns alone, held as it is.  Only the column count of
-        a sequence is checked."""
+        """Kernel output, held as it is: ``columns`` is the {domain index:
+        {row: value}} dict of the nonzero columns, values already kernel
+        scalars, no column empty and no value zero."""
         self = cls.__new__(cls)
-        if isinstance(columns, dict):
-            self._init(field, domain, codomain, None, None, columns)
-            return self
-        self._init(field, domain, codomain, None, tuple(columns))
-        if len(self._cols) != domain.dim:
-            raise DimensionMismatch(
-                f"{len(self._cols)} columns do not match domain dimension "
-                f"{domain.dim}")
+        self._init(field, domain, codomain, columns)
         return self
 
-    def _init(self, field, domain, codomain, rows, cols, dicts=None):
+    def _init(self, field, domain, codomain, cols):
         self.field = field
         self.domain = domain
         self.codomain = codomain
-        self._rows = rows
         self._cols = cols
-        self._dicts = dicts
+        self._rows = None
         self._inv = None
 
     @property
@@ -241,46 +230,21 @@ class LinearMap:
             field = self.field
             rows = [[field.zero] * self.domain.dim
                     for _ in range(self.codomain.dim)]
-            for j, col in enumerate(self.nonzero_columns()):
-                for i, v in col:
+            for j, col in self._cols.items():
+                for i, v in col.items():
                     rows[i][j] = _lift(field, v)
             self._rows = tuple(map(tuple, rows))
         return self._rows
 
-    def nonzero_columns(self):
-        """Per-column nonzero entries as ((row, value), ...), rows
-        ascending; built on first use from the held dict columns, which
-        are then dropped, or from the rows.  Only a column holding more
-        than one nonzero is sorted."""
-        if self._cols is None:
-            if self._dicts is not None:
-                cols = [()] * self.domain.dim
-                for j, col in self._dicts.items():
-                    cols[j] = tuple(sorted(col.items()) if len(col) > 1
-                                    else col.items())
-                self._cols, self._dicts = tuple(cols), None
-            else:
-                rows = self._rows
-                self._cols = tuple(
-                    tuple((i, _low(row[j])) for i, row in enumerate(rows)
-                          if row[j])
-                    for j in range(self.domain.dim))
+    def nonzero_columns(self) -> dict:
+        """The held {domain index: {row: value}} dict of the nonzero
+        columns, values in kernel form; read it, do not change it."""
         return self._cols
-
-    def _column_dicts(self) -> dict:
-        """The nonzero columns as {domain index: {row: value}}: the held
-        dict columns as they are, or the sorted ones read with ``dict``."""
-        if self._dicts is not None:
-            return self._dicts
-        return {j: dict(col) for j, col in enumerate(self.nonzero_columns())
-                if col}
 
     def column(self, j: int) -> tuple:
         field = self.field
         out = [field.zero] * self.codomain.dim
-        held = self._dicts
-        for i, v in (self.nonzero_columns()[j] if held is None
-                     else held.get(j, {}).items()):
+        for i, v in self._cols.get(j, {}).items():
             out[i] = _lift(field, v)
         return tuple(out)
 
@@ -290,10 +254,11 @@ class LinearMap:
             raise DimensionMismatch("vector length does not match domain")
         zero = self.field.zero
         out = [zero] * self.codomain.dim
+        cols = self._cols
         for j, v in enumerate(vector):
-            if not v:
+            if not v or j not in cols:
                 continue
-            for i, w in self.nonzero_columns()[j]:
+            for i, w in cols[j].items():
                 out[i] = out[i] + w * v
         return tuple(out)
 
@@ -303,11 +268,11 @@ class LinearMap:
             and self.field == other.field
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.nonzero_columns() == other.nonzero_columns()
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.nonzero_columns()))
+        return hash((self.domain, self.codomain))
 
     def __mul__(self, other):
         return compose(self, other)
@@ -325,14 +290,14 @@ class LinearMap:
 
 
 @cache
-def _identity_columns(n: int) -> tuple:
-    return tuple(((j, 1),) for j in range(n))
+def _identity_columns(n: int) -> dict:
+    return {j: {j: 1} for j in range(n)}
 
 
 def identity(field, space: Space) -> LinearMap:
-    one = _low(field.one)
-    return LinearMap._from_columns(
-        field, space, space, [((j, one),) for j in range(space.dim)])
+    # 1 is the kernel form of every field's one; the held dict is shared
+    return LinearMap._from_columns(field, space, space,
+                                   _identity_columns(space.dim))
 
 
 def vector_as_map(field, space: Space, coords) -> LinearMap:
@@ -340,9 +305,9 @@ def vector_as_map(field, space: Space, coords) -> LinearMap:
     coords = [_coerced(field, v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap._from_columns(
-        field, SCALAR_SPACE, space,
-        [tuple((i, v) for i, v in enumerate(coords) if v)])
+    col = {i: v for i, v in enumerate(coords) if v}
+    return LinearMap._from_columns(field, SCALAR_SPACE, space,
+                                   {0: col} if col else {})
 
 
 def functional_as_map(field, space: Space, coords) -> LinearMap:
@@ -350,8 +315,8 @@ def functional_as_map(field, space: Space, coords) -> LinearMap:
     coords = [_coerced(field, v) for v in coords]
     if len(coords) != space.dim:
         raise DimensionMismatch("coordinate count does not match space")
-    return LinearMap._from_columns(
-        field, space, SCALAR_SPACE, [((0, v),) if v else () for v in coords])
+    return LinearMap._from_columns(field, space, SCALAR_SPACE,
+                                   {j: {0: v} for j, v in enumerate(coords) if v})
 
 
 def flip_map(field, a: Space, b: Space) -> LinearMap:
@@ -359,7 +324,8 @@ def flip_map(field, a: Space, b: Space) -> LinearMap:
     one = _low(field.one)
     return LinearMap._from_columns(
         field, tensor_space(a, b), tensor_space(b, a),
-        [((j * a.dim + i, one),) for i in range(a.dim) for j in range(b.dim)])
+        {i * b.dim + j: {j * a.dim + i: one}
+         for i in range(a.dim) for j in range(b.dim)})
 
 
 def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
@@ -367,24 +333,26 @@ def strip_scalar_leg(m: LinearMap, space: Space) -> LinearMap:
     so the matrix carries over unchanged."""
     if m.codomain.dim != space.dim:
         raise DimensionMismatch("strip expects exactly one one-dimensional extra leg")
-    return LinearMap._from_columns(m.field, m.domain, space, m.nonzero_columns())
+    return LinearMap._from_columns(m.field, m.domain, space, m._cols)
 
 
 def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of out_k at
     (left_i, right_j)) into a map left (x) right -> out."""
-    return LinearMap._from_columns(field, tensor_space(left, right), out, [
-        _nonzeros(field, enumerate(cube[i][j]))
-        for i in range(left.dim) for j in range(right.dim)])
+    d = right.dim
+    return LinearMap._from_columns(field, tensor_space(left, right), out, {
+        i * d + j: col for i in range(left.dim) for j in range(d)
+        if (col := _nonzeros(field, enumerate(cube[i][j])))})
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
     """Pack structure constants c[i][j][k] (coefficient of left_j (x) right_k
     at src_i) into a map src -> left (x) right."""
-    return LinearMap._from_columns(field, src, tensor_space(left, right), [
-        _nonzeros(field, ((j * right.dim + k, v) for j in range(left.dim)
-                          for k, v in enumerate(cube[i][j])))
-        for i in range(src.dim)])
+    d = right.dim
+    return LinearMap._from_columns(field, src, tensor_space(left, right), {
+        i: col for i in range(src.dim)
+        if (col := _nonzeros(field, ((j * d + k, v) for j in range(left.dim)
+                                     for k, v in enumerate(cube[i][j]))))})
 
 
 def tensor_from_bilinear(m: LinearMap, left: Space, right: Space, out: Space):
@@ -412,15 +380,18 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         )
     _same_field(f.field, g, "compose")
     p = f.field.characteristic
-    fcols = f.nonzero_columns()
-    cols = []
-    for gcol in g.nonzero_columns():
+    fcols = f._cols
+    cols = {}
+    for j, gcol in g._cols.items():
         acc: dict = {}
-        for k, v in gcol:
-            for i, w in fcols[k]:
+        for k, v in gcol.items():
+            if k not in fcols:
+                continue
+            for i, w in fcols[k].items():
                 a = acc.get(i)
                 acc[i] = w * v if a is None else a + w * v
-        cols.append(tuple(_residues(sorted(acc.items()), p)))
+        if col := _residues(acc.items(), p):
+            cols[j] = col
     return LinearMap._from_columns(f.field, g.domain, f.codomain, cols)
 
 
@@ -429,15 +400,14 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     field = f.field
     _same_field(field, g, "tensor")
     p = field.characteristic
-    gr = g.codomain.dim
-    gcols = g.nonzero_columns()
+    gr, gd = g.codomain.dim, g.domain.dim
     # a product of two nonzero residues mod a prime is nonzero
     return LinearMap._from_columns(
         field, tensor_space(f.domain, g.domain),
         tensor_space(f.codomain, g.codomain),
-        [tuple((i1 * gr + i2, v * w % p if p else v * w)
-               for i1, v in fcol for i2, w in gcol)
-         for fcol in f.nonzero_columns() for gcol in gcols])
+        {j * gd + k: {i1 * gr + i2: v * w % p if p else v * w
+                      for i1, v in fcol.items() for i2, w in gcol.items()}
+         for j, fcol in f._cols.items() for k, gcol in g._cols.items()})
 
 
 def inverse(f: LinearMap) -> LinearMap:
@@ -449,20 +419,20 @@ def inverse(f: LinearMap) -> LinearMap:
     n = f.domain.dim
     field = f.field
     rows = [{} for _ in range(n)]
-    for j, col in enumerate(f.nonzero_columns()):
-        for i, v in col:
+    for j, col in f._cols.items():
+        for i, v in col.items():
             rows[i][j] = v
     one = _low(field.one)
     for i, row in enumerate(rows):
         row[n + i] = one
     if len(_gauss_jordan(rows, n, field.characteristic)) < n:
         raise NonInvertibleError("map is singular")
-    cols = [[] for _ in range(n)]
+    cols: dict = {}
     for i, row in enumerate(rows):
         for k, v in row.items():
             if k >= n:
-                cols[k - n].append((i, v))
-    inv = LinearMap._from_columns(field, f.codomain, f.domain, map(tuple, cols))
+                cols.setdefault(k - n, {})[i] = v
+    inv = LinearMap._from_columns(field, f.codomain, f.domain, cols)
     f._inv = inv
     inv._inv = f
     return inv
@@ -650,17 +620,15 @@ def equal_on_basis(name: str, lhs: LinearMap, rhs: LinearMap, factors) -> CheckR
     in row-major (lexicographic) order; the witness decodes the first failing
     tuple into factor basis names and carries both evaluated sides.
 
-    The sides are compared as {domain index: {row: value}} dict columns:
-    a finished ``Pipeline``'s as held, any other's read from its sorted
-    columns.  Only the lowest differing column is lifted into the
-    witness.  ``sweedler.holds`` is the caller for an identity with a
+    The sides are compared as the {domain index: {row: value}} dicts they
+    hold.  Only the lowest differing column is lifted into the witness.  ``sweedler.holds`` is the caller for an identity with a
     formula side: it compiles the side and takes ``factors`` from the
     formula's input legs."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         raise DimensionMismatch(f"{name}: compared maps live on different spaces")
     if prod(s.dim for s in factors) != lhs.domain.dim:
         raise DimensionMismatch(f"{name}: witness factors do not span the domain")
-    lcols, rcols = lhs._column_dicts(), rhs._column_dicts()
+    lcols, rcols = lhs._cols, rhs._cols
     if lcols != rcols:
         j = min(j for a, b in ((lcols, rcols), (rcols, lcols))
                 for j, col in a.items() if b.get(j) != col)
@@ -685,11 +653,13 @@ class Pipeline:
     vector) together with the current legs they have become; its columns
     are a {domain index: {flat index over its current legs: value}} dict
     holding only the nonzero columns.  A run no step has touched is an
-    identity run, with columns ``None``.
+    identity run, with columns ``None``.  No step changes a block's columns
+    in place, so a block may hold a step map's own dict, and a finished
+    map the block's.
 
     A step rewrites only the blocks it spans (an identity run is split at
     the step's edges first) into one block; a step that covers identity
-    runs alone takes its map's columns as they are, and one spanning
+    runs alone takes its map's dict as it is, and one spanning
     several blocks folds all but one into the step map instead of forming
     their Kronecker product (``_fold_rewrite``).  So α ⊗ m under m costs
     one pass over m's nonzero columns for each column of α, and no step
@@ -701,15 +671,14 @@ class Pipeline:
     ``_kron`` is the one routine that multiplies blocks out, over their
     nonzero columns: it places each block's rows at given strides, which
     visits only that block's nonzeros, then adds the placed rows of each
-    product.  ``sparse_columns()`` and ``finish`` fuse every block with it
-    (the left-major placement), ``permute`` fuses and reorders the legs in
-    the same pass (the placement at the permuted strides), and
+    product.  ``columns`` and ``finish`` fuse every block with it (the
+    left-major placement), ``permute`` fuses and reorders the legs in the
+    same pass (the placement at the permuted strides), and
     ``_fold_rewrite`` forms its side products with it.  ``finish`` hands
-    the fused dict columns to the ``LinearMap`` unsorted.  ``columns`` is
-    ``sparse_columns()``: one dict per domain basis vector, an empty dict
-    for a zero column.  Reading it fuses in place, so a caller that reads
-    it after every step (a tracer counting nonzeros) makes the pipeline
-    rewrite one fused block from then on; the map is the same.
+    the fused dict to the ``LinearMap`` as it is.  Reading ``columns``
+    fuses in place, so a caller that reads it after every step (a tracer
+    counting nonzeros) makes the pipeline rewrite one fused block from
+    then on; the map is the same.
     """
 
     def __init__(self, field, legs):
@@ -834,12 +803,14 @@ class Pipeline:
 
     def _rewrite(self, i: int, count: int, cols, new_legs):
         """Replace legs i..i+count-1 (count may be 0) by ``new_legs`` through
-        the map on their tensor product whose nonzero columns are ``cols``.
+        the map on their tensor product whose {domain index: {row: value}}
+        dict of nonzero columns is ``cols``.
 
         Only the blocks spanning those legs are rewritten, into one block.
         A flat index over the span's current legs splits as (hi, mid, low)
         around the replaced legs, and each row r of ``cols[mid]`` lands at
-        (hi, r, low)."""
+        (hi, r, low).  A rewrite reads the step map as a list of the
+        (row, value) pairs of each of its columns, zero columns empty."""
         blocks = self._blocks
         if len(blocks) == 1 and blocks[0][1] is not None:
             b0, b1, first, end = 0, 1, 0, len(self.legs)
@@ -851,15 +822,16 @@ class Pipeline:
         touched = [t for t, b in enumerate(span) if b[1] is not None]
         if not touched:
             # the span is the replaced legs themselves, or empty
-            blocks[b0:b1] = [[n_new, {k: dict(col) for k, col in enumerate(cols)
-                                      if col}, prod(dims)]]
+            blocks[b0:b1] = [[n_new, cols, prod(dims)]]
             self.legs[i:i + count] = new_legs
             return self
         a, e = i - first, i - first + count
         lo = prod(dims[e:])
         out_block = prod([s.dim for s in new_legs]) * lo
-        shifted = cols if lo == 1 else [
-            tuple((r * lo, w) for r, w in col) for col in cols]
+        shifted = [cols[k].items() if k in cols else ()
+                   for k in range(prod(dims[a:e]))]
+        if lo != 1:
+            shifted = [[(r * lo, w) for r, w in col] for col in shifted]
         p = self.field.characteristic
         if len(span) == 1:
             _, kept, size = span[0]
@@ -943,7 +915,7 @@ class Pipeline:
                                 w = w if s is None else w * s
                                 got = acc.get(off + r)
                                 acc[off + r] = w if got is None else got + w
-                        images[m] = _residues(acc.items(), p)
+                        images[m] = _residues(acc.items(), p).items()
                     folds.append((start + kr, size_r, images))
         return (self._apply(kept, m_t * lo_t, lo_t, out_block, folds, p),
                 prod(sizes))
@@ -991,10 +963,9 @@ class Pipeline:
         if f.domain != self.legs[i]:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
         _same_field(self.field, f, "map_leg")
-        cols = f.nonzero_columns()
-        if f.domain is f.codomain and cols == _identity_columns(len(cols)):
+        if f.domain is f.codomain and f._cols == _identity_columns(f.domain.dim):
             return self
-        return self._rewrite(i, 1, cols, [f.codomain])
+        return self._rewrite(i, 1, f._cols, [f.codomain])
 
     def split_leg(self, i: int, f: LinearMap, out_left: Space, out_right: Space):
         """Replace leg i by two legs via f: leg -> out_left (x) out_right."""
@@ -1003,14 +974,14 @@ class Pipeline:
         if f.codomain.dim != out_left.dim * out_right.dim:
             raise DimensionMismatch("split_leg: declared factors do not match codomain")
         _same_field(self.field, f, "split_leg")
-        return self._rewrite(i, 1, f.nonzero_columns(), [out_left, out_right])
+        return self._rewrite(i, 1, f._cols, [out_left, out_right])
 
     def merge_legs(self, i: int, count: int, f: LinearMap):
         """Replace legs i..i+count-1 by one leg via f on their tensor product."""
         if f.domain.dim != prod(s.dim for s in self.legs[i:i + count]):
             raise DimensionMismatch("merge_legs: map domain does not match legs")
         _same_field(self.field, f, "merge_legs")
-        return self._rewrite(i, count, f.nonzero_columns(), [f.codomain])
+        return self._rewrite(i, count, f._cols, [f.codomain])
 
     def permute(self, order):
         """Reorder legs so that new leg t is old leg order[t]."""
@@ -1029,23 +1000,23 @@ class Pipeline:
         coords = [_coerced(self.field, v) for v in coords]
         if len(coords) != prod(s.dim for s in spaces):
             raise DimensionMismatch("adjoin_vector: coordinate count does not match")
-        vector = tuple((r, w) for r, w in enumerate(coords) if w)
-        return self._rewrite(i, 0, [vector], spaces)
+        vector = {r: w for r, w in enumerate(coords) if w}
+        return self._rewrite(i, 0, {0: vector} if vector else {}, spaces)
 
-    def sparse_columns(self) -> list:
-        """The compiled map without sorting or densifying: for each domain
-        basis vector a {codomain index: value} dict of its nonzeros, values
-        in kernel form (a GF(p) scalar is its residue ``int``, an integral
-        rational an ``int``).  Fuses every block in place."""
+    @property
+    def columns(self) -> list:
+        """The compiled map without densifying: for each domain basis
+        vector a {codomain index: value} dict of its nonzeros, an empty dict
+        for a zero column, values in kernel form (a GF(p) scalar is its
+        residue ``int``, an integral rational an ``int``).  Fuses every
+        block in place; the dicts are the block's own, to be read only."""
         cols = self._fuse_all()
         return [cols[k] if k in cols else {}
                 for k in range(self._blocks[0][2])]
 
-    columns = property(sparse_columns)
-
     def finish(self) -> LinearMap:
-        """The compiled map, holding the fused dict columns as they are; no
-        step changes a block's columns in place, so the pipeline may go on
+        """The compiled map, holding the fused dict as it is; no step
+        changes a block's columns in place, so the pipeline may go on
         without touching the map."""
         return LinearMap._from_columns(
             self.field, tensor_space_list(self.domain_legs),

@@ -17,13 +17,9 @@ unit-row mutant.  Printed, one per line, with the count:
 - ``apply_calls``, ``finish_calls``: calls of ``Pipeline._apply`` and
   ``Pipeline.finish``;
 - ``permute_placements``: rows ``Pipeline.permute`` writes at a new place,
-  counted by ``placements_and_sorts`` below: the rows of each block it
-  places before multiplying the blocks out, or, in a kernel that fuses
-  first and then remaps, every fused nonzero;
-- ``columns_sorted``: dict columns turned into sorted tuple columns,
-  wherever that happens: when ``LinearMap.nonzero_columns()`` is first
-  read on a map holding dict columns, or, in a kernel that sorts in
-  ``Pipeline.finish``, the nonzero columns of each finished map;
+  counted by ``placements`` below: the rows of each block it places
+  before multiplying the blocks out, or, in a kernel that fuses first and
+  then remaps, every fused nonzero;
 - ``modints_created``: ``ModInt`` constructions over the whole pass;
 - ``field_coerces``: ``coerce`` calls of the fields (``PrimeField`` and
   ``RationalField``) over the whole pass;
@@ -102,20 +98,19 @@ def held_nonzeros(build):
     return result, total
 
 
-def placements_and_sorts(build):
-    """``build()``, the rows ``Pipeline.permute`` places and the dict
-    columns sorted into tuples while it runs; see the module docstring."""
-    from homhopf.exactlin import LinearMap, Pipeline
+def placements(build):
+    """``build()`` and the rows ``Pipeline.permute`` places while it runs;
+    see the module docstring."""
+    from homhopf.exactlin import Pipeline
 
-    placed, in_permute, sorted_columns = [0], [False], [0]
-    real = {"permute": Pipeline.permute, "finish": Pipeline.finish,
-            "nonzero_columns": LinearMap.nonzero_columns}
+    placed, in_permute = [0], [False]
+    real_permute = Pipeline.permute
     real_rows = Pipeline.__dict__.get("_placed_rows")
 
     def permute(self, order):
         in_permute[0] = True
         try:
-            out = real["permute"](self, order)
+            out = real_permute(self, order)
         finally:
             in_permute[0] = False
         if real_rows is None:       # every fused nonzero is remapped
@@ -128,31 +123,16 @@ def placements_and_sorts(build):
             placed[0] += len(out)
         return out
 
-    def finish(self):
-        out = real["finish"](self)
-        if out._cols is not None:   # sorted here rather than on first read
-            sorted_columns[0] += sum(1 for col in out._cols if col)
-        return out
-
-    def nonzero_columns(self):
-        held = getattr(self, "_dicts", None)
-        if self._cols is None and held is not None:
-            sorted_columns[0] += len(held)
-        return real["nonzero_columns"](self)
-
     try:
-        Pipeline.permute, Pipeline.finish = permute, finish
-        LinearMap.nonzero_columns = nonzero_columns
+        Pipeline.permute = permute
         if real_rows is not None:
             Pipeline._placed_rows = staticmethod(placed_rows)
         result = build()
     finally:
-        for name in ("permute", "finish"):
-            setattr(Pipeline, name, real[name])
-        LinearMap.nonzero_columns = real["nonzero_columns"]
+        Pipeline.permute = real_permute
         if real_rows is not None:
             Pipeline._placed_rows = real_rows
-    return result, placed[0], sorted_columns[0]
+    return result, placed[0]
 
 
 def counts(seed: int) -> dict:
@@ -180,15 +160,13 @@ def counts(seed: int) -> dict:
         return total
 
     apply, finish = key(Pipeline._apply), key(Pipeline.finish)
-    _, placed, sorted_columns = placements_and_sorts(
-        lambda: ladder_pass(seed))
+    _, placed = placements(lambda: ladder_pass(seed))
     return {
         "apply_divmods": calls(BUILTIN_DIVMOD, apply),
         "apply_reduction_dicts": calls("<dictcomp>", apply),
         "apply_calls": calls(apply),
         "finish_calls": calls(finish),
         "permute_placements": placed,
-        "columns_sorted": sorted_columns,
         "modints_created": calls(key(ModInt.__init__)),
         "field_coerces": calls(key(PrimeField.coerce))
         + calls(key(RationalField.coerce)),

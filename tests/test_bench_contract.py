@@ -52,7 +52,6 @@ def test_pipeline_columns_is_readable_after_a_step():
     sp = Space(("x", "y"))
     flip = LinearMap(QQ, sp, sp, [[0, 1], [1, 0]])
     pipe = Pipeline(QQ, [sp, sp]).map_leg(0, flip)
-    assert pipe.columns == pipe.sparse_columns()
     assert sum(len(col) for col in pipe.columns) == 4
 
 

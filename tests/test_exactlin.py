@@ -25,6 +25,7 @@ from homhopf.exactlin import (
     compose,
     equal_on_basis,
     flip_map,
+    functional_as_map,
     identity,
     inverse,
     maps_equal,
@@ -483,9 +484,66 @@ def test_kernel_output_over_gf_p_holds_only_residues_mod_p():
             for row in out.matrix:
                 assert all(type(v) is ModInt and v.p == p for v in row)
             assert all(type(v) is int and 0 <= v < p
-                       for col in out.nonzero_columns() for _, v in col)
+                       for col in out.nonzero_columns().values()
+                       for v in col.values())
         sol = solve_linear(field, [list(r) for r in f.matrix], [1, 2, 3])
         assert all(type(v) is ModInt and v.p == p for v in sol)
+
+
+def assert_one_held_form(f):
+    """``f`` holds only the dict of its nonzero columns, inside its spaces:
+    no column empty, every value a nonzero kernel scalar (a residue in
+    [1, p) over GF(p); over Q an int or a Fraction, which a product of
+    fractions may leave integral), and no dense rows."""
+    p = f.field.characteristic
+    assert f._rows is None
+    for j, col in f.nonzero_columns().items():
+        assert 0 <= j < f.domain.dim and col
+        for i, v in col.items():
+            assert 0 <= i < f.codomain.dim
+            if p:
+                assert type(v) is int and 0 < v < p
+            else:
+                assert v and type(v) in (int, Fraction)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+def test_every_route_to_a_map_holds_the_one_form(field):
+    """Each way of building a map, 7 standing for an entry that is zero
+    over GF(7) alone; both composes have a column that cancels, the second
+    only over GF(7)."""
+    sp, line = Space(("x", "y", "z")), Space(("u", "v"))
+    rows = [[1, 7, 0], [-1, Fraction(1, 2), 0], [Fraction(4, 2), 0,
+                                                 field.coerce(3)]]
+    f = LinearMap(field, sp, sp, rows)
+    g = LinearMap(field, line, line, [[1, 7], [-1, 2]])
+    cube = [[[0, 7, 2], [-1, 0, 0]], [[0, 0, 0], [Fraction(1, 3), 1, 7]]]
+    square = LinearMap(field, line, line, [[1, 1], [2, 2]])
+    cancels = compose(square, LinearMap(field, line, line, [[1, 0], [-1, 1]]))
+    by_seven = compose(square, LinearMap(field, line, line, [[1, 0], [6, 1]]))
+    pipe = Pipeline(field, [line, line, sp]).map_leg(0, g).map_leg(1, g) \
+        .merge_legs(0, 2, bilinear_as_map(field, line, line, sp, cube)) \
+        .adjoin_vector(1, line, [7, 1]).permute([2, 0, 1])
+    maps = [
+        f, g, identity(field, sp), vector_as_map(field, sp, [0, 7, 2]),
+        functional_as_map(field, sp, [7, -1, 0]), flip_map(field, sp, line),
+        bilinear_as_map(field, line, line, sp, cube),
+        splitting_as_map(field, line, line, sp, cube),
+        compose(f, f), tensor(f, g), inverse(f), power(f, -2), power(f, 3),
+        strip_scalar_leg(Pipeline(field, [sp]).map_leg(0, f)
+                         .adjoin_vector(1, SCALAR_SPACE, [1]).finish(), sp),
+        pipe.finish(), cancels, by_seven,
+        Pipeline(field, [line]).map_leg(0, LinearMap(
+            field, line, line, [[1, 0], [-1, 1]])).map_leg(0, square).finish(),
+    ]
+    for out in maps:
+        assert_one_held_form(out)
+    assert cancels.nonzero_columns() == {1: {0: 1, 1: 2}}
+    assert (0 in by_seven.nonzero_columns()) is (field is not GF7)
+    assert maps[-1] == cancels
+    assert cancels == LinearMap(field, line, line, [[0, 1], [0, 2]])
+    assert compose(f, f) != f   # the same nonzero columns, other values
 
 
 def test_field_zero_and_one_are_shared():
@@ -505,7 +563,7 @@ def test_packers_drop_entries_that_are_zero_in_the_field(field, zero):
     dense = [LinearMap(field, tensor_space(s, s), t, [[0], [3]]),
              LinearMap(field, s, tensor_space(s, t), [[0], [3]])]
     for got, want in zip(packed, dense):
-        assert got.nonzero_columns() == (((1, 3),),)
+        assert got.nonzero_columns() == {0: {1: 3}}
         assert got == want and hash(got) == hash(want)
         assert equal_on_basis("packed", got, want, [got.domain]).passed
 
@@ -538,19 +596,18 @@ def test_maps_compiled_from_integral_data_hold_ints():
     assoc = Pipeline(QQ, [sp, sp, sp]).merge_legs(0, 2, m) \
         .map_leg(1, alpha).merge_legs(0, 2, m)
     for f in (m, alpha, assoc.finish()):
-        assert only_type((v for col in f.nonzero_columns() for _, v in col),
-                         int)
+        assert only_type((v for col in f.nonzero_columns().values()
+                          for v in col.values()), int)
         assert only_type((v for row in f.matrix for v in row), Fraction)
         assert only_type(f.column(0), Fraction)
-    assert only_type((v for col in assoc.sparse_columns()
-                      for v in col.values()), int)
+    assert only_type((v for col in assoc.columns for v in col.values()), int)
 
 
 def test_a_proper_fraction_stays_a_fraction_in_the_kernel():
     sp = Space(("x",))
     half = LinearMap(QQ, sp, sp, [[Fraction(1, 2)]])
     for f in (half, compose(half, identity(QQ, sp))):
-        (((_, v),),) = f.nonzero_columns()
+        [[v]] = (col.values() for col in f.nonzero_columns().values())
         assert type(v) is Fraction and v == Fraction(1, 2)
 
 
@@ -562,8 +619,8 @@ def test_kernel_and_dense_maps_agree_whatever_the_integer_form():
     # holds Fraction rows and int columns
     maps = [compose(half, two), identity(QQ, sp),
             LinearMap(QQ, sp, sp, [[1, 0], [0, 1]])]
-    assert type(maps[0].nonzero_columns()[0][0][1]) is Fraction
-    assert type(maps[1].nonzero_columns()[0][0][1]) is int
+    assert type(maps[0].nonzero_columns()[0][0]) is Fraction
+    assert type(maps[1].nonzero_columns()[0][0]) is int
     for f in maps:
         for g in maps:
             assert f == g and hash(f) == hash(g)
@@ -687,6 +744,12 @@ STEP_KINDS = ["map_leg", "split_leg", "merge_legs", "permute",
               "adjoin_vector"]
 
 
+def column_dicts(f):
+    """The nonzero columns ``f`` holds, as ``Pipeline.columns`` lists them:
+    one dict per domain basis vector, empty for a zero column."""
+    return [f.nonzero_columns().get(j, {}) for j in range(f.domain.dim)]
+
+
 def check_steps(data, field, legs, steps):
     """Run steps on a Pipeline and on the model and compare the compiled
     maps.  A step is (method name, args), or a kind from STEP_KINDS to be
@@ -701,8 +764,7 @@ def check_steps(data, field, legs, steps):
     compiled = pipe.finish()
     assert compiled == model.map
     assert compiled.matrix == model.map.matrix
-    assert pipe.sparse_columns() == [
-        dict(col) for col in model.map.nonzero_columns()]
+    assert pipe.columns == column_dicts(model.map)
 
 
 def random_legs(data, least=1):
@@ -969,7 +1031,7 @@ def test_pipeline_keeps_the_gaps_of_touched_blocks(data):
     check_steps(data, field, legs, steps + kinds)
 
 
-@pytest.mark.parametrize("read", ["sparse_columns", "columns", "every step"])
+@pytest.mark.parametrize("read", ["columns", "every step"])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_pipeline_reading_columns_mid_chain_keeps_the_map(read, data):
@@ -987,10 +1049,7 @@ def test_pipeline_reading_columns_mid_chain_keeps_the_map(read, data):
         getattr(pipe, name)(*args)
         getattr(model, name)(*args)
         if k == at or read == "every step":
-            columns = (pipe.columns if read != "sparse_columns"
-                       else pipe.sparse_columns())
-            assert columns == [dict(col)
-                               for col in model.map.nonzero_columns()]
+            assert pipe.columns == column_dicts(model.map)
     assert pipe.finish() == model.map
 
 
@@ -1020,23 +1079,56 @@ def test_pipeline_fold_deletes_a_sum_that_cancels(field, monkeypatch):
         getattr(pipe, name)(*args)
         getattr(model, name)(*args)
     assert folds == [2]
-    columns = pipe.sparse_columns()
+    columns = pipe.columns
     p = field.characteristic
     assert columns[0] == {1: 3}
     assert all(v and type(v) in (int, Fraction) and (not p or 0 < v < p)
                for col in columns for v in col.values())
-    assert columns == [dict(col) for col in model.map.nonzero_columns()]
+    assert columns == column_dicts(model.map)
     assert pipe.finish() == model.map
 
 
-def test_pipeline_columns_is_a_read_only_view_of_sparse_columns():
+def test_pipeline_columns_is_a_read_only_view():
     sp = Space(("x", "y"))
     swap = LinearMap(QQ, sp, sp, [[0, 1], [1, 0]])
     pipe = Pipeline(QQ, [sp, sp]).map_leg(1, swap)
-    assert pipe.columns == pipe.sparse_columns() == [
-        {1: 1}, {0: 1}, {3: 1}, {2: 1}]
+    assert pipe.columns == [{1: 1}, {0: 1}, {3: 1}, {2: 1}]
     with pytest.raises(AttributeError):
         pipe.columns = []
+
+
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+def test_a_dict_shared_by_a_map_and_a_block_is_never_changed(field):
+    """A step on untouched legs takes the step map's dict as its block, and
+    a finished map may hold a block's dict; the steps after both leave the
+    map, and a map finished earlier, equal to fresh copies of themselves."""
+    sp, line = Space(("x", "y", "z")), Space(("u", "v"))
+    rows = [[1, 7, 0], [-1, 2, 0], [2, 0, 3]]
+    f = LinearMap(field, sp, sp, rows)
+    g = LinearMap(field, line, line, [[1, 7], [-1, 2]])
+    m = LinearMap(field, tensor_space(line, sp), sp,
+                  [[1, 0, 2, 0, 1, 0], [0, 3, 0, 1, 0, 0], [1, 1, 0, 0, 0, 4]])
+    steps = [("map_leg", (1, g)), ("adjoin_vector", (2, line, [7, 2])),
+             ("permute", ([1, 2, 0],)), ("map_leg", (2, f)),
+             ("merge_legs", (1, 2, m)), ("merge_legs", (0, 2, m))]
+    pipe = Pipeline(field, [sp, line]).map_leg(0, f)
+    assert pipe._blocks[0][1] is f.nonzero_columns()
+    early = pipe.finish()
+    model = KroneckerModel(field, [sp, line])
+    model.map_leg(0, LinearMap(field, sp, sp, rows))
+    assert early == model.map
+    for name, args in steps:
+        getattr(pipe, name)(*args)
+        getattr(model, name)(*args)
+    assert pipe.finish() == model.map
+    again = Pipeline(field, [sp]).map_leg(0, f).finish()
+    assert again.nonzero_columns() is f.nonzero_columns()
+    Pipeline(field, [sp]).map_leg(0, f).map_leg(0, f).finish()
+    fresh = LinearMap(field, sp, sp, rows)
+    for held, copy in ((f, fresh), (again, fresh),
+                       (early, tensor(fresh, identity(field, line)))):
+        assert held == copy and held.matrix == copy.matrix
 
 
 def test_a_pipeline_needs_a_leg():
@@ -1348,9 +1440,9 @@ def test_equal_on_basis_refuses_factors_that_do_not_span_the_domain():
     assert equal_on_basis("unit", unit, unit, (SCALAR_SPACE,)).passed
 
 
-# equal_on_basis reads each side in the form it is held: dense rows (the
-# public constructor), sorted columns (compose, tensor, ...) or the dict
-# columns of a finished Pipeline.  The map goes out of a (x) b, of 5 * 8
+# equal_on_basis compares the dicts each side holds, whichever route built
+# it: the public constructor (dense rows), compose, or a finished Pipeline.
+# The map goes out of a (x) b, of 5 * 8
 # columns, and its nonzero entries are {(row, column): value}; each plant
 # sets the entries listed.  Column 3 is zero in the base map, and a set of
 # the nonzero columns holding 3 and 33 does not iterate 3 first.
@@ -1365,8 +1457,8 @@ HELD_FORM_PLANTS = {
 
 
 def held_forms(field, entries):
-    """The map with these entries in each of its three held forms; the
-    pipeline's map has not built its sorted columns."""
+    """The map with these entries built by each of three routes; none of
+    them holds dense rows."""
     a, b = (Space(tuple(f"{x}{i}" for i in range(n))) for x, n in
             (("a", 5), ("b", 8)))
     cod = Space(("c0", "c1", "c2"))
@@ -1377,9 +1469,9 @@ def held_forms(field, entries):
 
     columns = compose(identity(field, cod), dense())
     finished = Pipeline(field, [a, b]).merge_legs(0, 2, dense()).finish()
-    assert columns._rows is None
-    assert finished._cols is None and finished._dicts is not None
-    return (a, b), {"rows": dense(), "columns": columns, "pipeline": finished}
+    forms = {"rows": dense(), "columns": columns, "pipeline": finished}
+    assert all(f._rows is None for f in forms.values())
+    return (a, b), forms
 
 
 @pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
@@ -1406,9 +1498,8 @@ def test_equal_on_basis_gives_one_report_across_held_forms(field, plant):
             report = equal_on_basis("eq", lhs, rhs, factors)
             assert report == expected, (lhs_form, rhs_form)
             assert repr(report.as_dict()) == repr(expected.as_dict())
-            # the witness lifts one column; nothing sorted the dict columns
-            for form, side in ((lhs_form, lhs), (rhs_form, rhs)):
-                assert (side._cols is None) is (form == "pipeline")
+            # the witness lifts one column; neither side is densified
+            assert lhs._rows is None and rhs._rows is None
         x, y = inputs(*factors)
 
         def side(entries, form):
@@ -1428,11 +1519,8 @@ def test_equal_on_basis_gives_one_report_across_held_forms(field, plant):
             if not report.passed:
                 a_name, b_name = report.witness.basis
                 assert a_name in x.space.names and b_name in y.space.names
-    # read once, the dict columns become the sorted ones and are dropped
-    finished = held_forms(field, other)[1]["pipeline"]
-    assert finished.nonzero_columns() == held_forms(
-        field, other)[1]["rows"].nonzero_columns()
-    assert finished._dicts is None
+    held = held_forms(field, other)[1]
+    assert held["pipeline"].nonzero_columns() == held["rows"].nonzero_columns()
 
 
 @settings(max_examples=100, deadline=None)
