@@ -33,7 +33,6 @@ from .exactlin import (
     compose,
     equal_on_basis,
     identity,
-    inverse,
     power,
     strip_scalar_leg,
 )
@@ -374,7 +373,7 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
     # itself; only its right coaction is the trivial beta^{-1}(c) (x) 1_H.
     (c,) = inputs(csp)
     triv_right = compile_map(field, (c,), [
-        inverse(beta)(c), const(hsp, h.algebra.unit)])
+        sys.small_coalgebra.gamma_inv(c), const(hsp, h.algebra.unit)])
     p_co_left = equal_on_basis(
         "retraction_left_coaction_compat",
         compose(compile_map(field, (a,), [lh, p(l0)]), j),
@@ -444,7 +443,7 @@ def admissible_isomorphism(sys: MappingSystem, enforce: bool = True):
 
     c, y, a = inputs(csp, hsp, asp)
     a1, a2 = split(amb.coalgebra.comult_map, a)
-    f = compose(inverse(gamma), compile_map(
+    f = compose(amb.algebra.alpha_inv, compile_map(
         field, (c, y), [amb.algebra.mult_map(j(c), i(y))]))
     g = compile_map(field, (a,), [compose(beta, p)(a1), compose(alpha, pi)(a2)])
 

@@ -31,7 +31,6 @@ from .exactlin import (
     NoSolution,
     compose,
     equal_on_basis,
-    inverse,
     solve_linear,
     strip_scalar_leg,
     tensor_space,
@@ -156,7 +155,7 @@ def trivial_action(acting: HomBialgebra, target: HomAlgebra) -> ModuleAction:
 def trivial_coaction(coacting: HomBialgebra, target: HomCoalgebra) -> Coaction:
     """rho(a) = 1_H (x) beta^{-1}(a) (the mirror counit law forces beta^{-1})."""
     unit = coacting.algebra.unit
-    beta_inv = inverse(target.gamma)
+    beta_inv = target.gamma_inv
     cube = [
         [[uh * beta_inv.matrix[k][i] for k in range(target.space.dim)]
          for uh in unit]
@@ -216,14 +215,15 @@ def check_hom_comodule(co: Coaction) -> CheckReport:
     rho = co.coact_map
     alpha = co.coacting.alpha
     beta = co.target.gamma
-    beta_inv = inverse(beta)
+    beta_inv = co.target.gamma_inv
 
     (a,) = inputs(asp)
     h, a0 = split(rho, a, hsp, asp)
     h1, h2 = split(co.coacting.coalgebra.comult_map, h)
     a0h, a00 = split(rho, a0, hsp, asp)
     coassoc = holds(field, "comodule_coassociativity", (a,),
-                    [h1, h2, beta_inv(a0)], [inverse(alpha)(h), a0h, a00])
+                    [h1, h2, beta_inv(a0)],
+                    [co.coacting.algebra.alpha_inv(h), a0h, a00])
 
     counit_lhs = strip_scalar_leg(compile_map(
         field, (a,), [co.coacting.coalgebra.counit_map(h), a0]), asp)

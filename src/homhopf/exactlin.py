@@ -19,8 +19,10 @@ only that row and the pivot row, the result is the same as a row-by-row
 scan's, row for row.
 
 Inside the kernel a GF(p) scalar is its residue, a plain ``int`` in
-[0, p), and an integral rational is a plain ``int``; only a proper
-fraction stays a field element.  ``_low`` lowers every value as it comes
+[0, p).  A rational comes in lowered, an integral one as a plain ``int``;
+a product formed inside the kernel (in ``compose``, ``tensor`` or the
+``Pipeline``'s ``_apply``) is not lowered again, so one of proper fractions
+may stay an integral ``Fraction``.  ``_low`` lowers every value as it comes
 in: in the public constructor and the packers (``identity``,
 ``vector_as_map``, ``functional_as_map``, ``flip_map``,
 ``bilinear_as_map``, ``splitting_as_map``), in the rows and right-hand
@@ -507,15 +509,17 @@ def _gauss_jordan(rows, width: int, p: int) -> list:
                 if k < width:
                     holding[k] ^= {r, piv}
             rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        if p:
+        prow = rows[r]
+        pivot = prow[c]
+        if pivot == 1:
+            pass
+        elif p:
             inv = pow(pivot, -1, p)
-            prow = {k: v * inv % p for k, v in rows[r].items()}
+            prow = rows[r] = {k: v * inv % p for k, v in prow.items()}
         else:
             if type(pivot) is int:
                 pivot = Fraction(pivot)     # int / int would be a float
-            prow = {k: _low(v / pivot) for k, v in rows[r].items()}
-        rows[r] = prow
+            prow = rows[r] = {k: _low(v / pivot) for k, v in prow.items()}
         for i in list(holding[c]):
             if i == r:
                 continue

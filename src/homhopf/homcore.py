@@ -41,6 +41,8 @@ from .exactlin import (
     NonInvertibleError,
     SCALAR_SPACE,
     Space,
+    _gauss_jordan,
+    _residues,
     bilinear_as_map,
     compose,
     equal_on_basis,
@@ -162,10 +164,61 @@ def _coerce_vector(field, space: Space, vec):
     return out
 
 
-def _check_structure_map(space: Space, m: LinearMap, what: str):
+def _check_structure_map(space: Space, m: LinearMap, what: str) -> LinearMap:
+    """The inverse of m; raises ``NonInvertibleError`` if it has none."""
     if m.domain != space or m.codomain != space:
         raise ValueError(f"{what} must be an endomorphism of the carrier space")
-    inverse(m)  # eager invertibility check; raises NonInvertibleError
+    return inverse(m)
+
+
+def _words_span(mult: LinearMap, gens) -> dict:
+    """The span of the right-nested words g(g'(...)) in the basis vectors
+    ``gens`` under ``mult``, as {pivot column: row} of its reduced echelon
+    basis.  Each round multiplies the rows that brought new pivots by
+    every generator on the left, until no pivot is new."""
+    d, p = mult.codomain.dim, mult.field.characteristic
+    cols, pivots = mult.nonzero_columns(), sorted(gens)
+    rows = grown = [{g: 1} for g in pivots]
+    while grown and len(pivots) < d:
+        new = []
+        for g in gens:
+            for row in grown:
+                acc: dict = {}
+                for j, v in row.items():
+                    for k, w in cols.get(g * d + j, {}).items():
+                        acc[k] = acc.get(k, 0) + w * v
+                if word := _residues(acc.items(), p):
+                    new.append(word)
+        if not new:
+            break
+        known = set(pivots)
+        rows += new
+        pivots = _gauss_jordan(rows, d, p)
+        del rows[len(pivots):]
+        grown = [row for row, c in zip(rows, pivots) if c not in known]
+    return dict(zip(pivots, rows))
+
+
+def generating_set(mult: LinearMap) -> list:
+    """Basis indices G, in basis order, whose right-nested words span the
+    algebra of ``mult``, at worst all of them.  Greedily, each basis vector
+    not yet in the span joins G; then each generator but the last leaves
+    it if the others' words span.  A basis vector fixing e_j on the left,
+    as a unit does, adds no word from e_j, so the candidates go in
+    ascending order of the basis vectors they fix."""
+    d, cols = mult.codomain.dim, mult.nonzero_columns()
+    fixed = [{j: 1} for j in range(d)]
+    gens, span = [], {}
+    for i in sorted(range(d), key=lambda i: sum(
+            cols.get(i * d + j) == fixed[j] for j in range(d))):
+        if span.get(i) != {i: 1}:
+            gens.append(i)
+            span = _words_span(mult, gens)
+    for g in gens[:-1]:
+        rest = [h for h in gens if h != g]
+        if len(_words_span(mult, rest)) == d:
+            gens = rest
+    return sorted(gens)
 
 
 @dataclass(repr=False)
@@ -183,11 +236,27 @@ class HomAlgebra:
 
     def __post_init__(self):
         self.unit = _coerce_vector(self.field, self.space, self.unit)
-        _check_structure_map(self.space, self.alpha, "structure map alpha")
+        self.alpha_inv = _check_structure_map(self.space, self.alpha,
+                                              "structure map alpha")
 
     @cached_property
     def unit_map(self) -> LinearMap:
         return vector_as_map(self.field, self.space, self.unit)
+
+    @cached_property
+    def untwisted_mult_map(self) -> LinearMap:
+        """m' = alpha^{-1} o m, which is m when alpha is the identity."""
+        if self.alpha == identity(self.field, self.space):
+            return self.mult_map
+        return compose(self.alpha_inv, self.mult_map)
+
+    @cached_property
+    def generators(self) -> LinearMap:
+        """The inclusion of the generators of (A, m'), ``generating_set``."""
+        sp, gens = self.space, generating_set(self.untwisted_mult_map)
+        return LinearMap._from_columns(
+            self.field, Space(tuple(sp.names[g] for g in gens)), sp,
+            {t: {g: 1} for t, g in enumerate(gens)})
 
     def __repr__(self):
         return f"HomAlgebra(dim={self.space.dim})"
@@ -209,7 +278,8 @@ class HomCoalgebra:
 
     def __post_init__(self):
         self.counit = _coerce_vector(self.field, self.space, self.counit)
-        _check_structure_map(self.space, self.gamma, "structure map gamma")
+        self.gamma_inv = _check_structure_map(self.space, self.gamma,
+                                              "structure map gamma")
 
     @cached_property
     def counit_map(self) -> LinearMap:
@@ -390,16 +460,39 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
 
 def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     """Verify twisted associativity, multiplicativity of alpha, the twisted
-    unit laws, and alpha(1) = 1, sweeping all basis tuples."""
+    unit laws, and alpha(1) = 1.
+
+    Once alpha_multiplicative has passed, Hom-associativity is proved on
+    generators.  Write x.y = m'(x, y) = alpha^{-1}(xy).  alpha is
+    multiplicative for m' too, so alpha(x)(yz) = alpha^2(x.(y.z)) and
+    (xy)alpha(z) = alpha^2((x.y).z): m is Hom-associative on a triple
+    exactly when m' is associative on it (Yau, "Hom-algebras and homology",
+    J. Lie Theory 19, 2009).  The g with x.(g.z) = (x.g).z for all x, z
+    form a subspace closed under m', as x.((g.h).z) = x.(g.(h.z)) =
+    (x.g).(h.z) = ((x.g).h).z = (x.(g.h)).z (Light's test; Clifford &
+    Preston, The Algebraic Theory of Semigroups I, 1961).  It is all of A
+    once it holds the generators G, whose right-nested words span A
+    (``HomAlgebra.generators``).  So x.(g.z) = (x.g).z is swept over g in G:
+    d^2 |G| columns, not d^3.  If G is the whole basis, a premise fails or
+    the reduced check fails, m is swept on all basis tuples, and only that
+    sweep names a witness."""
     field, sp = a.field, a.space
     m, alpha = a.mult_map, a.alpha
 
     x, y, z = inputs(sp, sp, sp)
-    assoc = holds(field, "hom_associativity", (x, y, z),
-                  [m(alpha(x), m(y, z))], [m(m(x, y), alpha(z))])
     alpha_mult, alpha_unit = morphism_laws(
         alpha, a, a, multiplicative="alpha_multiplicative",
         unital="alpha_fixes_unit")
+    assoc = None
+    if alpha_mult.passed and a.generators.domain.dim < sp.dim:
+        mp, inc, one = a.untwisted_mult_map, a.generators, identity(field, sp)
+        (g,) = inputs(inc.domain)
+        gz, xg = compose(mp, inc @ one), compose(mp, one @ inc)
+        assoc = holds(field, "hom_associativity", (x, g, z),
+                      [mp(x, gz(g, z))], [mp(xg(x, g), z)])
+    if assoc is None or not assoc.passed:
+        assoc = holds(field, "hom_associativity", (x, y, z),
+                      [m(alpha(x), m(y, z))], [m(m(x, y), alpha(z))])
 
     right_unit = holds(field, "right_unit_law", (x,),
                        [m(x, const(sp, a.unit))], alpha)
@@ -426,7 +519,7 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
         gamma, c, c, comultiplicative="gamma_comultiplicative",
         counital="counit_gamma_invariant")
 
-    gamma_inv = inverse(gamma)
+    gamma_inv = c.gamma_inv
     right_counit = equal_on_basis(
         "right_counit_law",
         strip_scalar_leg(compile_map(field, (x,), [x1, counit(x2)]), sp),
@@ -443,7 +536,18 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
 
 
 def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
-    """Both halves plus: Delta and eps are morphisms of Hom-algebras."""
+    """Both halves plus: Delta and eps are morphisms of Hom-algebras.
+
+    Once alpha_multiplicative, hom_associativity and gamma_comultiplicative
+    have passed, Delta(xy) = Delta(x)Delta(y) is proved on the generators G
+    of ``check_hom_algebra``: m' is associative, and so is its componentwise
+    product U.V on A (x) A.  As Delta o alpha = (alpha (x) alpha) o Delta,
+    with alpha invertible, Delta(gy) = Delta(g)Delta(y) holds exactly when
+    Delta(g.y) = Delta(g).Delta(y) does, and the g for which it does for all
+    y form a subspace closed under m': Delta((g.h).y) = Delta(g.(h.y)) =
+    Delta(g).(Delta(h).Delta(y)) = Delta(g.h).Delta(y).  So it is swept over
+    g in G: d |G| columns, not d^2; otherwise, and on a failure, over all
+    basis tuples, which alone name a witness."""
     field, sp = b.field, b.space
     alg, coa = b.algebra, b.coalgebra
     m, d = alg.mult_map, coa.comult_map
@@ -453,8 +557,22 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
 
     x, y = inputs(sp, sp)
     (x1, x2), (y1, y2) = split(d, x), split(d, y)
-    comult_mult = holds(field, "comult_multiplicative", (x, y),
-                        compose(d, m), [m(x1, y1), m(x2, y2)])
+    comult_mult = None
+    if all(r.sub(name).passed for r, name in (
+            (alg_report, "alpha_multiplicative"),
+            (alg_report, "hom_associativity"),
+            (coa_report, "gamma_comultiplicative"))) \
+            and alg.generators.domain.dim < sp.dim:
+        inc = alg.generators
+        (g,) = inputs(inc.domain)
+        g1, g2 = split(compose(d, inc), g, sp, sp)
+        comult_mult = holds(
+            field, "comult_multiplicative", (g, y),
+            compose(d, compose(m, inc @ identity(field, sp))),
+            [m(g1, y1), m(g2, y2)])
+    if comult_mult is None or not comult_mult.passed:
+        comult_mult = holds(field, "comult_multiplicative", (x, y),
+                            compose(d, m), [m(x1, y1), m(x2, y2)])
 
     comult_unit = equal_on_basis(
         "comult_preserves_unit",

@@ -29,7 +29,10 @@ unit-row mutant.  Printed, one per line, with the count:
 - ``ladder_held_nonzeros``, ``selftest_held_nonzeros``: the nonzeros every
   ``Pipeline``'s blocks hold after each of its steps, summed, over one
   ladder pass and over one ``corpus.selftest()``, counted by
-  ``held_nonzeros`` below, which the tests' fixture of that name returns.
+  ``held_nonzeros`` below, which the tests' fixture of that name returns;
+- ``swept_columns``: the columns ``equal_on_basis`` compares over one
+  ladder pass, the dimension of the compared maps' domain summed over its
+  calls, counted by ``swept_columns`` below.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -96,6 +99,31 @@ def held_nonzeros(build):
         for name, step in real.items():
             setattr(Pipeline, name, step)
     return result, total
+
+
+def swept_columns(build):
+    """``build()`` and the columns ``equal_on_basis`` compares while it
+    runs, wherever a homhopf module binds it."""
+    from homhopf import exactlin
+
+    real = exactlin.equal_on_basis
+    swept = [0]
+
+    def counted(name, lhs, rhs, factors):
+        swept[0] += lhs.domain.dim
+        return real(name, lhs, rhs, factors)
+
+    bound = [mod for name, mod in list(sys.modules.items())
+             if name.split(".")[0] == "homhopf"
+             and getattr(mod, "equal_on_basis", None) is real]
+    try:
+        for mod in bound:
+            mod.equal_on_basis = counted
+        result = build()
+    finally:
+        for mod in bound:
+            mod.equal_on_basis = real
+    return result, swept[0]
 
 
 def placements(build):
@@ -173,6 +201,7 @@ def counts(seed: int) -> dict:
         "modint_truth_tests": calls(key(ModInt.__bool__)),
         "ladder_held_nonzeros": held_nonzeros(lambda: ladder_pass(seed))[1],
         "selftest_held_nonzeros": held_nonzeros(selftest)[1],
+        "swept_columns": swept_columns(lambda: ladder_pass(seed))[1],
     }
 
 

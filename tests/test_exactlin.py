@@ -3,6 +3,7 @@ map comparison, and the leg pipeline."""
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -626,6 +627,36 @@ def test_kernel_and_dense_maps_agree_whatever_the_integer_form():
             assert f == g and hash(f) == hash(g)
             assert f.matrix == g.matrix
             assert only_type(f.matrix[0] + f.matrix[1], Fraction)
+
+
+def test_an_integral_fraction_the_kernel_holds_acts_as_its_int():
+    """compose, tensor and a Pipeline multiply 1/2 by 2 into Fraction(1):
+    inputs are lowered, products are not.  Such a map equals its int-held
+    twin, hashes alike, and gives the twin's equal_on_basis report bytes,
+    passing or failing."""
+    sp = Space(("x", "y"))
+    half = LinearMap(QQ, sp, sp, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    two = LinearMap(QQ, sp, sp, [[2, 0], [0, 2]])
+    pair = tensor_space(sp, sp)
+    twin = identity(QQ, pair)
+    other = LinearMap(QQ, pair, pair, [[int(i == j) + (i == j == 2)
+                                        for j in range(4)] for i in range(4)])
+    held = [tensor(half, two),
+            Pipeline(QQ, [sp, sp]).map_leg(0, half).map_leg(1, two).finish(),
+            Pipeline(QQ, [pair]).map_leg(0, tensor(half, half))
+            .map_leg(0, tensor(two, two)).finish()]
+    for f in held:
+        values = [v for col in f.nonzero_columns().values() for v in col.values()]
+        assert values and all(type(v) is Fraction and v == 1 for v in values)
+        assert f == twin and hash(f) == hash(twin) and f.matrix == twin.matrix
+        for g in (twin, other):
+            for lhs, rhs in ((f, g), (g, f)):
+                got = equal_on_basis("integral", lhs, rhs, (sp, sp)).as_dict()
+                want = equal_on_basis(
+                    "integral", twin if lhs is f else lhs,
+                    twin if rhs is f else rhs, (sp, sp)).as_dict()
+                assert json.dumps(got, sort_keys=True) == \
+                    json.dumps(want, sort_keys=True)
 
 
 def test_maps_equal_witness_holds_field_elements():

@@ -21,7 +21,12 @@ from homhopf.exactlin import (
     tensor_space_list,
 )
 from homhopf.fields import QQ, PrimeField
-from homhopf.homcore import check_antipode, check_hom_bialgebra
+from homhopf.homcore import (
+    HomAlgebra,
+    HomBialgebra,
+    check_antipode,
+    check_hom_bialgebra,
+)
 from homhopf.sweedler import compile_map, const, holds, inputs, split
 
 GF7 = PrimeField(7)
@@ -239,12 +244,22 @@ def test_holds_refuses_a_map_side_off_its_inputs_before_any_step(monkeypatch):
 # ---------------------------------------------------------------------------
 # The hot checks of the GF(p) ladder keep the steps they were hand-written
 # with: Hom-associativity, Hom-coassociativity, Delta multiplicative and the
-# convolutions of the antipode law.
+# convolutions of the antipode law.  A passing Hom-associativity and Delta
+# multiplicative are the reduced checks over the generators; a record that
+# fails them, or their premises, takes the full sweeps.
 
 ASSOCIATIVITY = [[("map_leg", 0), ("merge_legs", 1, 2), ("merge_legs", 0, 2)],
                  [("merge_legs", 0, 2), ("map_leg", 1), ("merge_legs", 0, 2)]]
+REDUCED_ASSOCIATIVITY = [[("merge_legs", 1, 2), ("merge_legs", 0, 2)],
+                         [("merge_legs", 0, 2), ("merge_legs", 0, 2)]]
+ALPHA_MULTIPLICATIVE = [("map_leg", 0), ("map_leg", 1), ("merge_legs", 0, 2)]
+UNIT_LAWS = [[("adjoin_vector", 1), ("merge_legs", 0, 2)],
+             [("adjoin_vector", 0), ("merge_legs", 0, 2)]]
 COASSOCIATIVITY = [[("split_leg", 0), ("split_leg", 1), ("map_leg", 2)],
                    [("split_leg", 0), ("split_leg", 0), ("map_leg", 0)]]
+COALGEBRA_REST = [[("split_leg", 0), ("map_leg", 0), ("map_leg", 1)],
+                  [("split_leg", 0), ("map_leg", 1)],
+                  [("split_leg", 0), ("map_leg", 0)]]
 COMULT_MULTIPLICATIVE = [("split_leg", 0), ("split_leg", 2),
                          ("permute", [0, 2, 1, 3]), ("merge_legs", 0, 2),
                          ("merge_legs", 1, 2)]
@@ -252,24 +267,53 @@ CONVOLUTION = [("split_leg", 0), ("map_leg", 0), ("map_leg", 1),
                ("merge_legs", 0, 2)]
 
 
+def unit_row_mutant(h):
+    """h's bialgebra with 1 added to the coefficient of g in 1 g: the unit
+    law and Hom-associativity break, alpha stays multiplicative."""
+    field, sp = h.field, h.space
+    cube = [[list(plane) for plane in slab] for slab in h.algebra.mult]
+    cube[0][1][1] += field.one
+    return HomBialgebra(HomAlgebra(field, sp, cube, h.algebra.unit, h.alpha),
+                        h.coalgebra)
+
+
 def test_hot_checks_emit_the_hand_written_steps(monkeypatch):
     h = sweedler_h4_hom(GF7)
     chains = record_steps(monkeypatch)
     assert check_hom_bialgebra(h.bialgebra).passed
     assert chains == [
-        *ASSOCIATIVITY,
-        [("map_leg", 0), ("map_leg", 1), ("merge_legs", 0, 2)],
-        [("adjoin_vector", 1), ("merge_legs", 0, 2)],
-        [("adjoin_vector", 0), ("merge_legs", 0, 2)],
-        *COASSOCIATIVITY,
-        [("split_leg", 0), ("map_leg", 0), ("map_leg", 1)],
-        [("split_leg", 0), ("map_leg", 1)],
-        [("split_leg", 0), ("map_leg", 0)],
-        COMULT_MULTIPLICATIVE,
+        ALPHA_MULTIPLICATIVE, *REDUCED_ASSOCIATIVITY, *UNIT_LAWS,
+        *COASSOCIATIVITY, *COALGEBRA_REST, COMULT_MULTIPLICATIVE,
     ]
     chains.clear()
     assert check_antipode(h).passed
     assert chains == [CONVOLUTION, CONVOLUTION]
+    chains.clear()
+    report = check_hom_bialgebra(unit_row_mutant(h))
+    assert not report.find("hom_associativity").passed
+    assert chains == [
+        ALPHA_MULTIPLICATIVE, *REDUCED_ASSOCIATIVITY, *ASSOCIATIVITY,
+        *UNIT_LAWS, *COASSOCIATIVITY, *COALGEBRA_REST, COMULT_MULTIPLICATIVE,
+    ]
+
+
+def test_the_generators_enter_as_the_middle_leg(monkeypatch):
+    """The reduced checks start from the legs (A, G, A) for
+    Hom-associativity and (G, A) for Delta multiplicative, G the span of
+    the generators g and x of H4."""
+    h = sweedler_h4_hom(GF7)
+    legs = []
+    init = Pipeline.__init__
+
+    def started(self, field, spaces):
+        legs.append([s.names for s in spaces])
+        init(self, field, spaces)
+
+    monkeypatch.setattr(Pipeline, "__init__", started)
+    assert check_hom_bialgebra(h.bialgebra).passed
+    a, g = h.space.names, ("g", "x")
+    assert legs[1:3] == [[a, g, a]] * 2
+    assert legs[-1] == [g, a]
 
 
 @pytest.mark.parametrize("check, held_then", [
