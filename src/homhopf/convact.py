@@ -29,6 +29,7 @@ from .exactlin import (
     FieldMismatch,
     LinearMap,
     NoSolution,
+    _gauss_jordan,
     compose,
     equal_on_basis,
     solve_linear,
@@ -327,11 +328,32 @@ def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
 def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
                         alg: HomAlgebra) -> LinearMap:
     """Solve f * g = unit o eps = g * f for g exactly; raises
-    NotConvolutionInvertible with the inconsistency certificate otherwise."""
+    NotConvolutionInvertible with the inconsistency certificate otherwise.
+
+    The f * g rows, one per unknown, are eliminated alone first.  If every
+    unknown is a pivot, they have one solution, the only candidate; it is
+    returned if it passes the g * f rows by substitution, being then the
+    one solution of the stacked system.  Otherwise the stacked system is
+    solved, and gives the solution or the certificate."""
     field = alg.field
     q, p = coalg.space.dim, alg.space.dim
+    n, char = p * q, field.characteristic
     rows, rhs = _convolution_system(f, coalg, alg)
-    sol = solve_linear(field, rows, rhs, unknowns=p * q)
+    e = {r * q + c: v for c, col in
+         convolution_unit(coalg, alg).nonzero_columns().items()
+         for r, v in col.items()}
+    half = [dict(row) for row in rows[:n]]      # kernel form already
+    for eq, v in e.items():
+        half[eq][n] = v
+    sol = None
+    if len(_gauss_jordan(half, n, char)) == n:
+        g0 = [row.get(n, 0) for row in half]
+        sums = (sum(v * g0[u] for u, v in row.items()) for row in rows[n:])
+        if all((s % char if char else s) == e.get(eq, 0)
+               for eq, s in enumerate(sums)):
+            sol = g0
+    if sol is None:
+        sol = solve_linear(field, rows, rhs, unknowns=n)
     if isinstance(sol, NoSolution):
         raise NotConvolutionInvertible(
             "no two-sided convolution inverse exists", certificate=sol)

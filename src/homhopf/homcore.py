@@ -458,6 +458,34 @@ def morphism_laws(f: LinearMap, source, target, **names) -> list[CheckReport]:
     return [holds(field, name, *laws[kind]()) for kind, name in names.items()]
 
 
+def _runs(d: int, whole: bool) -> list:
+    """The runs [lo, hi) of the basis indices 0..d-1, in order: [0, d)
+    alone when ``whole``, else [0, 1), [1, 3), [3, 7), ..., cut at d
+    (galloping search; Bentley & Yao, "An almost optimal algorithm for
+    unbounded searching", IPL 5, 1976)."""
+    runs, lo = [], 0
+    while lo < d:
+        runs.append((lo, d if whole else min(2 * lo + 1, d)))
+        lo = runs[-1][1]
+    return runs
+
+
+def _swept_by_runs(field, sp: Space, whole: bool, sweep) -> CheckReport:
+    """The report of ``sweep(inc)``, an identity checked with its first
+    leg sp restricted along the inclusion ``inc`` of a run of its basis,
+    named as in sp, for the ``_runs`` in order up to the first failing
+    one; the pass of the last if none fails.  The first leg is the most
+    significant digit of the row-major sweep, so the first failing run
+    holds the sweep of sp's first failing tuple and names it alike."""
+    for lo, hi in _runs(sp.dim, whole):
+        leg = sp if hi - lo == sp.dim else Space(sp.names[lo:hi])
+        report = sweep(LinearMap._from_columns(
+            field, leg, sp, {t: {lo + t: 1} for t in range(hi - lo)}))
+        if not report.passed:
+            break
+    return report
+
+
 def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     """Verify twisted associativity, multiplicativity of alpha, the twisted
     unit laws, and alpha(1) = 1.
@@ -473,9 +501,10 @@ def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     Preston, The Algebraic Theory of Semigroups I, 1961).  It is all of A
     once it holds the generators G, whose right-nested words span A
     (``HomAlgebra.generators``).  So x.(g.z) = (x.g).z is swept over g in G:
-    d^2 |G| columns, not d^3.  If G is the whole basis, a premise fails or
-    the reduced check fails, m is swept on all basis tuples, and only that
-    sweep names a witness."""
+    d^2 |G| columns, not d^3.  If G is the whole basis and the premise
+    holds, m is swept on all basis tuples; if not, over the runs [0, 1),
+    [1, 3), [3, 7), ... of x up to the first failing one, which holds the
+    first failing tuple (``_swept_by_runs``), and only that names a witness."""
     field, sp = a.field, a.space
     m, alpha = a.mult_map, a.alpha
 
@@ -483,16 +512,21 @@ def check_hom_algebra(a: HomAlgebra) -> CheckReport:
     alpha_mult, alpha_unit = morphism_laws(
         alpha, a, a, multiplicative="alpha_multiplicative",
         unital="alpha_fixes_unit")
-    assoc = None
+    assoc, one = None, identity(field, sp)
     if alpha_mult.passed and a.generators.domain.dim < sp.dim:
-        mp, inc, one = a.untwisted_mult_map, a.generators, identity(field, sp)
+        mp, inc = a.untwisted_mult_map, a.generators
         (g,) = inputs(inc.domain)
         gz, xg = compose(mp, inc @ one), compose(mp, one @ inc)
         assoc = holds(field, "hom_associativity", (x, g, z),
                       [mp(x, gz(g, z))], [mp(xg(x, g), z)])
     if assoc is None or not assoc.passed:
-        assoc = holds(field, "hom_associativity", (x, y, z),
-                      [m(alpha(x), m(y, z))], [m(m(x, y), alpha(z))])
+        def associativity_on(inc):
+            (u,) = inputs(inc.domain)
+            au, uy = compose(alpha, inc), compose(m, inc @ one)
+            return holds(field, "hom_associativity", (u, y, z),
+                         [m(au(u), m(y, z))], [m(uy(u, y), alpha(z))])
+        assoc = _swept_by_runs(field, sp, assoc is None and alpha_mult.passed,
+                               associativity_on)
 
     right_unit = holds(field, "right_unit_law", (x,),
                        [m(x, const(sp, a.unit))], alpha)
@@ -546,8 +580,8 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
     Delta(g.y) = Delta(g).Delta(y) does, and the g for which it does for all
     y form a subspace closed under m': Delta((g.h).y) = Delta(g.(h.y)) =
     Delta(g).(Delta(h).Delta(y)) = Delta(g.h).Delta(y).  So it is swept over
-    g in G: d |G| columns, not d^2; otherwise, and on a failure, over all
-    basis tuples, which alone name a witness."""
+    g in G: d |G| columns, not d^2.  Otherwise it is swept over the runs of
+    x, as m is in ``check_hom_algebra``, and only that names a witness."""
     field, sp = b.field, b.space
     alg, coa = b.algebra, b.coalgebra
     m, d = alg.mult_map, coa.comult_map
@@ -555,24 +589,26 @@ def check_hom_bialgebra(b: HomBialgebra) -> CheckReport:
     alg_report = check_hom_algebra(alg)
     coa_report = check_hom_coalgebra(coa)
 
-    x, y = inputs(sp, sp)
-    (x1, x2), (y1, y2) = split(d, x), split(d, y)
+    (y,) = inputs(sp)
+    y1, y2 = split(d, y)
+    premises = all(r.sub(name).passed for r, name in (
+        (alg_report, "alpha_multiplicative"),
+        (alg_report, "hom_associativity"),
+        (coa_report, "gamma_comultiplicative")))
+
+    def comult_multiplicative_on(inc):
+        (u,) = inputs(inc.domain)
+        u1, u2 = split(compose(d, inc), u, sp, sp)
+        return holds(field, "comult_multiplicative", (u, y),
+                     compose(d, compose(m, inc @ identity(field, sp))),
+                     [m(u1, y1), m(u2, y2)])
     comult_mult = None
-    if all(r.sub(name).passed for r, name in (
-            (alg_report, "alpha_multiplicative"),
-            (alg_report, "hom_associativity"),
-            (coa_report, "gamma_comultiplicative"))) \
-            and alg.generators.domain.dim < sp.dim:
-        inc = alg.generators
-        (g,) = inputs(inc.domain)
-        g1, g2 = split(compose(d, inc), g, sp, sp)
-        comult_mult = holds(
-            field, "comult_multiplicative", (g, y),
-            compose(d, compose(m, inc @ identity(field, sp))),
-            [m(g1, y1), m(g2, y2)])
+    if premises and alg.generators.domain.dim < sp.dim:
+        comult_mult = comult_multiplicative_on(alg.generators)
     if comult_mult is None or not comult_mult.passed:
-        comult_mult = holds(field, "comult_multiplicative", (x, y),
-                            compose(d, m), [m(x1, y1), m(x2, y2)])
+        comult_mult = _swept_by_runs(field, sp,
+                                     premises and comult_mult is None,
+                                     comult_multiplicative_on)
 
     comult_unit = equal_on_basis(
         "comult_preserves_unit",

@@ -32,7 +32,10 @@ unit-row mutant.  Printed, one per line, with the count:
   ``held_nonzeros`` below, which the tests' fixture of that name returns;
 - ``swept_columns``: the columns ``equal_on_basis`` compares over one
   ladder pass, the dimension of the compared maps' domain summed over its
-  calls, counted by ``swept_columns`` below.
+  calls, counted by ``swept_columns`` below;
+- ``elimination_updates``: the row updates ``exactlin._gauss_jordan``
+  makes over one ladder pass, one per row a pivot's column is cleared
+  from, counted by ``elimination_updates`` below.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -44,6 +47,7 @@ pytest does not collect it.
 from __future__ import annotations
 
 import cProfile
+import inspect
 import pstats
 import sys
 from pathlib import Path
@@ -126,6 +130,34 @@ def swept_columns(build):
     return result, swept[0]
 
 
+def elimination_updates(build):
+    """``build()`` and the row updates ``_gauss_jordan`` makes while it
+    runs: the times its line ``factor = row[c]`` runs, traced line by line
+    in its frames only."""
+    from homhopf.exactlin import _gauss_jordan
+
+    code = _gauss_jordan.__code__
+    lines, first = inspect.getsourcelines(_gauss_jordan)
+    line = first + [s.strip() for s in lines].index("factor = row[c]")
+    updates = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            updates[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = build()
+    finally:
+        sys.settrace(previous)
+    return result, updates[0]
+
+
 def placements(build):
     """``build()`` and the rows ``Pipeline.permute`` places while it runs;
     see the module docstring."""
@@ -202,6 +234,8 @@ def counts(seed: int) -> dict:
         "ladder_held_nonzeros": held_nonzeros(lambda: ladder_pass(seed))[1],
         "selftest_held_nonzeros": held_nonzeros(selftest)[1],
         "swept_columns": swept_columns(lambda: ladder_pass(seed))[1],
+        "elimination_updates":
+            elimination_updates(lambda: ladder_pass(seed))[1],
     }
 
 

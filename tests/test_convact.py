@@ -1,7 +1,11 @@
 """Actions, coactions, convolution, and convolution inverses."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from homhopf import convact
 from homhopf.convact import (
     Coaction,
     ModuleAction,
@@ -25,6 +29,7 @@ from homhopf.corpus import (
     classical_sweedler_h4,
     corpus_entries,
     cyclic_group_hopf,
+    selftest,
     dual_numbers_algebra,
     example24_action,
     example24_sigma,
@@ -34,6 +39,7 @@ from homhopf.exactlin import (
     FieldMismatch,
     LinearMap,
     Pipeline,
+    SCALAR_SPACE,
     Space,
     compose,
     identity,
@@ -52,6 +58,11 @@ from homhopf.homcore import (
     check_hom_bialgebra,
 )
 from test_sweedler import record_steps
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+import taft  # noqa: E402
 
 
 def test_example_action_is_weak_module_algebra():
@@ -542,3 +553,117 @@ def test_convolution_inverse_refuses_a_map_over_another_field():
     f = identity(QQ, h.space)
     with pytest.raises(FieldMismatch):
         convolution_inverse(f, h.coalgebra, h.algebra)
+
+
+# ---------------------------------------------------------------------------
+# The one-sided solve: the f*g rows are eliminated alone, the g*f rows are
+# checked by substitution, and the stacked system is solved only when the
+# f*g rows leave an unknown free or their solution fails g*f.
+
+
+def stacked_inverse(f, coalg, alg):
+    """The convolution inverse the stacked system gives, or its
+    certificate."""
+    q, p = coalg.space.dim, alg.space.dim
+    rows, rhs = _convolution_system(f, coalg, alg)
+    sol = solve_linear(alg.field, rows, rhs, unknowns=p * q)
+    if not sol:
+        return sol
+    return LinearMap(alg.field, coalg.space, alg.space,
+                     [sol[r * q:(r + 1) * q] for r in range(p)])
+
+
+def solve_paths(monkeypatch) -> list:
+    """Log, in order, each elimination of the f*g rows alone, as
+    "unique" or "free", and each stacked solve, as "stacked"."""
+    log = []
+    eliminate, solve = convact._gauss_jordan, convact.solve_linear
+
+    def one_sided(rows, width, p):
+        pivots = eliminate(rows, width, p)
+        log.append("unique" if len(pivots) == width else "free")
+        return pivots
+
+    def stacked(*args, **kwargs):
+        log.append("stacked")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(convact, "_gauss_jordan", one_sided)
+    monkeypatch.setattr(convact, "solve_linear", stacked)
+    return log
+
+
+def test_ladder_and_corpus_systems_are_solved_one_sided(monkeypatch):
+    """The antipodes of the benchmark's Taft rungs and the five systems a
+    selftest solves: each f*g half has one solution, it passes g*f, and
+    it is the stacked system's solution."""
+    solved = []
+    real = convact.convolution_inverse
+
+    def recorded(f, coalg, alg):
+        solved.append((f, coalg, alg, real(f, coalg, alg)))
+        return solved[-1][-1]
+
+    log = solve_paths(monkeypatch)
+    monkeypatch.setattr(convact, "convolution_inverse", recorded)
+    assert selftest()[0]
+    assert len(solved) == 5
+    for rung in taft.make_ladder(5):
+        h = taft.hopf_from_rung(rung)
+        assert recorded(identity(h.field, h.space), h.coalgebra,
+                        h.algebra) == h.antipode
+    assert log == ["unique"] * 8
+    for f, coalg, alg, g in solved:
+        stacked = stacked_inverse(f, coalg, alg)
+        assert g == stacked and g.matrix == stacked.matrix
+
+
+SCALARS = HomCoalgebra(QQ, SCALAR_SPACE, [[[1]]], [1],
+                       identity(QQ, SCALAR_SPACE))
+
+
+def unital_1uv(products):
+    """The unital algebra over Q on 1, u, v, alpha the identity, with the
+    products of u and v given as {(i, j): coordinates of e_i e_j}, the
+    others 0."""
+    sp = Space(("1", "u", "v"))
+    cube = [[[int(k == i + j) for k in range(3)] if 0 in (i, j)
+             else products.get((i, j), [0, 0, 0]) for j in range(3)]
+            for i in range(3)]
+    return HomAlgebra(QQ, sp, cube, [1, 0, 0], identity(QQ, sp))
+
+
+def scalar_map(a, coords):
+    """f: k -> A, f(1) = coords."""
+    return LinearMap(QQ, SCALAR_SPACE, a.space, [[v] for v in coords])
+
+
+def test_a_unique_f_g_solution_failing_g_f_falls_back(monkeypatch):
+    """u.u = v, u.v = 1, v.u = v.v = 0 and f(1) = u, C = k: u.b = 1 has
+    the one solution b = v, but v.u = 0, so the substitution fails and
+    the stacked system's certificate is raised."""
+    a = unital_1uv({(1, 1): [0, 0, 1], (1, 2): [1, 0, 0]})
+    f = scalar_map(a, [0, 1, 0])
+    log = solve_paths(monkeypatch)
+    with pytest.raises(NotConvolutionInvertible) as err:
+        convolution_inverse(f, SCALARS, a)
+    assert log == ["unique", "stacked"]
+    assert err.value.certificate == stacked_inverse(f, SCALARS, a)
+
+
+def test_a_rank_deficient_f_g_half_falls_back(monkeypatch):
+    """f = 0 leaves every unknown free and has no inverse.  With
+    u.v = v.v = 1 + v, u.u = v.u = 0 and f(1) = v, v.b = 1 leaves the
+    coordinate of u free; b.v = 1 fixes it, and the inverse is v - 1.
+    The first free f*g solution, -1 + u, solves g*f but not f*g."""
+    a = unital_1uv({(1, 2): [1, 0, 1], (2, 2): [1, 0, 1]})
+    log = solve_paths(monkeypatch)
+    zero = scalar_map(a, [0, 0, 0])
+    with pytest.raises(NotConvolutionInvertible) as err:
+        convolution_inverse(zero, SCALARS, a)
+    assert err.value.certificate == stacked_inverse(zero, SCALARS, a)
+    f = scalar_map(a, [0, 0, 1])
+    g = convolution_inverse(f, SCALARS, a)
+    assert g == stacked_inverse(f, SCALARS, a)
+    assert g.column(0) == (-1, 0, 1)
+    assert log == ["free", "stacked"] * 2

@@ -97,9 +97,10 @@ def base(name, fname):
         return yau_twist(h, sweedler_sign_map(field)).bialgebra
     if name.startswith("c") and name[1:].isdigit():
         return cyclic_group_hopf(int(name[1:]), field).bialgebra
-    if name == "c4_twist":
-        return yau_twist(cyclic_group_hopf(4, field),
-                         cyclic_inversion_map(4, field)).bialgebra
+    if name in ("c3_twist", "c4_twist"):
+        n = int(name[1])
+        return yau_twist(cyclic_group_hopf(n, field),
+                         cyclic_inversion_map(n, field)).bialgebra
     if name in ("t3", "t3_twist"):
         rung = taft_rung(3, field.characteristic)
         h = taft.hopf_from_rung(rung)
@@ -345,3 +346,83 @@ def test_dropping_a_generator_would_pass_a_broken_product(fname):
     assert mutant.algebra.generators.domain.names == ("g", "x")
     assert not report.find("hom_associativity").passed
     assert dumped(report) == dumped(full_sweep(mutant).sub("hom_algebra"))
+
+
+# ---------------------------------------------------------------------------
+# The fallback sweeps, run by run: a failing Hom-associativity or Delta
+# multiplicative is swept over the runs [0, 1), [1, 3), [3, 7), ... of its
+# first leg up to the first failing run, and reports what one run over the
+# whole leg reports.
+
+RUN_BASES = ["h4", "h4_twist", "c3", "c3_twist", "c4", "c4_twist"]
+
+
+def one_run(b):
+    """``check_hom_bialgebra`` of a fresh copy of b whose fallback sweeps
+    take the whole first leg as one run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homcore, "_runs", lambda d, whole: [(0, d)])
+        return check_hom_bialgebra(rebuilt(b))
+
+
+@st.composite
+def run_records(draw):
+    """The kind of change and the changed record.  The record is H4, C_3,
+    C_4, over GF(p) also T_3, or a Yau twist of one, over Q, GF(7) or
+    GF(2147483647).  A product e_i e_j or a coproduct Delta(e_i) is
+    bumped, e_i the first, a middle or the last basis vector; or alpha
+    scales the unit by 2, so it is not multiplicative, while m and Delta
+    stay a Hom-bialgebra's and Delta multiplicative passes on every run."""
+    fname = draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[fname]
+    names = RUN_BASES + (["t3", "t3_twist"] if field.characteristic else [])
+    b = base(draw(st.sampled_from(names)), fname)
+    d = b.space.dim
+    kind = draw(st.sampled_from(["mult", "comult", "alpha"]))
+    if kind == "alpha":
+        scales = draw(st.lists(st.sampled_from([1, 2, 3, -1]),
+                               min_size=d - 1, max_size=d - 1))
+        return kind, rebuilt(b, alpha=diagonal(b, [2, *scales]))
+    site = (draw(st.sampled_from([0, d // 2, d - 1])),
+            draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
+    delta = field.coerce(draw(st.sampled_from([1, -1, 2])))
+    cube = b.algebra.mult if kind == "mult" else b.coalgebra.comult
+    return kind, rebuilt(b, **{kind: bumped(cube, site, delta)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=run_records())
+def test_swept_runs_report_what_one_run_reports(drawn):
+    kind, b = drawn
+    forced = one_run(b)
+    report = check_hom_bialgebra(b)
+    assert dumped(report) == dumped(forced)
+    assert dumped(check_hom_algebra(rebuilt(b).algebra)) == \
+        dumped(forced.sub("hom_algebra"))
+    if kind == "alpha":
+        assert not report.find("alpha_multiplicative").passed
+        assert report.find("comult_multiplicative").passed
+
+
+RUN_WITNESSES = [
+    (fname, *case) for fname in sorted(FIELDS) for case in [
+        ("c4", (0, 0, 0), "hom_associativity", 0),
+        ("c4", (1, 0, 0), "comult_multiplicative", 1),
+        ("c4", (3, 0, 0), "comult_multiplicative", 3),
+        ("t3", (5, 0, 0), "comult_multiplicative", 5),
+        ("t3", (8, 0, 0), "comult_multiplicative", 8)]
+    if fname != "Q" or case[0] != "t3"]
+
+
+@pytest.mark.parametrize("fname, name, site, law, at", RUN_WITNESSES)
+def test_the_first_failing_run_names_the_witness(fname, name, site, law,
+                                                  at):
+    """Unit-row mutants of C_4 and T_3 whose first failing tuple starts
+    with the first basis vector (run [0, 1)), a middle one (runs [1, 3)
+    and [3, 7)) or the last: of C_4 in the partial run [3, 4) and of T_3
+    in [7, 9), both cut at the dimension."""
+    b = base(name, fname)
+    mutant = rebuilt(b, mult=bumped(b.algebra.mult, site, b.field.one))
+    report = check_hom_bialgebra(mutant)
+    assert report.find(law).witness.basis[0] == b.space.names[at]
+    assert dumped(report) == dumped(one_run(mutant))
