@@ -70,7 +70,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
+from itertools import product
 from math import prod
 
 from .fields import ModInt
@@ -139,7 +140,8 @@ def _same_field(field, f, what: str):
 @dataclass(frozen=True, eq=False)
 class Space:
     """A based vector space: an ordered tuple of distinct basis names.
-    Equality and hash see only the names; the hash is computed once."""
+    Equality and hash see only the names; the hash is computed once.  A
+    tensor product is a ``TensorSpace``, which never equals a leaf."""
 
     names: tuple[str, ...]
 
@@ -153,7 +155,7 @@ class Space:
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, Space) and self.names == other.names)
+            type(other) is Space and self.names == other.names)
 
     def __hash__(self):
         return self._hash
@@ -165,11 +167,34 @@ class Space:
 SCALAR_SPACE = Space(("k",))
 
 
-@cache
+class TensorSpace(Space):
+    """A (x) B, held as ``factors``, the flat tuple of its leaf spaces, and
+    ``dim``, the product of theirs.  Its row-major "x⊗y" ``names`` are built
+    on first read, for this object only.  Equality and hash see only the
+    factors, so (A (x) B) (x) C == A (x) (B (x) C)."""
+
+    def __init__(self, a: Space, b: Space):
+        held = self.__dict__
+        held["factors"] = ((a.factors if type(a) is TensorSpace else (a,))
+                           + (b.factors if type(b) is TensorSpace else (b,)))
+        held["dim"] = a.dim * b.dim
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(map("⊗".join, product(*(s.names for s in self.factors))))
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is TensorSpace and self.factors == other.factors)
+
+    def __hash__(self):
+        return hash(self.factors)
+
+
 def tensor_space(a: Space, b: Space) -> Space:
-    """A (x) B, built once per pair of factors: every ``Pipeline.finish``
-    over the same legs gets the same ``Space`` without rebuilding names."""
-    return Space(tuple(f"{x}⊗{y}" for x in a.names for y in b.names))
+    """A (x) B, a fresh ``TensorSpace``: no name is built until read, and
+    a witness decodes its names from the factors (``basis_tuple_names``)."""
+    return TensorSpace(a, b)
 
 
 def tensor_space_list(spaces) -> Space:
@@ -967,7 +992,7 @@ class Pipeline:
         if f.domain != self.legs[i]:
             raise DimensionMismatch(f"map_leg: leg {i} is not the domain of the map")
         _same_field(self.field, f, "map_leg")
-        if f.domain is f.codomain and f._cols == _identity_columns(f.domain.dim):
+        if f.domain == f.codomain and f._cols == _identity_columns(f.domain.dim):
             return self
         return self._rewrite(i, 1, f._cols, [f.codomain])
 

@@ -36,6 +36,9 @@ unit-row mutant.  Printed, one per line, with the count:
 - ``elimination_updates``: the row updates ``exactlin._gauss_jordan``
   makes over one ladder pass, one per row a pivot's column is cleared
   from, counted by ``elimination_updates`` below.
+- ``live_space_names``: the basis names the ``Space`` objects still alive
+  after one ladder pass and ``gc.collect()`` hold in their ``__dict__``,
+  counted by ``live_space_names`` below before anything else runs.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -47,6 +50,7 @@ pytest does not collect it.
 from __future__ import annotations
 
 import cProfile
+import gc
 import inspect
 import pstats
 import sys
@@ -158,6 +162,17 @@ def elimination_updates(build):
     return result, updates[0]
 
 
+def live_space_names(build):
+    """``build()`` and the basis names held in ``__dict__`` by the ``Space``
+    objects alive once it has returned and ``gc.collect()`` has run."""
+    from homhopf.exactlin import Space
+
+    result = build()
+    gc.collect()
+    return result, sum(len(obj.__dict__.get("names", ()))
+                       for obj in gc.get_objects() if isinstance(obj, Space))
+
+
 def placements(build):
     """``build()`` and the rows ``Pipeline.permute`` places while it runs;
     see the module docstring."""
@@ -200,6 +215,7 @@ def counts(seed: int) -> dict:
     from homhopf.exactlin import Pipeline
     from homhopf.fields import ModInt, PrimeField, RationalField
 
+    _, live_names = live_space_names(lambda: ladder_pass(seed))
     profile = cProfile.Profile()
     profile.runcall(ladder_pass, seed)
     stats = pstats.Stats(profile).stats
@@ -236,6 +252,7 @@ def counts(seed: int) -> dict:
         "swept_columns": swept_columns(lambda: ladder_pass(seed))[1],
         "elimination_updates":
             elimination_updates(lambda: ladder_pass(seed))[1],
+        "live_space_names": live_names,
     }
 
 

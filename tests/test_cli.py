@@ -34,6 +34,23 @@ def test_check_hopf_file_passes(data_dir, capsys):
     assert "[pass]" in capsys.readouterr().out
 
 
+def test_a_basis_name_holding_the_tensor_sign_is_accepted(data_dir, tmp_path,
+                                                         capsys):
+    """Tensor spaces are held as their factors, so H4 with g named 1⊗1
+    runs to the verdicts of h4.struct although the names of H4 (x) H4
+    would collide (1⊗1⊗1 is both 1 (x) 1⊗1 and 1⊗1 (x) 1)."""
+    doc = json.loads((data_dir / "h4.struct").read_text())
+    (space,) = doc["spaces"]
+    assert doc["spaces"][space]["basis"] == ["1", "g", "x", "gx"]
+    doc["spaces"][space]["basis"] = ["1", "1⊗1", "x", "gx"]
+    renamed = tmp_path / "h4_tensor_sign.struct"
+    renamed.write_text(json.dumps(doc))
+    assert main(["check", str(data_dir / "h4.struct")]) == 0
+    shipped = capsys.readouterr()
+    assert main(["check", str(renamed)]) == 0
+    assert capsys.readouterr() == shipped
+
+
 def test_check_all_on_biproduct_file(data_dir):
     assert main(["check", str(data_dir / "radford.struct"),
                  "--what", "all"]) == 0

@@ -2,11 +2,14 @@
 map comparison, and the leg pipeline."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1607,9 +1610,53 @@ def test_power_of_huge_exponent_needs_few_compositions(monkeypatch):
             power(cycle, -((10 ** 18 + r) % 3))
 
 
-def test_tensor_spaces_are_built_once():
-    a, b = Space(("p", "q")), Space(("r",))
-    assert tensor_space(a, b) is tensor_space(Space(("p", "q")), b)
+def test_tensor_spaces_are_held_as_their_factors():
+    a, b, c = Space(("p", "q")), Space(("r",)), Space(("s", "t"))
+    left = tensor_space(tensor_space(a, b), c)
+    right = tensor_space(a, tensor_space(b, Space(("s", "t"))))
+    assert left == right and hash(left) == hash(right)
+    assert left.factors == (a, b, c) and left.dim == 4
+    assert "names" not in left.__dict__
+    assert left.names == ("p⊗r⊗s", "p⊗r⊗t", "q⊗r⊗s", "q⊗r⊗t")
+    assert left.names == tuple(f"{x}⊗{y}" for x in tensor_space(a, b).names
+                               for y in c.names)
+    assert "names" in left.__dict__ and "names" not in right.__dict__
+    leaf = Space(("p⊗r", "q⊗r"))
+    assert leaf != tensor_space(a, b) and tensor_space(a, b) != leaf
+    assert tensor_space(a, b).names == leaf.names
     first = Pipeline(QQ, [a, b, a]).finish()
     second = Pipeline(QQ, [a, b, a]).permute([0, 1, 2]).finish()
-    assert first.domain is second.domain is second.codomain
+    assert first.domain == second.domain == second.codomain
+
+
+def test_the_tensor_of_identities_is_no_pipeline_step(held_nonzeros):
+    a, b = Space(("p", "q")), Space(("r", "s"))
+    f = tensor(identity(QQ, a), identity(QQ, b))
+    assert f.domain is not f.codomain and f.domain == f.codomain
+    _, held = held_nonzeros(
+        lambda: Pipeline(QQ, [f.domain]).map_leg(0, f).finish())
+    assert held == 0
+
+
+def named_products():
+    """The live tensor-product spaces that hold their basis names."""
+    return [sp for sp in gc.get_objects()
+            if isinstance(sp, Space) and len(sp.__dict__.get("factors", ())) > 1
+            and "names" in sp.__dict__]
+
+
+def test_a_check_leaves_no_tensor_space_names_alive():
+    from homhopf.homcore import check_hom_bialgebra
+
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import taft
+
+    gc.collect()
+    before = {id(sp): sp for sp in named_products()}
+    record = taft.hopf_from_rung(taft.make_rung(5, random.Random(7)))
+    assert check_hom_bialgebra(record.bialgebra).passed
+    del record
+    gc.collect()
+    assert [sp for sp in named_products() if id(sp) not in before] == []
