@@ -10,6 +10,7 @@ the coercion, so every kernel operation refuses operands over different
 fields (``FieldMismatch``).  Dense rows are built only when ``matrix`` is
 first read, so kernel output is never densified unless a caller wants the
 full matrix; equality and ``equal_on_basis`` compare the dicts.
+Dense input is packed with no Python step per zero (``_nonzeros``).
 
 Linear systems are solved by one sparse exact Gauss–Jordan elimination on
 rows stored as {column: value} dicts.  It keeps a column index, for each
@@ -71,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import product
+from itertools import compress, count, product
 from math import prod
 
 from .fields import ModInt
@@ -119,12 +120,11 @@ def _residues(items, p: int) -> dict:
     return {k: v for k, v in items if v}
 
 
-def _nonzeros(field, items) -> dict:
-    """The {index: value} of the pairs of ``items`` whose value is nonzero
-    in ``field``, values coerced and in kernel form.  A value that is false
-    as given is zero in every field and is not coerced."""
-    pairs = ((k, _coerced(field, v)) for k, v in items if v)
-    return {k: v for k, v in pairs if v}
+def _nonzeros(field, vec, offset=0) -> dict:
+    """{offset + index: value} for the entries of ``vec`` nonzero in ``field``,
+    coerced, in kernel form; ``compress`` skips those false as given."""
+    return {k: c for k, v in compress(zip(count(offset), vec), vec)
+            if (c := _coerced(field, v))}
 
 
 def _lift(field, v):
@@ -150,8 +150,7 @@ class Space:
             raise ValueError("a space needs at least one basis vector")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate basis names in {self.names}")
-        object.__setattr__(self, "dim", len(self.names))
-        object.__setattr__(self, "_hash", hash((self.names,)))
+        self.__dict__.update(dim=len(self.names), _hash=hash((self.names,)))
 
     def __eq__(self, other):
         return self is other or (
@@ -162,6 +161,13 @@ class Space:
 
     def __repr__(self):
         return f"Space({list(self.names)})"
+
+    def _cut(self, picks) -> Space:
+        """The leaf on the basis vectors ``picks``, named as here.  They are
+        distinct vectors, so their names, which may collide, go unchecked."""
+        leaf, names = object.__new__(Space), tuple(self.names[i] for i in picks)
+        leaf.__dict__.update(names=names, dim=len(names), _hash=hash((names,)))
+        return leaf
 
 
 SCALAR_SPACE = Space(("k",))
@@ -229,9 +235,8 @@ class LinearMap:
                 f"does not match {codomain.dim}x{domain.dim}"
             )
         self._init(field, domain, codomain, {
-            j: col for j in range(domain.dim)
-            if (col := _nonzeros(field, ((i, row[j])
-                                         for i, row in enumerate(rows))))})
+            j: col for j, column in enumerate(zip(*rows))
+            if any(column) and (col := _nonzeros(field, column))})
 
     @classmethod
     def _from_columns(cls, field, domain: Space, codomain: Space, columns):
@@ -369,7 +374,7 @@ def bilinear_as_map(field, left: Space, right: Space, out: Space, cube) -> Linea
     d = right.dim
     return LinearMap._from_columns(field, tensor_space(left, right), out, {
         i * d + j: col for i in range(left.dim) for j in range(d)
-        if (col := _nonzeros(field, enumerate(cube[i][j])))})
+        if any(row := cube[i][j]) and (col := _nonzeros(field, row))})
 
 
 def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> LinearMap:
@@ -377,9 +382,9 @@ def splitting_as_map(field, src: Space, left: Space, right: Space, cube) -> Line
     at src_i) into a map src -> left (x) right."""
     d = right.dim
     return LinearMap._from_columns(field, src, tensor_space(left, right), {
-        i: col for i in range(src.dim)
-        if (col := _nonzeros(field, ((j * d + k, v) for j in range(left.dim)
-                                     for k, v in enumerate(cube[i][j]))))})
+        i: col for i in range(src.dim) if (col := {
+            k: v for j in range(left.dim) if any(row := cube[i][j])
+            for k, v in _nonzeros(field, row, j * d).items()})})
 
 
 def tensor_from_bilinear(m: LinearMap, left: Space, right: Space, out: Space):

@@ -255,7 +255,7 @@ class HomAlgebra:
         """The inclusion of the generators of (A, m'), ``generating_set``."""
         sp, gens = self.space, generating_set(self.untwisted_mult_map)
         return LinearMap._from_columns(
-            self.field, Space(tuple(sp.names[g] for g in gens)), sp,
+            self.field, sp._cut(gens), sp,
             {t: {g: 1} for t, g in enumerate(gens)})
 
     def __repr__(self):
@@ -478,7 +478,7 @@ def _swept_by_runs(field, sp: Space, whole: bool, sweep) -> CheckReport:
     significant digit of the row-major sweep, so the first failing run
     holds the sweep of sp's first failing tuple and names it alike."""
     for lo, hi in _runs(sp.dim, whole):
-        leg = sp if hi - lo == sp.dim else Space(sp.names[lo:hi])
+        leg = sp if hi - lo == sp.dim else sp._cut(range(lo, hi))
         report = sweep(LinearMap._from_columns(
             field, leg, sp, {t: {lo + t: 1} for t in range(hi - lo)}))
         if not report.passed:

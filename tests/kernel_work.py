@@ -35,7 +35,13 @@ unit-row mutant.  Printed, one per line, with the count:
   calls, counted by ``swept_columns`` below;
 - ``elimination_updates``: the row updates ``exactlin._gauss_jordan``
   makes over one ladder pass, one per row a pivot's column is cleared
-  from, counted by ``elimination_updates`` below.
+  from, counted by ``elimination_updates`` below;
+- ``packed_entry_visits``: the steps the packers of dense input
+  (``exactlin._nonzeros``, ``bilinear_as_map``, ``splitting_as_map`` and
+  ``LinearMap.__init__``) take through a sequence in Python over one ladder
+  pass, one per element a loop of theirs fetches (cube or matrix entries,
+  rows, nonzeros) and one per loop ended, counted by
+  ``packed_entry_visits`` below.
 - ``live_space_names``: the basis names the ``Space`` objects still alive
   after one ladder pass and ``gc.collect()`` hold in their ``__dict__``,
   counted by ``live_space_names`` below before anything else runs.
@@ -50,10 +56,12 @@ pytest does not collect it.
 from __future__ import annotations
 
 import cProfile
+import dis
 import gc
 import inspect
 import pstats
 import sys
+import types
 from pathlib import Path
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -162,6 +170,43 @@ def elimination_updates(build):
     return result, updates[0]
 
 
+def packed_entry_visits(build):
+    """``build()`` and the loop steps the packers of dense input take while
+    it runs: the ``FOR_ITER`` instructions run in the frames of their code
+    and of the comprehensions nested in it, traced opcode by opcode in
+    those frames only."""
+    from homhopf import exactlin
+
+    steps, todo = {}, [f.__code__ for f in (
+        exactlin._nonzeros, exactlin.bilinear_as_map,
+        exactlin.splitting_as_map, exactlin.LinearMap.__init__)]
+    while todo:
+        code = todo.pop()
+        steps[code] = {i.offset for i in dis.get_instructions(code)
+                       if i.opname == "FOR_ITER"}
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    visits = [0]
+
+    def local(frame, event, arg):
+        if event == "opcode" and frame.f_lasti in steps[frame.f_code]:
+            visits[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code not in steps:
+            return None
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = build()
+    finally:
+        sys.settrace(previous)
+    return result, visits[0]
+
+
 def live_space_names(build):
     """``build()`` and the basis names held in ``__dict__`` by the ``Space``
     objects alive once it has returned and ``gc.collect()`` has run."""
@@ -252,6 +297,8 @@ def counts(seed: int) -> dict:
         "swept_columns": swept_columns(lambda: ladder_pass(seed))[1],
         "elimination_updates":
             elimination_updates(lambda: ladder_pass(seed))[1],
+        "packed_entry_visits":
+            packed_entry_visits(lambda: ladder_pass(seed))[1],
         "live_space_names": live_names,
     }
 

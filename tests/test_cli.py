@@ -51,6 +51,32 @@ def test_a_basis_name_holding_the_tensor_sign_is_accepted(data_dir, tmp_path,
     assert capsys.readouterr() == shipped
 
 
+@pytest.mark.parametrize("command, tensor, site, value", [
+    ("crossed", "H_comult", (2, 0, 2), "0"),
+    ("biproduct", "A_mult", (0, 1, 1), "2"),
+])
+def test_a_failing_sweep_over_colliding_product_names_names_a_witness(
+        data_dir, tmp_path, capsys, command, tensor, site, value):
+    """With A = 1, 1⊗1 and H = g, 1, x, 1⊗g, the basis vectors 3 and 4 of
+    A (x) H are both named 1⊗1⊗g.  One mutated cube entry makes a check of
+    the crossed product or biproduct on A (x) H restrict a leg to its
+    generators (crossed) or to the runs of its sweep (biproduct), both of
+    which hold the two; the check exits 1 with a witness, not with
+    "duplicate basis names"."""
+    doc = json.loads((data_dir / "sign_biproduct.struct").read_text())
+    assert doc["spaces"]["A_space"]["basis"] == ["1", "y"]
+    assert doc["spaces"]["H_space"]["basis"] == ["1", "g", "x", "gx"]
+    doc["spaces"]["A_space"]["basis"] = ["1", "1⊗1"]
+    doc["spaces"]["H_space"]["basis"] = ["g", "1", "x", "1⊗g"]
+    i, j, k = site
+    doc["tensors"][tensor]["entries"][i][j][k] = value
+    mutated = tmp_path / f"colliding_{command}.struct"
+    mutated.write_text(json.dumps(doc))
+    assert main(["build", command, str(mutated)]) == 1
+    out, err = capsys.readouterr()
+    assert "at basis tuple (" in out and err == ""
+
+
 def test_check_all_on_biproduct_file(data_dir):
     assert main(["check", str(data_dir / "radford.struct"),
                  "--what", "all"]) == 0

@@ -245,6 +245,20 @@ def test_selftest_unpacks_no_structure_constants(count_calls):
     assert [calls[0] for calls in unpacks] == [0, 0]
 
 
+def test_selftest_holds_no_more_nonzeros_than_it_did(held_nonzeros):
+    """A cold selftest holds 31,338 nonzeros in its Pipeline blocks, summed
+    over their steps (``tests/kernel_work.py``'s ``selftest_held_nonzeros``).
+    With ``map_leg`` taking a tensor of identities for a step (testing the
+    spaces with ``is``, not ``==``), it held 31,592 while every other test
+    passed."""
+    import homhopf.corpus as corpus
+
+    corpus._sweedler_h4_hom.cache_clear()
+    (ok, _), held = held_nonzeros(selftest)
+    assert ok
+    assert held <= 31338
+
+
 def test_memoised_objects_do_not_leak_into_mutants():
     entry = entry_by_name("sweedler_sign_biproduct")
     for thunk in entry.checks.values():
