@@ -200,10 +200,6 @@ class Output:
         return exit_code
 
 
-class _NoBundle(Exception):
-    """No bundle in the file applies to the command (an input error)."""
-
-
 def _load(path: str) -> "StructureFile":
     with open(path, "rb") as fh:
         return parse(fh.read())
@@ -220,8 +216,8 @@ def _input_error(message: str, as_json: bool, command: str) -> int:
 
 def _file_command(command: str, body):
     """A command on a .struct file: load it, run ``body(args, sf, out)`` and
-    render the results; an unreadable file or a ``_NoBundle`` from the body
-    is an input error."""
+    render the results; an unreadable file or a ``StructError`` from the
+    body (no bundle applies, ``build`` cannot write) is an input error."""
     def run(args) -> int:
         try:
             sf = _load(args.file)
@@ -230,7 +226,7 @@ def _file_command(command: str, body):
         out = Output(args.json)
         try:
             body(args, sf, out)
-        except _NoBundle as e:
+        except StructError as e:
             return _input_error(str(e), args.json, command)
         return out.finish(command)
     return run
@@ -241,7 +237,7 @@ def _bundles(sf, kinds, missing: str) -> list:
     found = [(name, sf.bundles[name]) for name in sorted(sf.bundles)
              if isinstance(sf.bundles[name], kinds)]
     if not found:
-        raise _NoBundle(missing)
+        raise StructError(missing)
     return found
 
 
@@ -260,7 +256,7 @@ def cmd_check(args, sf, out):
               for check_name, thunk in _applicable_checks(
                   args.what, sf.bundles[name], swept)]
     if not checks:
-        raise _NoBundle(
+        raise StructError(
             f"no bundle in {args.file} supports check {args.what!r}")
     for name, check_name, thunk in checks:
         out.add(name, check_name, thunk())
@@ -302,13 +298,11 @@ def cmd_build(args, sf, out):
         out.add(name, "hom-bialgebra", built.bialgebra_check)
         builder.add_hom_bialgebra("built_biproduct", built.bialgebra)
 
-    text = builder.to_text()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        builder.write(args.output)
         out.note(f"wrote {args.output}")
     elif not args.json:
-        print(text, end="")
+        print(builder.to_text(), end="")
 
 
 def _identity_inverse(bialgebra):

@@ -18,7 +18,8 @@ Left-comodule axioms are the exact mirror of the right-comodule ones:
 These are the forms under which H coacting on itself by its own
 comultiplication satisfies the comodule laws, which pins the convention.
 Convolution (``convolve``, ``convolution_unit``) lives in ``homcore``; the
-convolution-inverse solve lives here.
+convolution-inverse solve lives here, and proves the inverse it finds with
+one ``convolve``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .homcore import (
     HomCoalgebra,
     StructureConstants,
     convolution_unit,
-    convolve,  # kept importable as convact.convolve
+    convolve,
     inverse_laws,
 )
 from .report import CheckReport
@@ -272,57 +273,45 @@ def check_comodule_coalgebra(co: Coaction) -> CheckReport:
     )
 
 
-def _comult_mates(coalg: HomCoalgebra):
-    """The two mates of Delta_C, re-indexed from its nonzero columns:
-    c2 -> sum Delta_c^{c1 c2} c1 (x) c and c1 -> sum Delta_c^{c1 c2} c2 (x) c,
-    both maps C -> C (x) C."""
-    csp = coalg.space
-    q = csp.dim
-    left: dict = {}
-    right: dict = {}
+def _convolution_rows(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra,
+                      mirror: bool = False) -> list:
+    """The coordinates of f*g, or with ``mirror`` of g*f, as {unknown: value}
+    dicts of their nonzeros over the entries of g (row-major), i.e. the
+    coordinates of g as a vector of A (x) C.  The operator is one term on
+    g's legs a, c, which splits c by a mate of Delta_C into the leg f acts
+    on and the output leg: ``[m(f(c1), a), x]`` by c2 -> sum Delta_c^{c1 c2}
+    c1 (x) c, or ``[m(a, f(c2)), y]`` by c1 -> sum Delta_c^{c1 c2} c2 (x) c.
+    """
+    field, csp = alg.field, coalg.space
+    if f.field != field:
+        raise FieldMismatch(f"convolution: map over {f.field!r} into {field!r}")
+    q, mate = csp.dim, {}
     for c, col in coalg.comult_map.nonzero_columns().items():
         for k, v in col.items():
             c1, c2 = divmod(k, q)
-            left.setdefault(c2, {})[c1 * q + c] = v
-            right.setdefault(c1, {})[c2 * q + c] = v
-    cc = tensor_space(csp, csp)
-    return tuple(LinearMap._from_columns(coalg.field, csp, cc, mate)
-                 for mate in (left, right))
-
-
-def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra):
-    """Linear system on the entries of g expressing f*g = e = g*f.
-
-    Unknowns are the entries of g (row-major), i.e. the coordinates of g as
-    a vector of A (x) C; equations stack the coordinates of f*g - e and
-    g*f - e over every basis vector of C.  Each of g -> f*g and g -> g*f is
-    compiled as one term on g's own legs a, c, which splits c by a mate
-    of Delta_C, left or right (``_comult_mates``), into the leg f acts on
-    and the output leg:
-
-      * f*g: ``[m(f(c1), a), x]`` with ``c1, x = split(left, c)``;
-      * g*f: ``[m(a, f(c2)), y]`` with ``c2, y = split(right, c)``.
-
-    Rows are returned as {unknown: value} dicts of their nonzeros.
-    """
-    field = alg.field
-    if f.field != field:
-        raise FieldMismatch(f"convolution: map over {f.field!r} into {field!r}")
-    csp, asp = coalg.space, alg.space
-    q, p = csp.dim, asp.dim
-    left, right = _comult_mates(coalg)
+            leg, kept = (c1, c2) if mirror else (c2, c1)
+            mate.setdefault(leg, {})[kept * q + c] = v
+    a, c = inputs(alg.space, csp)
+    fc, x = split(LinearMap._from_columns(
+        coalg.field, csp, tensor_space(csp, csp), mate), c)
     m = alg.mult_map
-    a, c = inputs(asp, csp)
-    (c1, x), (c2, y) = split(left, c), split(right, c)
-    rows = [{} for _ in range(2 * p * q)]
-    for offset, outs in ((0, [m(f(c1), a), x]), (p * q, [m(a, f(c2)), y])):
-        operator = compile_map(field, (a, c), outs)
-        for u, col in operator.nonzero_columns().items():
-            for eq, v in col.items():
-                rows[offset + eq][u] = v
+    out = m(a, f(fc)) if mirror else m(f(fc), a)
+    rows = [{} for _ in range(alg.space.dim * q)]
+    for u, col in compile_map(field, (a, c), [out, x]).nonzero_columns().items():
+        for eq, v in col.items():
+            rows[eq][u] = v
+    return rows
+
+
+def _convolution_system(f: LinearMap, coalg: HomCoalgebra, alg: HomAlgebra,
+                        fg_rows: list | None = None):
+    """Linear system on the entries of g expressing f*g = e = g*f: the rows
+    of f*g (``fg_rows`` if compiled already) on those of g*f, and the
+    coordinates of e twice."""
     e = convolution_unit(coalg, alg)
-    rhs = [v for row in e.matrix for v in row] * 2
-    return rows, rhs
+    return ((fg_rows or _convolution_rows(f, coalg, alg))
+            + _convolution_rows(f, coalg, alg, mirror=True),
+            [v for row in e.matrix for v in row] * 2)
 
 
 def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
@@ -330,35 +319,34 @@ def convolution_inverse(f: LinearMap, coalg: HomCoalgebra,
     """Solve f * g = unit o eps = g * f for g exactly; raises
     NotConvolutionInvertible with the inconsistency certificate otherwise.
 
-    The f * g rows, one per unknown, are eliminated alone first.  If every
-    unknown is a pivot, they have one solution, the only candidate; it is
-    returned if it passes the g * f rows by substitution, being then the
-    one solution of the stacked system.  Otherwise the stacked system is
-    solved, and gives the solution or the certificate."""
-    field = alg.field
-    q, p = coalg.space.dim, alg.space.dim
-    n, char = p * q, field.characteristic
-    rows, rhs = _convolution_system(f, coalg, alg)
-    e = {r * q + c: v for c, col in
-         convolution_unit(coalg, alg).nonzero_columns().items()
-         for r, v in col.items()}
-    half = [dict(row) for row in rows[:n]]      # kernel form already
-    for eq, v in e.items():
-        half[eq][n] = v
-    sol = None
-    if len(_gauss_jordan(half, n, char)) == n:
-        g0 = [row.get(n, 0) for row in half]
-        sums = (sum(v * g0[u] for u, v in row.items()) for row in rows[n:])
-        if all((s % char if char else s) == e.get(eq, 0)
-               for eq, s in enumerate(sums)):
-            sol = g0
-    if sol is None:
-        sol = solve_linear(field, rows, rhs, unknowns=n)
+    Find, then prove: the f * g rows, one per unknown, are eliminated
+    alone.  If every unknown is a pivot, they have one solution, the only
+    candidate g, and f * g = e holds by the elimination; g is returned once
+    ``convolve(g, f)`` is e, being then the one solution of the stacked
+    system.  Otherwise the g * f rows are compiled and the stacked system
+    is solved, and gives the solution or the certificate."""
+    field, q, p = alg.field, coalg.space.dim, alg.space.dim
+    n = p * q
+
+    def as_map(entries):
+        return LinearMap(field, coalg.space, alg.space,
+                         [entries[r * q:(r + 1) * q] for r in range(p)])
+
+    rows, e = _convolution_rows(f, coalg, alg), convolution_unit(coalg, alg)
+    half = [dict(row) for row in rows]
+    for c, col in e.nonzero_columns().items():
+        for r, v in col.items():
+            half[r * q + c][n] = v
+    if len(_gauss_jordan(half, n, field.characteristic)) == n:
+        g = as_map([row.get(n, 0) for row in half])
+        if convolve(g, f, coalg, alg) == e:
+            return g
+    sol = solve_linear(field, *_convolution_system(f, coalg, alg, rows),
+                       unknowns=n)
     if isinstance(sol, NoSolution):
         raise NotConvolutionInvertible(
             "no two-sided convolution inverse exists", certificate=sol)
-    return LinearMap(field, coalg.space, alg.space,
-                     [sol[r * q:(r + 1) * q] for r in range(p)])
+    return as_map(sol)
 
 
 def pair_coalgebra(h: HomBialgebra) -> HomCoalgebra:

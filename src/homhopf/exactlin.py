@@ -163,9 +163,12 @@ class Space:
         return f"Space({list(self.names)})"
 
     def _cut(self, picks) -> Space:
-        """The leaf on the basis vectors ``picks``, named as here.  They are
-        distinct vectors, so their names, which may collide, go unchecked."""
-        leaf, names = object.__new__(Space), tuple(self.names[i] for i in picks)
+        """The leaf on the basis vectors ``picks``, named as here (from the
+        factors, for a product).  They are distinct vectors, so their names,
+        which may collide, go unchecked."""
+        factors = getattr(self, "factors", (self,))
+        leaf, names = object.__new__(Space), tuple(
+            "⊗".join(basis_tuple_names(i, factors)) for i in picks)
         leaf.__dict__.update(names=names, dim=len(names), _hash=hash((names,)))
         return leaf
 

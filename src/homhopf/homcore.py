@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .exactlin import (
     DimensionMismatch,
@@ -129,9 +130,8 @@ class StructureConstants:
                                              value.nonzero_columns())
         else:
             d1, d2, d3 = s1.dim, s2.dim, s3.dim
-            if len(value) != d1 or any(len(s) != d2 for s in value) or any(
-                len(p) != d3 for s in value for p in s
-            ):
+            if (len(value) != d1 or set(map(len, value)) != {d2}
+                    or set(map(len, chain.from_iterable(value))) != {d3}):
                 raise ValueError(f"rank-3 tensor shape does not match {d1}x{d2}x{d3}")
             pack = splitting_as_map if self.splitting else bilinear_as_map
             packed = pack(field, s1, s2, s3, value)

@@ -486,3 +486,15 @@ class DocumentBuilder:
 
     def to_text(self) -> str:
         return canonical_text(self.doc)
+
+    def write(self, path: str):
+        """Write the document to ``path``, unless a space's basis names
+        collide (products' can), which ``parse`` would refuse to read."""
+        for name, body in self.doc["spaces"].items():
+            basis = body["basis"]
+            if len(set(basis)) != len(basis):
+                twice = next(b for b in basis if basis.count(b) > 1)
+                raise StructError(f"cannot write space {name!r}: the basis "
+                                  f"name {twice!r} names two vectors")
+        with open(path, "w") as fh:
+            fh.write(self.to_text())

@@ -41,7 +41,10 @@ unit-row mutant.  Printed, one per line, with the count:
   ``LinearMap.__init__``) take through a sequence in Python over one ladder
   pass, one per element a loop of theirs fetches (cube or matrix entries,
   rows, nonzeros) and one per loop ended, counted by
-  ``packed_entry_visits`` below.
+  ``packed_entry_visits`` below;
+- ``convolution_operators``: the operators ``convact`` compiles over one
+  ladder pass, its calls of ``compile_map``, counted by
+  ``convolution_operators`` below;
 - ``live_space_names``: the basis names the ``Space`` objects still alive
   after one ladder pass and ``gc.collect()`` hold in their ``__dict__``,
   counted by ``live_space_names`` below before anything else runs.
@@ -207,6 +210,25 @@ def packed_entry_visits(build):
     return result, visits[0]
 
 
+def convolution_operators(build):
+    """``build()`` and the calls ``convact`` makes of ``compile_map`` while
+    it runs."""
+    from homhopf import convact
+
+    real, compiled = convact.compile_map, [0]
+
+    def counted(*args):
+        compiled[0] += 1
+        return real(*args)
+
+    try:
+        convact.compile_map = counted
+        result = build()
+    finally:
+        convact.compile_map = real
+    return result, compiled[0]
+
+
 def live_space_names(build):
     """``build()`` and the basis names held in ``__dict__`` by the ``Space``
     objects alive once it has returned and ``gc.collect()`` has run."""
@@ -299,6 +321,8 @@ def counts(seed: int) -> dict:
             elimination_updates(lambda: ladder_pass(seed))[1],
         "packed_entry_visits":
             packed_entry_visits(lambda: ladder_pass(seed))[1],
+        "convolution_operators":
+            convolution_operators(lambda: ladder_pass(seed))[1],
         "live_space_names": live_names,
     }
 

@@ -77,6 +77,27 @@ def test_a_failing_sweep_over_colliding_product_names_names_a_witness(
     assert "at basis tuple (" in out and err == ""
 
 
+@pytest.mark.parametrize("command", ["crossed", "smash", "biproduct"])
+def test_build_refuses_to_write_colliding_product_names(data_dir, tmp_path,
+                                                        capsys, command):
+    """With A = 1, 1⊗1 and H = g, 1, x, 1⊗g, the basis vectors 3 and 4 of
+    A (x) H are both named 1⊗1⊗g, so ``check`` could not read back a file
+    holding them: ``build -o`` exits 2 naming the duplicate and writes no
+    file."""
+    doc = json.loads((data_dir / "sign_biproduct.struct").read_text())
+    doc["spaces"]["A_space"]["basis"] = ["1", "1⊗1"]
+    doc["spaces"]["H_space"]["basis"] = ["g", "1", "x", "1⊗g"]
+    colliding = tmp_path / "colliding.struct"
+    colliding.write_text(json.dumps(doc))
+    written = tmp_path / "built.struct"
+    assert main(["build", command, str(colliding), "-o", str(written)]) == 2
+    assert "the basis name '1⊗1⊗g' names two vectors" in capsys.readouterr().err
+    assert not written.exists()
+    assert main(["build", command, str(data_dir / "sign_biproduct.struct"),
+                 "-o", str(written)]) == 0
+    assert main(["check", str(written)]) == 0
+
+
 def test_check_all_on_biproduct_file(data_dir):
     assert main(["check", str(data_dir / "radford.struct"),
                  "--what", "all"]) == 0

@@ -556,9 +556,9 @@ def test_convolution_inverse_refuses_a_map_over_another_field():
 
 
 # ---------------------------------------------------------------------------
-# The one-sided solve: the f*g rows are eliminated alone, the g*f rows are
-# checked by substitution, and the stacked system is solved only when the
-# f*g rows leave an unknown free or their solution fails g*f.
+# The one-sided solve: the f*g rows are eliminated alone, their solution is
+# checked against g*f, and the stacked system is solved only when the f*g
+# rows leave an unknown free or their solution fails g*f.
 
 
 def stacked_inverse(f, coalg, alg):
@@ -667,3 +667,79 @@ def test_a_rank_deficient_f_g_half_falls_back(monkeypatch):
     assert g == stacked_inverse(f, SCALARS, a)
     assert g.column(0) == (-1, 0, 1)
     assert log == ["free", "stacked"] * 2
+
+
+# ---------------------------------------------------------------------------
+# Find, then prove: the pass path compiles the f*g operator alone and proves
+# its candidate with one convolution, g*f = e.
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    """A one-item list counting the calls of ``module.name`` from now on."""
+    calls, real = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", HOPF_ENTRIES + ["taft5_ladder"])
+def test_an_inverse_is_found_from_one_operator(monkeypatch, name):
+    """The antipodes of the corpus Hopf entries and of the benchmark's T_5
+    rung compile only the f*g operator and solve no stacked system."""
+    h = (taft.hopf_from_rung(taft.make_ladder(5)[-1])
+         if name == "taft5_ladder" else hopf_entry(name))
+    f = identity(h.field, h.space)
+    compiled = counted_calls(monkeypatch, convact, "compile_map")
+    stacked = counted_calls(monkeypatch, convact, "solve_linear")
+    g = convolution_inverse(f, h.coalgebra, h.algebra)
+    assert (compiled[0], stacked[0]) == (1, 0)
+    monkeypatch.undo()
+    assert g == stacked_inverse(f, h.coalgebra, h.algebra)
+
+
+@pytest.mark.parametrize("name", ["h4_classical", "taft3_gf7"])
+def test_a_wrong_candidate_is_caught_by_the_convolution(monkeypatch, name):
+    """The elimination is not trusted: with the candidate's first entry
+    made wrong, g*f is not e, so the stacked system is solved and its
+    solution returned.  Returning the candidate unproved fails here."""
+    h = hopf_entry(name)
+    f = identity(h.field, h.space)
+    eliminate = convact._gauss_jordan
+
+    def wrong(rows, width, p):
+        pivots = eliminate(rows, width, p)
+        v = rows[0].get(width, 0) + 1
+        rows[0][width] = v % p if p else v
+        return pivots
+
+    monkeypatch.setattr(convact, "_gauss_jordan", wrong)
+    stacked = counted_calls(monkeypatch, convact, "solve_linear")
+    g = convolution_inverse(f, h.coalgebra, h.algebra)
+    assert stacked[0] == 1
+    monkeypatch.undo()
+    assert g == stacked_inverse(f, h.coalgebra, h.algebra)
+
+
+@pytest.mark.parametrize("products, coords", [
+    ({(1, 1): [0, 0, 1], (1, 2): [1, 0, 0]}, [0, 1, 0]),
+    ({(1, 2): [1, 0, 1], (2, 2): [1, 0, 1]}, [0, 0, 0]),
+    ({(1, 2): [1, 0, 1], (2, 2): [1, 0, 1]}, [0, 0, 1]),
+])
+def test_a_fallback_compiles_no_more_than_both_halves(monkeypatch, products,
+                                                      coords):
+    """The cases above that fall back to the stacked system compile the
+    f*g operator once and the g*f operator once."""
+    a = unital_1uv(products)
+    f = scalar_map(a, coords)
+    compiled = counted_calls(monkeypatch, convact, "compile_map")
+    stacked = counted_calls(monkeypatch, convact, "solve_linear")
+    try:
+        convolution_inverse(f, SCALARS, a)
+    except NotConvolutionInvertible:
+        pass
+    assert stacked[0] == 1
+    assert compiled[0] <= 2

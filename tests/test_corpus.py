@@ -246,17 +246,36 @@ def test_selftest_unpacks_no_structure_constants(count_calls):
 
 
 def test_selftest_holds_no_more_nonzeros_than_it_did(held_nonzeros):
-    """A cold selftest holds 31,338 nonzeros in its Pipeline blocks, summed
+    """A cold selftest holds 31,158 nonzeros in its Pipeline blocks, summed
     over their steps (``tests/kernel_work.py``'s ``selftest_held_nonzeros``).
     With ``map_leg`` taking a tensor of identities for a step (testing the
     spaces with ``is``, not ``==``), it held 31,592 while every other test
-    passed."""
+    passed; compiling both halves of every convolution system, 31,338."""
     import homhopf.corpus as corpus
 
     corpus._sweedler_h4_hom.cache_clear()
     (ok, _), held = held_nonzeros(selftest)
     assert ok
-    assert held <= 31338
+    assert held <= 31158
+
+
+def test_a_cold_selftest_builds_no_product_names(monkeypatch):
+    """Legs cut from a product are named from its factors, so a cold
+    selftest builds no tuple of a product's names; reading the product's
+    ``names`` to cut them built 7."""
+    import homhopf.corpus as corpus
+    from homhopf.exactlin import TensorSpace
+
+    built, names = [0], TensorSpace.names.func
+
+    def counted(space):
+        built[0] += 1
+        return names(space)
+
+    monkeypatch.setattr(TensorSpace.names, "func", counted)
+    corpus._sweedler_h4_hom.cache_clear()
+    assert selftest()[0]
+    assert built[0] == 0
 
 
 def test_memoised_objects_do_not_leak_into_mutants():

@@ -1662,6 +1662,19 @@ def test_a_check_leaves_no_tensor_space_names_alive():
     assert [sp for sp in named_products() if id(sp) not in before] == []
 
 
+def test_a_cut_of_a_product_names_its_vectors_from_the_factors():
+    """A leg cut from A (x) H is named as A (x) H names its vectors, from
+    the factors, and builds none of A (x) H's other names; names holding
+    "⊗" may collide (vectors 3 and 4 are both 1⊗1⊗g)."""
+    a, h = Space(("1", "1⊗1")), Space(("g", "1", "x", "1⊗g"))
+    ah = tensor_space(a, h)
+    leg = ah._cut([0, 3, 4, 7])
+    assert "names" not in vars(ah)
+    assert leg.names == tuple(tensor_space(a, h).names[i] for i in (0, 3, 4, 7))
+    assert leg.names == ("1⊗g", "1⊗1⊗g", "1⊗1⊗g", "1⊗1⊗1⊗g")
+    assert a._cut([1]).names == ("1⊗1",)
+
+
 # ---------------------------------------------------------------------------
 # Packing dense input: the packers step only to the entries true as given,
 # and hold what an entry-by-entry loop over every entry holds.
