@@ -13,6 +13,14 @@ from dataclasses import replace
 from functools import cache
 from importlib import resources
 
+from .admissible import (
+    IsoCheckFailError,
+    admissible_isomorphism,
+    canonical_system,
+    check_admissible,
+    check_canonical_actions,
+    check_cocycle_inverse_identities,
+)
 from .constructions import (
     BiproductSpec,
     CrossedProductSpec,
@@ -347,7 +355,6 @@ def _hopf_checks(h: HomHopf) -> dict:
 
 
 def _crossed_checks(spec: CrossedProductSpec) -> dict:
-    from .admissible import check_cocycle_inverse_identities
     from .convact import check_cocycle_inverse, cocycle_inverse
 
     @cache
@@ -373,13 +380,6 @@ def _crossed_checks(spec: CrossedProductSpec) -> dict:
 
 def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
                       antipodes=None) -> dict:
-    from .admissible import (
-        IsoCheckFailError,
-        admissible_isomorphism,
-        canonical_system,
-        check_admissible,
-        check_canonical_actions,
-    )
     from .constructions import (
         ConditionsFailError,
         PreconditionFailError,

@@ -48,6 +48,9 @@ unit-row mutant.  Printed, one per line, with the count:
 - ``live_space_names``: the basis names the ``Space`` objects still alive
   after one ladder pass and ``gc.collect()`` hold in their ``__dict__``,
   counted by ``live_space_names`` below before anything else runs.
+- ``modules_on_import``: the ``homhopf.*`` modules, the package included,
+  that a bare ``import homhopf`` loads in a fresh interpreter under the
+  same ``PYTHONPATH``, counted by ``modules_on_import`` below.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -63,6 +66,7 @@ import dis
 import gc
 import inspect
 import pstats
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -240,6 +244,16 @@ def live_space_names(build):
                        for obj in gc.get_objects() if isinstance(obj, Space))
 
 
+def modules_on_import() -> int:
+    """The ``homhopf.*`` modules a fresh ``import homhopf`` leaves in
+    ``sys.modules``, the package included."""
+    probe = ("import sys, homhopf; print(sum(1 for m in sys.modules"
+             " if m.split('.')[0] == 'homhopf'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True)
+    return int(out.stdout)
+
+
 def placements(build):
     """``build()`` and the rows ``Pipeline.permute`` places while it runs;
     see the module docstring."""
@@ -324,6 +338,7 @@ def counts(seed: int) -> dict:
         "convolution_operators":
             convolution_operators(lambda: ladder_pass(seed))[1],
         "live_space_names": live_names,
+        "modules_on_import": modules_on_import(),
     }
 
 
