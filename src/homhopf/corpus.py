@@ -23,24 +23,33 @@ from .admissible import (
 )
 from .constructions import (
     BiproductSpec,
+    ConditionsFailError,
     CrossedProductSpec,
+    PreconditionFailError,
+    biproduct_antipode,
     build_biproduct,
+    check_biproduct_antipode,
     check_biproduct_conditions,
     check_cocycle_conditions,
+    check_sigma_antipode,
+    check_twisted_comodule_cocycle,
     crossed_product,
 )
 from .convact import (
     Coaction,
     Cocycle,
     ModuleAction,
+    check_cocycle_inverse,
     check_comodule_coalgebra,
     check_hom_module,
     check_weak_module_algebra,
+    cocycle_inverse,
+    convolution_inverse,
     trivial_action,
     trivial_coaction,
     trivial_cocycle,
 )
-from .exactlin import LinearMap, Space, identity, power
+from .exactlin import LinearMap, Space, identity, maps_equal, power
 from .fields import QQ
 from .homcore import (
     HomAlgebra,
@@ -355,8 +364,6 @@ def _hopf_checks(h: HomHopf) -> dict:
 
 
 def _crossed_checks(spec: CrossedProductSpec) -> dict:
-    from .convact import check_cocycle_inverse, cocycle_inverse
-
     @cache
     def inverse():
         return cocycle_inverse(spec.cocycle)
@@ -380,17 +387,6 @@ def _crossed_checks(spec: CrossedProductSpec) -> dict:
 
 def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
                       antipodes=None) -> dict:
-    from .constructions import (
-        ConditionsFailError,
-        PreconditionFailError,
-        biproduct_antipode,
-        check_biproduct_antipode,
-        check_sigma_antipode,
-        check_twisted_comodule_cocycle,
-    )
-    from .convact import convolution_inverse
-    from .exactlin import maps_equal
-
     checks = {
         "algebra_half": lambda: check_hom_algebra(spec.crossed.algebra),
         "coalgebra_half": lambda: check_hom_coalgebra(spec.coalgebra),
@@ -463,8 +459,6 @@ def _biproduct_checks(spec: BiproductSpec, expect_valid: bool,
 
 
 def _twist_agreement_check(field) -> CheckReport:
-    from .exactlin import maps_equal
-
     twisted = sweedler_h4_hom(field)
     direct = classical_sweedler_h4(field)
     sign = sweedler_sign_map(field)

@@ -92,6 +92,14 @@ _BUNDLE_KEYS = {
                        "algebra_antipode"),
 }
 
+# each record bundle type: its record, the key naming the bialgebra that owns
+# it, and the type its target bundle must have
+_RECORDS = {
+    "module_action": (ModuleAction, "acting", "hom_algebra"),
+    "coaction": (Coaction, "coacting", "hom_coalgebra"),
+    "cocycle": (Cocycle, "source", "hom_algebra"),
+}
+
 
 class StructureFile:
     """A fully validated structure file: the canonical document plus the
@@ -293,29 +301,14 @@ def parse(text) -> StructureFile:
                 return bial
             return HomHopf(bial, get_map(body.get("antipode"), where))
 
-        if kind == "module_action":
-            acting = as_bialgebra(body.get("acting"), where)
+        if kind in _RECORDS:
+            record, owner, target_kind = _RECORDS[kind]
+            bialgebra = as_bialgebra(body.get(owner), where)
             target = resolve(body.get("target"))
-            _require(isinstance(target, HomAlgebra), StructError,
-                     f"{where}: target must be a hom_algebra bundle")
-            return ModuleAction(acting, target,
-                                get_tensor(body.get("tensor"), where))
-
-        if kind == "coaction":
-            coacting = as_bialgebra(body.get("coacting"), where)
-            target = resolve(body.get("target"))
-            _require(isinstance(target, HomCoalgebra), StructError,
-                     f"{where}: target must be a hom_coalgebra bundle")
-            return Coaction(coacting, target,
-                            get_tensor(body.get("tensor"), where))
-
-        if kind == "cocycle":
-            source = as_bialgebra(body.get("source"), where)
-            target = resolve(body.get("target"))
-            _require(isinstance(target, HomAlgebra), StructError,
-                     f"{where}: target must be a hom_algebra bundle")
-            return Cocycle(source, target,
-                           get_tensor(body.get("tensor"), where))
+            _require(bundle_types[body["target"]] == target_kind, StructError,
+                     f"{where}: target must be a {target_kind} bundle")
+            return record(bialgebra, target,
+                          get_tensor(body.get("tensor"), where))
 
         if kind == "crossed_spec":
             algebra = resolve(body.get("algebra"))

@@ -605,7 +605,10 @@ def test_ladder_and_corpus_systems_are_solved_one_sided(monkeypatch):
         return solved[-1][-1]
 
     log = solve_paths(monkeypatch)
-    monkeypatch.setattr(convact, "convolution_inverse", recorded)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "homhopf" \
+                and getattr(mod, "convolution_inverse", None) is real:
+            monkeypatch.setattr(mod, "convolution_inverse", recorded)
     assert selftest()[0]
     assert len(solved) == 5
     for rung in taft.make_ladder(5):

@@ -1165,6 +1165,51 @@ def test_a_dict_shared_by_a_map_and_a_block_is_never_changed(field):
         assert held == copy and held.matrix == copy.matrix
 
 
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+def test_identity_runs_multiply_out_as_identity_columns(field):
+    """An untouched pipeline's legs are identity runs, multiplied out as
+    their identity columns: a permute of two legs is the flip and a finish
+    of one leg the identity, every value the ``int`` 1."""
+    a, b = Space(("a0", "a1")), Space(("b0", "b1", "b2"))
+    flip = Pipeline(field, [a, b]).permute([1, 0]).finish()
+    one = Pipeline(field, [a]).finish()
+    assert flip == flip_map(field, a, b)
+    assert one == identity(field, a)
+    for m in (flip, one):
+        values = [v for col in m.nonzero_columns().values()
+                  for v in col.values()]
+        assert values and all(type(v) is int and v == 1 for v in values)
+
+
+@pytest.mark.parametrize("field", [QQ, GF7, GF_BIG],
+                         ids=["Q", "GF7", "GF2147483647"])
+def test_steps_after_an_identity_finish_leave_the_identity_alone(field):
+    """A finish of untouched legs may hand over the identity's cached
+    columns, which a block then holds; the steps after it leave
+    ``identity``'s columns as they were."""
+    sp, line = Space(("x", "y", "z")), Space(("u", "v"))
+    f = LinearMap(field, sp, sp, [[1, 7, 0], [-1, 2, 0], [2, 0, 3]])
+    m = LinearMap(field, tensor_space(line, sp), sp,
+                  [[1, 0, 2, 0, 1, 0], [0, 3, 0, 1, 0, 0], [1, 1, 0, 0, 0, 4]])
+    split = LinearMap(field, sp, tensor_space(line, sp),
+                      [[1, 0, 2], [0, 3, 0], [1, 0, 0], [0, 0, 4], [5, 0, 1],
+                       [0, 1, 0]])
+    steps = [("adjoin_vector", (0, line, [7, 2])), ("merge_legs", (0, 2, m)),
+             ("map_leg", (0, f)), ("split_leg", (0, split, line, sp)),
+             ("permute", ([1, 0],)), ("map_leg", (0, f))]
+    pipe, model = Pipeline(field, [sp]), KroneckerModel(field, [sp])
+    held = pipe.finish()
+    assert held.nonzero_columns() is identity(field, sp).nonzero_columns()
+    for name, args in steps:
+        getattr(pipe, name)(*args)
+        getattr(model, name)(*args)
+    assert pipe.finish() == model.map
+    assert held == identity(field, sp)
+    assert identity(field, sp).nonzero_columns() == {j: {j: 1}
+                                                     for j in range(3)}
+
+
 def test_a_pipeline_needs_a_leg():
     with pytest.raises(DimensionMismatch):
         Pipeline(QQ, [])
