@@ -34,7 +34,6 @@ from .exactlin import (
     equal_on_basis,
     identity,
     power,
-    strip_scalar_leg,
 )
 from .homcore import HomAlgebra, HomBialgebra, convolve, morphism_laws
 from .report import CheckReport
@@ -229,11 +228,9 @@ def canonical_system(b: BuiltBiproduct) -> MappingSystem:
     a, h, l = inputs(asp, hsp, hsp)
     (h1, h2), (l1, l2) = split(dh, h), split(dh, l)
     l11, l12 = split(dh, l1)
-    retr_c = strip_scalar_leg(compile_map(
-        field, (a, h), [a, hopf.coalgebra.counit_map(h)]), asp)
+    retr_c = compile_map(field, (a, h), [a, hopf.coalgebra.counit_map(h)])
     sect_c = compile_map(field, (a,), [a, const(hsp, hopf.algebra.unit)])
-    proj_h = strip_scalar_leg(compile_map(
-        field, (a, h), [spec.coalgebra.counit_map(a), h]), hsp)
+    proj_h = compile_map(field, (a, h), [spec.coalgebra.counit_map(a), h])
     sect_h = compile_map(field, (h,), [const(asp, alg.unit), h])
     sigma_bar = compile_map(field, (h, l), [
         sig(akm(h), akm(l)), const(hsp, hopf.algebra.unit)])
@@ -348,40 +345,30 @@ def check_admissible(sys: MappingSystem) -> CheckReport:
     # equivariance of p is a right-action statement; there is no left action
     # on C for p to intertwine.
     a, g = inputs(asp, hsp)
-    p_right_equivariant = equal_on_basis(
-        "retraction_right_equivariant",
-        compose(p, right),
-        strip_scalar_leg(compile_map(field, (a, g), [
-            compose(beta, p)(a), h.coalgebra.counit_map(g)]), csp),
-        (asp, hsp))
+    p_right_equivariant = holds(
+        field, "retraction_right_equivariant", (a, g), compose(p, right),
+        [compose(beta, p)(a), h.coalgebra.counit_map(g)])
     cond3 = CheckReport.combine("action_conditions", [
         bimodule, left_module, right_module, p_right_equivariant,
     ])
 
     rho_l, rho_r = induced_coactions(sys)
-    (lh, l0), (r0, rh) = split(rho_l, a, hsp, asp), split(rho_r, a, asp, hsp)
+    (c,) = inputs(csp)
+    (lh, l0), (r0, rh) = (split(rho_l, j(c), hsp, asp),
+                          split(rho_r, j(c), asp, hsp))
     jp = compose(j, p)
-    sub_left = equal_on_basis(
-        "image_closed_under_left_coaction",
-        compose(compile_map(field, (a,), [lh, jp(l0)]), j),
-        compose(rho_l, j), (csp,))
-    sub_right = equal_on_basis(
-        "image_closed_under_right_coaction",
-        compose(compile_map(field, (a,), [jp(r0), rh]), j),
-        compose(rho_r, j), (csp,))
+    sub_left = holds(field, "image_closed_under_left_coaction", (c,),
+                     [lh, jp(l0)], compose(rho_l, j))
+    sub_right = holds(field, "image_closed_under_right_coaction", (c,),
+                      [jp(r0), rh], compose(rho_r, j))
     # C's left comodule structure is the coaction of the biproduct datum
     # itself; only its right coaction is the trivial beta^{-1}(c) (x) 1_H.
-    (c,) = inputs(csp)
-    triv_right = compile_map(field, (c,), [
-        sys.small_coalgebra.gamma_inv(c), const(hsp, h.algebra.unit)])
-    p_co_left = equal_on_basis(
-        "retraction_left_coaction_compat",
-        compose(compile_map(field, (a,), [lh, p(l0)]), j),
-        sys.biproduct.spec.coaction.coact_map, (csp,))
-    p_co_right = equal_on_basis(
-        "retraction_right_coaction_compat",
-        compose(compile_map(field, (a,), [p(r0), rh]), j),
-        triv_right, (csp,))
+    p_co_left = holds(field, "retraction_left_coaction_compat", (c,),
+                      [lh, p(l0)], sys.biproduct.spec.coaction.coact_map)
+    p_co_right = holds(field, "retraction_right_coaction_compat", (c,),
+                       [p(r0), rh],
+                       [sys.small_coalgebra.gamma_inv(c),
+                        const(hsp, h.algebra.unit)])
     cond4 = CheckReport.combine("coaction_conditions", [
         sub_left, sub_right, p_co_left, p_co_right])
 

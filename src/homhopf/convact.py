@@ -34,7 +34,6 @@ from .exactlin import (
     compose,
     equal_on_basis,
     solve_linear,
-    strip_scalar_leg,
     tensor_space,
 )
 from .homcore import (
@@ -227,9 +226,8 @@ def check_hom_comodule(co: Coaction) -> CheckReport:
                     [h1, h2, beta_inv(a0)],
                     [co.coacting.algebra.alpha_inv(h), a0h, a00])
 
-    counit_lhs = strip_scalar_leg(compile_map(
-        field, (a,), [co.coacting.coalgebra.counit_map(h), a0]), asp)
-    counit_law = equal_on_basis("comodule_counit_law", counit_lhs, beta_inv, (asp,))
+    counit_law = holds(field, "comodule_counit_law", (a,),
+                       [co.coacting.coalgebra.counit_map(h), a0], beta_inv)
 
     compat = equal_on_basis(
         "comodule_structure_compat",
@@ -262,10 +260,8 @@ def check_comodule_coalgebra(co: Coaction) -> CheckReport:
                           [h, *split(da, a0)], [mh(h1, h2), a10, a20])
 
     counit_rhs = compose(co.coacting.algebra.unit_map, co.target.counit_map)
-    counit_lhs = strip_scalar_leg(compile_map(
-        field, (a,), [h, co.target.counit_map(a0)]), hsp)
-    counit_compat = equal_on_basis(
-        "coaction_counit_compat", counit_lhs, counit_rhs, (asp,))
+    counit_compat = holds(field, "coaction_counit_compat", (a,),
+                          [h, co.target.counit_map(a0)], counit_rhs)
 
     return CheckReport.combine(
         "comodule_coalgebra",

@@ -51,7 +51,6 @@ from .exactlin import (
     identity,
     inverse,
     splitting_as_map,
-    strip_scalar_leg,
     tensor_from_bilinear,
     tensor_from_splitting,
     tensor_space,
@@ -554,14 +553,10 @@ def check_hom_coalgebra(c: HomCoalgebra) -> CheckReport:
         counital="counit_gamma_invariant")
 
     gamma_inv = c.gamma_inv
-    right_counit = equal_on_basis(
-        "right_counit_law",
-        strip_scalar_leg(compile_map(field, (x,), [x1, counit(x2)]), sp),
-        gamma_inv, (sp,))
-    left_counit = equal_on_basis(
-        "left_counit_law",
-        strip_scalar_leg(compile_map(field, (x,), [counit(x1), x2]), sp),
-        gamma_inv, (sp,))
+    right_counit = holds(field, "right_counit_law", (x,),
+                         [x1, counit(x2)], gamma_inv)
+    left_counit = holds(field, "left_counit_law", (x,),
+                        [counit(x1), x2], gamma_inv)
 
     return CheckReport.combine(
         "hom_coalgebra",

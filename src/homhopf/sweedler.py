@@ -11,8 +11,10 @@ A term is one of:
   * a constant vector, ``const(space, coords)``, adjoined as a new leg.
 
 ``compile_map(field, inputs, outputs)`` returns the map from the tensor of
-``inputs``, in the order given, to the tensor of ``outputs``.  It has one
-schedule:
+``inputs``, in the order given, to the tensor of ``outputs``.  The ground
+field is the unit of that tensor (``exactlin.tensor_space``), so an output
+in k beside others, a counit's value, is absorbed: ``[x1, eps(x2)]``
+lands on x's space itself.  It has one schedule:
 
   1. split the inputs, and every half that is split again, in the order
      the outputs first read their legs, each in place;
@@ -36,7 +38,9 @@ a list of output terms, compiled as above (the lhs first), or a
 ``LinearMap`` out of the tensor of ``inputs``, used as it is.  It returns
 ``equal_on_basis`` of the two maps, and a failing basis tuple is named
 over the input legs: the witness factors are the inputs' spaces, never
-typed a second time.
+typed a second time.  ``holds`` is the only place a formula side is
+compared: no check outside this module passes ``compile_map(...)``, or a
+map composed from it, to ``equal_on_basis``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,12 @@ otherwise:
   coaction and comultiplication cubes, each under all its checks;
 - the Taft rungs of ``bench/taft.make_ladder`` seeds 5 and 7 over their own
   GF(p): the bialgebra and antipode checks of each rung and of its Yau
-  twist, and the bialgebra check of its unit-row mutant.
+  twist, and the bialgebra check of its unit-row mutant;
+- over Q and GF(7) alone, the canonical mapping systems of
+  ``corpus.sweedler_sign_datum`` and ``corpus.classical_radford_datum``
+  with one entry of ``retr_C``, ``sect_C``, ``proj_H`` or ``sect_H``
+  bumped by +1, at every entry of every third column, each under
+  ``check_admissible`` (``system_mutants``).
 
 An exception raised by a check is recorded in place of its report, so a
 change in what raises shows in the dump as well.
@@ -44,6 +49,8 @@ LADDER_SEEDS = (5, 7)
 HOPF_COMPONENTS = ("mult", "comult")
 CROSSED_COMPONENTS = ("act", "sigma")
 BIPRODUCT_COMPONENTS = ("act", "sigma", "coact", "comult")
+SYSTEM_FIELDS = ("Q", "GF(7)")
+SYSTEM_MAPS = ("retr_C", "sect_C", "proj_H", "sect_H")
 
 
 def cube_of(payload, component):
@@ -89,16 +96,33 @@ def mutants(entry):
             for site in sites(cube_of(payload, component), step, extra)]
 
 
-def bumped(f):
-    """(row, col, f with 1 added at (row, col)) for every entry of f."""
+def bumped(f, step=1):
+    """(row, col, f with 1 added at (row, col)) for every entry of f in
+    every ``step``-th column."""
     from homhopf import LinearMap
 
     rows = [list(row) for row in f.matrix]
     for i, row in enumerate(rows):
-        for j in range(len(row)):
+        for j in range(0, len(row), step):
             row[j] += 1
             yield i, j, LinearMap(f.field, f.domain, f.codomain, rows)
             row[j] -= 1
+
+
+def system_mutants(field):
+    """(label, system) for each one-entry +1 mutant of the canonical
+    mapping systems of the two sign data, at every third column."""
+    from dataclasses import replace
+
+    from homhopf import build_biproduct, canonical_system
+    from homhopf.corpus import classical_radford_datum, sweedler_sign_datum
+
+    for datum in (sweedler_sign_datum, classical_radford_datum):
+        system = canonical_system(build_biproduct(datum(field)))
+        for name in SYSTEM_MAPS:
+            for i, j, g in bumped(getattr(system, name), 3):
+                yield (f"{datum.__name__} {name}[{i},{j}]",
+                       replace(system, **{name: g}))
 
 
 def cases():
@@ -106,6 +130,7 @@ def cases():
     import taft
     from homhopf import (
         HomHopf,
+        check_admissible,
         check_antipode,
         check_hom_bialgebra,
         field_from_tag,
@@ -142,6 +167,11 @@ def cases():
             yield (f"{label} unit-row mutant hom_bialgebra",
                    lambda rung=rung: check_hom_bialgebra(
                        taft.mutated_hopf(rung).bialgebra))
+
+    for tag in SYSTEM_FIELDS:
+        for label, system in system_mutants(field_from_tag(tag)):
+            yield (f"{tag} {label} admissible_system",
+                   lambda system=system: check_admissible(system))
 
 
 def main(argv) -> int:

@@ -1,6 +1,8 @@
 """Mapping systems, twisted modules, and the biproduct isomorphism."""
 
 import dataclasses
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -15,21 +17,40 @@ from homhopf.admissible import (
     check_twisted_module,
     check_weak_bimodule,
     induced_actions,
+    induced_coactions,
 )
-from homhopf.constructions import CrossedProductSpec, build_biproduct
-from homhopf.convact import cocycle_inverse, trivial_action, trivial_cocycle
+from homhopf.constructions import (
+    CrossedProductSpec,
+    build_biproduct,
+    check_biproduct_conditions,
+)
+from homhopf.convact import (
+    cocycle_inverse,
+    pair_coalgebra,
+    trivial_action,
+    trivial_cocycle,
+)
 from homhopf.corpus import (
     classical_radford_datum,
     cyclic_group_hopf,
     dual_numbers_algebra,
     example24_spec,
+    mutate_crossed_spec,
     scalar_line_hopf,
     sweedler_h4_hom,
     sweedler_sign_datum,
     trivial_biproduct_datum,
 )
-from homhopf.exactlin import LinearMap, Pipeline, compose, identity, power
-from homhopf.fields import QQ
+from homhopf.exactlin import (
+    LinearMap,
+    Pipeline,
+    compose,
+    equal_on_basis,
+    identity,
+    power,
+)
+from homhopf.fields import QQ, PrimeField
+from homhopf.sweedler import compile_map, const, inputs, split
 
 CORPUS_BIPRODUCTS = [
     ("classical_radford", classical_radford_datum),
@@ -215,3 +236,90 @@ def test_section_H_unital_witness_names_the_scalar_basis():
     unital = report.find("section_H_unital")
     assert not unital.passed
     assert unital.witness.basis == ("k",)
+
+
+# ---------------------------------------------------------------------------
+# Laws restated through ``holds`` report what their earlier statements did.
+# Each earlier statement is written out below; the mutants make every one
+# of them fail somewhere.
+
+def composed_statements(system):
+    """The five laws stated as ``check_admissible`` once stated them: the
+    coaction conditions as a formula over the ambient leg a composed with
+    j, the equivariance with its formula side passed as a map."""
+    field, h = system.field, system.hopf
+    csp, hsp, asp = system.small_coalgebra.space, h.space, system.ambient.space
+    p, j = system.retr_C, system.sect_C
+    _, right = induced_actions(system)
+    rho_l, rho_r = induced_coactions(system)
+    a, g = inputs(asp, hsp)
+    (c,) = inputs(csp)
+    (lh, l0), (r0, rh) = split(rho_l, a, hsp, asp), split(rho_r, a, asp, hsp)
+    jp = compose(j, p)
+
+    def over_a(outs):
+        return compose(compile_map(field, (a,), outs), j)
+
+    return [
+        equal_on_basis(
+            "retraction_right_equivariant", compose(p, right),
+            compile_map(field, (a, g), [
+                compose(system.small_coalgebra.gamma, p)(a),
+                h.coalgebra.counit_map(g)]), (asp, hsp)),
+        equal_on_basis("image_closed_under_left_coaction",
+                       over_a([lh, jp(l0)]), compose(rho_l, j), (csp,)),
+        equal_on_basis("image_closed_under_right_coaction",
+                       over_a([jp(r0), rh]), compose(rho_r, j), (csp,)),
+        equal_on_basis("retraction_left_coaction_compat",
+                       over_a([lh, p(l0)]),
+                       system.biproduct.spec.coaction.coact_map, (csp,)),
+        equal_on_basis("retraction_right_coaction_compat",
+                       over_a([p(r0), rh]),
+                       compile_map(field, (c,), [
+                           system.small_coalgebra.gamma_inv(c),
+                           const(hsp, h.algebra.unit)]), (csp,)),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_restated_admissible_laws_report_what_the_composed_forms_did(field):
+    from report_identity import system_mutants
+
+    failed = Counter()
+    for label, system in system_mutants(field):
+        report = check_admissible(system)
+        for want in composed_statements(system):
+            assert report.find(want.name).as_dict() == want.as_dict(), label
+            failed[want.name] += not want.passed
+    assert len(failed) == 5 and all(failed.values()), failed
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_cocycle_comult_compat_reports_what_the_pair_coalgebra_form_did(
+        field):
+    """sigma's comultiplicativity, stated over (h, g), against the form
+    with one input leg u of the pair coalgebra on H (x) H, under a +1 at
+    every site of the cocycle cube of the two sign data."""
+    failed = 0
+    for datum in (sweedler_sign_datum, classical_radford_datum):
+        spec = datum(field)
+        hopf = spec.crossed.hopf_bialgebra
+        pair = pair_coalgebra(hopf)
+        (u,) = inputs(pair.space)
+        cube = spec.crossed.cocycle.sigma
+        for site in product(*map(range, (len(cube), len(cube[0]),
+                                         len(cube[0][0])))):
+            mutant = dataclasses.replace(spec, crossed=mutate_crossed_spec(
+                spec.crossed, "sigma", site, 1))
+            sig = mutant.crossed.cocycle.sigma_map
+            want = equal_on_basis(
+                "cocycle_comult_compat",
+                compose(mutant.coalgebra.comult_map, sig),
+                compile_map(field, (u,), [
+                    sig(v) for v in split(pair.comult_map, u)]),
+                (hopf.space, hopf.space))
+            got = check_biproduct_conditions(mutant).find(
+                "cocycle_comult_compat")
+            assert got.as_dict() == want.as_dict(), site
+            failed += not want.passed
+    assert failed

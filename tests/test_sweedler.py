@@ -350,10 +350,9 @@ def test_only_the_term_compiler_names_the_pipeline():
 
 def test_every_formula_side_is_compared_by_holds():
     """No ``equal_on_basis`` call outside ``sweedler`` takes a
-    ``compile_map(...)`` side: a formula is compared by ``holds``, which
-    names the witness over the formula's own input legs.  The one exception
-    is ``cocycle_comult_compat``: its witness names an (h, g) pair, finer
-    than its one input leg u in H (x) H."""
+    ``compile_map(...)`` side, nor one built from it (a formula composed
+    with a map): a formula is compared by ``holds``, which names the
+    witness over the formula's own input legs."""
     def called(node):
         return isinstance(node, ast.Call) and getattr(
             node.func, "id", getattr(node.func, "attr", None))
@@ -363,5 +362,6 @@ def test_every_formula_side_is_compared_by_holds():
                if path.stem != "sweedler"
                for node in ast.walk(ast.parse(path.read_text()))
                if called(node) == "equal_on_basis"
-               and any(called(a) == "compile_map" for a in node.args)}
-    assert by_hand == {("constructions", "cocycle_comult_compat")}
+               and any(called(n) == "compile_map"
+                       for a in node.args for n in ast.walk(a))}
+    assert by_hand == set()
