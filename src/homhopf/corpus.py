@@ -670,12 +670,12 @@ def _add_crossed_bundles(builder, spec: CrossedProductSpec, prefix: str = ""):
         h_name = builder.add_hom_bialgebra(f"{prefix}H", spec.hopf)
     hs = builder.space_name(spec.hopf_bialgebra.space)
     asp = builder.space_name(spec.algebra.space)
-    builder.add_tensor(f"{prefix}action_tensor", spec.action.act,
+    builder.add_tensor(f"{prefix}action_tensor", spec.action.act_map,
                        [hs, asp, asp])
     builder.add_bundle(f"{prefix}action", {
         "type": "module_action", "acting": h_name, "target": a_name,
         "tensor": f"{prefix}action_tensor"})
-    builder.add_tensor(f"{prefix}sigma_tensor", spec.cocycle.sigma,
+    builder.add_tensor(f"{prefix}sigma_tensor", spec.cocycle.sigma_map,
                        [hs, hs, asp])
     builder.add_bundle(f"{prefix}sigma", {
         "type": "cocycle", "source": h_name, "target": a_name,
@@ -704,7 +704,8 @@ def export_biproduct_spec(spec: BiproductSpec,
     coalg_name = builder.add_hom_coalgebra("A_coalgebra", spec.coalgebra)
     hs = builder.space_name(spec.crossed.hopf_bialgebra.space)
     asp = builder.space_name(spec.coalgebra.space)
-    builder.add_tensor("coaction_tensor", spec.coaction.coact, [asp, hs, asp])
+    builder.add_tensor("coaction_tensor", spec.coaction.coact_map,
+                       [asp, hs, asp])
     builder.add_bundle("coaction", {
         "type": "coaction", "coacting": h_name, "target": coalg_name,
         "tensor": "coaction_tensor"})

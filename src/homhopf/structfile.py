@@ -38,15 +38,27 @@ the bundle, so a misspelled optional key is not silently dropped.
 Canonical serialization is ``json.dumps(..., sort_keys=True, indent=2)``
 plus a trailing newline; parse and serialize are mutually inverse on
 canonical text.
+
+Reading and writing cost one Python step per distinct scalar literal and
+per nonzero, not per dense entry.  ``parse`` validates and converts each
+distinct literal once per document, where it first appears, so an error
+names the first bad entry in reading order, as an entry-by-entry reading
+would; every later occurrence is a dict hit, and a matrix row or cube
+plane is read by one ``map`` over the literal table.  ``serialize()``
+builds the canonical document on first call, each distinct value formatted
+once, and ``DocumentBuilder`` writes tensors and matrices from the
+records' packed maps, the field's zero everywhere else.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
+from math import prod
 
 from .constructions import BiproductSpec, CrossedProductSpec
 from .convact import Coaction, Cocycle, ModuleAction
-from .exactlin import LinearMap, Space
+from .exactlin import LinearMap, Space, _low
 from .fields import BadRational, field_from_tag
 from .homcore import HomAlgebra, HomBialgebra, HomCoalgebra, HomHopf
 
@@ -102,19 +114,50 @@ _RECORDS = {
 
 
 class StructureFile:
-    """A fully validated structure file: the canonical document plus the
-    resolved objects."""
+    """A fully validated structure file: the resolved objects, and the
+    canonical document, built from them when first read.  ``tensors`` holds
+    each cube in kernel form (``exactlin``): a GF(p) entry is its residue."""
 
-    def __init__(self, field, raw, spaces, maps, tensors, bundles,
-                 bundle_types, extras):
+    def __init__(self, field, spaces, maps, tensors, bundles, bundle_types,
+                 extras, heads, literals):
         self.field = field
-        self.raw = raw
         self.spaces = spaces
         self.maps = maps
         self.tensors = tensors
         self.bundles = bundles
         self.bundle_types = bundle_types
         self.extras = extras  # bundle -> {"algebra_antipode": map name}
+        # the space names of each map and tensor, the bundle bodies, and
+        # the kernel value of every scalar literal read
+        self._heads, self._literals = heads, literals
+
+    @cached_property
+    def raw(self) -> dict:
+        """The canonical document: the parsed content with normalized
+        scalars."""
+        formats = _Formats(self.field)
+        canon = {lit: formats[v] for lit, v in self._literals.items()}
+        maps, tensors, bundles = self._heads
+        return {
+            "format_version": FORMAT_VERSION,
+            "field": self.field.tag,
+            "spaces": {name: {"basis": list(sp.names)}
+                       for name, sp in self.spaces.items()},
+            "maps": {name: {
+                "domain": maps[name][0], "codomain": maps[name][1],
+                "matrix": _matrix_literals(formats, m)}
+                for name, m in self.maps.items()},
+            "tensors": {name: {
+                "shape": list(tensors[name]),
+                "entries": [[list(map(formats.__getitem__, plane))
+                             for plane in slab] for slab in cube]}
+                for name, cube in self.tensors.items()},
+            "bundles": {name: {
+                key: list(map(canon.__getitem__, value))
+                if key in ("unit", "counit") else value
+                for key, value in body.items()}
+                for name, body in bundles.items()},
+        }
 
     def serialize(self) -> str:
         return canonical_text(self.raw)
@@ -122,6 +165,38 @@ class StructureFile:
 
 def canonical_text(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+class _Formats(dict):
+    """{scalar: its canonical literal}, each distinct value formatted by
+    ``field.format`` once, on first lookup; a kernel ``int`` and the field
+    element it stands for format alike."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, value):
+        text = self[value] = self.field.format(value)
+        return text
+
+
+def _dense_literals(formats, m: LinearMap, dims, column_stride, row_stride):
+    """The nested lists of shape ``dims`` holding the literal of each
+    nonzero of ``m`` at flat index column * column_stride + row *
+    row_stride, and the field's zero everywhere else."""
+    flat = [formats[0]] * prod(dims)
+    for c, col in m.nonzero_columns().items():
+        for r, v in col.items():
+            flat[c * column_stride + r * row_stride] = formats[v]
+    for d in reversed(dims[1:]):
+        flat = [flat[i:i + d] for i in range(0, len(flat), d)]
+    return flat
+
+
+def _matrix_literals(formats, m: LinearMap) -> list:
+    """The rows of literals of ``m``'s matrix."""
+    return _dense_literals(formats, m, (m.codomain.dim, m.domain.dim), 1,
+                           m.domain.dim)
 
 
 def _require(cond, exc, message):
@@ -163,6 +238,22 @@ def parse(text) -> StructureFile:
                  f"{key} must be an object")
         return body
 
+    elements: dict = {}  # literal -> the field element parsed from it
+    literals: dict = {}  # literal -> that element in kernel form
+
+    def scalars(values, where, table=literals) -> tuple:
+        """The values of the literals ``values``.  A literal not met before,
+        or an entry that is no string, goes through ``_parse_scalar`` in
+        order, so the first bad entry raises as it would alone."""
+        try:
+            return tuple(map(table.__getitem__, values))
+        except (KeyError, TypeError):
+            for v in values:
+                if type(v) is not str or v not in elements:
+                    elements[v] = e = _parse_scalar(field, v, where)
+                    literals[v] = _low(e)
+            return tuple(map(table.__getitem__, values))
+
     def lookup(table, kind, name, where):
         _require(isinstance(name, str) and name in table,
                  UnknownReferenceError, f"{where}: unknown {kind} {name!r}")
@@ -195,9 +286,9 @@ def parse(text) -> StructureFile:
                          for r in matrix),
                  StructShapeError,
                  f"map {name!r}: matrix must be {cod.dim}x{dom.dim}")
-        rows = [[_parse_scalar(field, v, f"map {name!r}") for v in row]
-                for row in matrix]
-        maps[name] = LinearMap(field, dom, cod, rows)
+        where = f"map {name!r}"
+        maps[name] = LinearMap(field, dom, cod,
+                               [scalars(row, where) for row in matrix])
 
     tensors = {}
     for name, body in sorted(section("tensors").items()):
@@ -216,11 +307,9 @@ def parse(text) -> StructureFile:
                  StructShapeError,
                  f"tensor {name!r}: entries must be "
                  f"{dims[0]}x{dims[1]}x{dims[2]}")
-        tensors[name] = tuple(
-            tuple(tuple(_parse_scalar(field, v, f"tensor {name!r}")
-                        for v in plane) for plane in slab)
-            for slab in entries
-        )
+        where = f"tensor {name!r}"
+        tensors[name] = tuple(tuple(scalars(plane, where) for plane in slab)
+                              for slab in entries)
 
     bundle_specs = section("bundles")
     for name, body in bundle_specs.items():
@@ -249,7 +338,7 @@ def parse(text) -> StructureFile:
         _require(isinstance(vec, list) and len(vec) == space.dim,
                  StructShapeError,
                  f"{where}: {key} must be a vector of length {space.dim}")
-        return [_parse_scalar(field, v, where) for v in vec]
+        return scalars(vec, where, elements)
 
     def resolve(name):
         _require(isinstance(name, str) and name in bundle_specs,
@@ -349,43 +438,12 @@ def parse(text) -> StructureFile:
     for name in sorted(bundle_specs):
         resolve(name)
 
-    raw = _canonical_document(field, doc, spaces, maps, tensors, bundle_specs)
-    return StructureFile(field, raw, spaces, maps, tensors, bundles,
-                         bundle_types, extras)
-
-
-def _canonical_document(field, doc, spaces, maps, tensors, bundle_specs):
-    """Re-emit the parsed content with normalized scalars."""
-    out = {
-        "format_version": FORMAT_VERSION,
-        "field": field.tag,
-        "spaces": {name: {"basis": list(sp.names)}
-                   for name, sp in spaces.items()},
-        "maps": {},
-        "tensors": {},
-        "bundles": {},
-    }
-    for name, m in maps.items():
-        body = doc["maps"][name]
-        out["maps"][name] = {
-            "domain": body["domain"],
-            "codomain": body["codomain"],
-            "matrix": [[field.format(v) for v in row] for row in m.matrix],
-        }
-    for name, cube in tensors.items():
-        body = doc["tensors"][name]
-        out["tensors"][name] = {
-            "shape": list(body["shape"]),
-            "entries": [[[field.format(v) for v in plane] for plane in slab]
-                        for slab in cube],
-        }
-    for name, body in bundle_specs.items():
-        clean = dict(body)
-        for key in ("unit", "counit"):
-            if key in clean:
-                clean[key] = [field.format(field.parse(v)) for v in clean[key]]
-        out["bundles"][name] = clean
-    return out
+    heads = ({name: (doc["maps"][name]["domain"],
+                     doc["maps"][name]["codomain"]) for name in maps},
+             {name: doc["tensors"][name]["shape"] for name in tensors},
+             bundle_specs)
+    return StructureFile(field, spaces, maps, tensors, bundles, bundle_types,
+                         extras, heads, literals)
 
 
 class DocumentBuilder:
@@ -393,6 +451,7 @@ class DocumentBuilder:
 
     def __init__(self, field):
         self.field = field
+        self._formats = _Formats(field)
         self.doc = {
             "format_version": FORMAT_VERSION,
             "field": field.tag,
@@ -417,15 +476,20 @@ class DocumentBuilder:
         self.doc["maps"][name] = {
             "domain": self.space_name(m.domain),
             "codomain": self.space_name(m.codomain),
-            "matrix": [[self.field.format(v) for v in row] for row in m.matrix],
+            "matrix": _matrix_literals(self._formats, m),
         }
         return name
 
-    def add_tensor(self, name: str, cube, shape_names) -> str:
+    def add_tensor(self, name: str, packed: LinearMap, shape_names) -> str:
+        """The tensor c[i][j][k] on the spaces ``shape_names`` held by a
+        record as ``packed``, s1 (x) s2 -> s3 or s1 -> s2 (x) s3
+        (``homcore.StructureConstants``): either way, c[i][j][k] is the
+        entry at flat index column * dim(codomain) + row."""
+        dims = [len(self.doc["spaces"][s]["basis"]) for s in shape_names]
         self.doc["tensors"][name] = {
             "shape": list(shape_names),
-            "entries": [[[self.field.format(v) for v in plane]
-                         for plane in slab] for slab in cube],
+            "entries": _dense_literals(self._formats, packed, dims,
+                                       packed.codomain.dim, 1),
         }
         return name
 
@@ -434,14 +498,14 @@ class DocumentBuilder:
         return name
 
     def _vector(self, vec):
-        return [self.field.format(v) for v in vec]
+        return list(map(self._formats.__getitem__, vec))
 
     def add_hom_algebra(self, name: str, a: HomAlgebra) -> str:
         sp = self.add_space(f"{name}_space", a.space)
         return self.add_bundle(name, {
             "type": "hom_algebra",
             "space": sp,
-            "mult": self.add_tensor(f"{name}_mult", a.mult, [sp, sp, sp]),
+            "mult": self.add_tensor(f"{name}_mult", a.mult_map, [sp, sp, sp]),
             "unit": self._vector(a.unit),
             "structure_map": self.add_map(f"{name}_alpha", a.alpha),
         })
@@ -451,7 +515,8 @@ class DocumentBuilder:
         return self.add_bundle(name, {
             "type": "hom_coalgebra",
             "space": sp,
-            "comult": self.add_tensor(f"{name}_comult", c.comult, [sp, sp, sp]),
+            "comult": self.add_tensor(f"{name}_comult", c.comult_map,
+                                     [sp, sp, sp]),
             "counit": self._vector(c.counit),
             "structure_map": self.add_map(f"{name}_gamma", c.gamma),
         })
@@ -462,10 +527,10 @@ class DocumentBuilder:
         body = {
             "type": "hom_bialgebra" if antipode is None else "hom_hopf",
             "space": sp,
-            "mult": self.add_tensor(f"{name}_mult", b.algebra.mult,
+            "mult": self.add_tensor(f"{name}_mult", b.algebra.mult_map,
                                     [sp, sp, sp]),
             "unit": self._vector(b.algebra.unit),
-            "comult": self.add_tensor(f"{name}_comult", b.coalgebra.comult,
+            "comult": self.add_tensor(f"{name}_comult", b.coalgebra.comult_map,
                                       [sp, sp, sp]),
             "counit": self._vector(b.coalgebra.counit),
             "structure_map": self.add_map(f"{name}_alpha", b.alpha),

@@ -50,7 +50,11 @@ unit-row mutant.  Printed, one per line, with the count:
   counted by ``live_space_names`` below before anything else runs.
 - ``modules_on_import``: the ``homhopf.*`` modules, the package included,
   that a bare ``import homhopf`` loads in a fresh interpreter under the
-  same ``PYTHONPATH``, counted by ``modules_on_import`` below.
+  same ``PYTHONPATH``, counted by ``modules_on_import`` below;
+- ``struct_literal_parses``, ``struct_scalar_formats``: the ``parse`` and
+  the ``format`` calls of the fields while ``bench/taft.export_struct``
+  writes the ladder's T_4 rung and ``structfile.parse`` reads the text
+  back, export and parse summed, counted by ``struct_scalar_work`` below.
 
 The counts do not change from run to run, so two checkouts compare exactly:
 run it with ``PYTHONPATH`` at each checkout's ``src``.  A comprehension is
@@ -254,6 +258,29 @@ def modules_on_import() -> int:
     return int(out.stdout)
 
 
+def struct_scalar_work(seed: int) -> tuple[int, int]:
+    """The fields' ``parse`` and ``format`` calls while the ladder's T_4
+    rung is exported as ``.struct`` text and parsed back."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import taft
+    from homhopf.fields import PrimeField, RationalField
+    from homhopf.structfile import parse
+
+    rung = next(r for r in taft.make_ladder(seed) if r["n"] == 4)
+    profile = cProfile.Profile()
+    profile.runcall(lambda: parse(taft.export_struct(rung)))
+    stats = pstats.Stats(profile).stats
+
+    def calls(name):
+        return sum(stats.get((code.co_filename, code.co_firstlineno,
+                              code.co_name), (0, 0))[1]
+                   for code in (getattr(PrimeField, name).__code__,
+                                getattr(RationalField, name).__code__))
+
+    return calls("parse"), calls("format")
+
+
 def placements(build):
     """``build()`` and the rows ``Pipeline.permute`` places while it runs;
     see the module docstring."""
@@ -318,6 +345,7 @@ def counts(seed: int) -> dict:
 
     apply, finish = key(Pipeline._apply), key(Pipeline.finish)
     _, placed = placements(lambda: ladder_pass(seed))
+    literal_parses, scalar_formats = struct_scalar_work(seed)
     return {
         "apply_divmods": calls(BUILTIN_DIVMOD, apply),
         "apply_reduction_dicts": calls("<dictcomp>", apply),
@@ -339,6 +367,8 @@ def counts(seed: int) -> dict:
             convolution_operators(lambda: ladder_pass(seed))[1],
         "live_space_names": live_names,
         "modules_on_import": modules_on_import(),
+        "struct_literal_parses": literal_parses,
+        "struct_scalar_formats": scalar_formats,
     }
 
 

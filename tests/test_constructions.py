@@ -1,6 +1,12 @@
 """Crossed products, smash coproducts, biproducts and their antipodes."""
 
+from dataclasses import replace
+from itertools import product
+from random import Random
+
 import pytest
+
+from homhopf import sweedler
 
 from homhopf.constructions import (
     BiproductSpec,
@@ -20,6 +26,7 @@ from homhopf.constructions import (
 )
 from homhopf.convact import (
     Coaction,
+    Cocycle,
     convolution_inverse,
     convolution_unit,
     convolve,
@@ -40,7 +47,7 @@ from homhopf.corpus import (
     trivial_biproduct_datum,
 )
 from homhopf.exactlin import LinearMap, compose, identity, maps_equal
-from homhopf.fields import QQ
+from homhopf.fields import QQ, PrimeField
 from homhopf.homcore import (
     HomCoalgebra,
     check_hom_algebra,
@@ -374,3 +381,52 @@ def test_classical_biproduct_is_the_sweedler_algebra():
     s_b = biproduct_antipode(spec, b, spec.crossed.hopf.antipode,
                              dual_numbers_antipode())
     assert compose(phi, s_b) == compose(h4.antipode, phi)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_cocycle_comult_compat_compiles_the_pair_coalgebra_formula(
+        field, monkeypatch):
+    """Both sides of Delta_A(sigma(h, g)) = sigma(h1, g1) (x) sigma(h2, g2),
+    as ``check_biproduct_conditions`` hands them to ``holds``, against the
+    same maps summed by nested loops over the structure constants.  The
+    datum is the sign datum with a random dense sigma over the twisted H4,
+    which is not cocommutative, so a formula pairing h2 with g1 and h1 with
+    g2 compiles to a different map; every corpus cocycle is trivial and
+    cannot tell them apart."""
+    rng = Random(11)
+    spec = sweedler_sign_datum(field)
+    h, a = spec.crossed.hopf_bialgebra, spec.crossed.algebra
+    dh, da = h.coalgebra.comult, spec.coalgebra.comult
+    dim_h, dim_a = h.space.dim, a.space.dim
+    sigma = [[[field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+               for _ in range(dim_a)] for _ in range(dim_h)]
+             for _ in range(dim_h)]
+    spec = replace(spec, crossed=replace(
+        spec.crossed, cocycle=Cocycle(h, a, sigma)))
+    sides = {}
+    real = sweedler.equal_on_basis
+
+    def captured(name, lhs, rhs, factors):
+        sides[name] = lhs, rhs
+        return real(name, lhs, rhs, factors)
+
+    monkeypatch.setattr(sweedler, "equal_on_basis", captured)
+    check_biproduct_conditions(spec)
+    lhs, rhs = sides["cocycle_comult_compat"]
+
+    zero = field.zero
+    want_lhs, want_rhs = [], []
+    for i, j in product(range(dim_h), repeat=2):
+        left, right = [zero] * dim_a ** 2, [zero] * dim_a ** 2
+        for k, c in enumerate(sigma[i][j]):
+            for x, y in product(range(dim_a), repeat=2):
+                left[x * dim_a + y] += c * da[k][x][y]
+        for i1, i2, j1, j2 in product(range(dim_h), repeat=4):
+            w = dh[i][i1][i2] * dh[j][j1][j2]
+            for x, y in product(range(dim_a), repeat=2):
+                right[x * dim_a + y] += (w * sigma[i1][j1][x]
+                                         * sigma[i2][j2][y])
+        want_lhs.append(left)
+        want_rhs.append(right)
+    assert [list(lhs.column(c)) for c in range(dim_h ** 2)] == want_lhs
+    assert [list(rhs.column(c)) for c in range(dim_h ** 2)] == want_rhs
